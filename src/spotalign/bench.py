@@ -8,7 +8,7 @@ import logging
 from dataclasses import replace
 
 from .dataio import Dataset, RunConfig
-from .geo import project_points, to_geo
+from .geo import project_points, unproject_points
 from .metrics import HIGHER_BETTER, LOWER_BETTER, EvalReport, evaluate_segments, robustness_index
 from .pipeline import ALL_METHODS, RandomNoise, NoiseSpec, RectifiedSet, inject_noise, rectify
 from .roads import sample_candidates
@@ -135,7 +135,8 @@ def candidate_rows(dataset: Dataset) -> list[list]:
     rows: list[list] = []
     for sid in dataset.segment_ids():
         cands = sample_candidates(dataset.segments[sid])
-        for i, (p, s) in enumerate(zip(cands.points, cands.arclengths)):
-            g = to_geo(cands.frame, p)
-            rows.append([sid, i, float(s), float(g.lat), float(g.lon)])
+        geo = unproject_points(cands.frame, cands.points)
+        rows.extend(
+            [sid, i, s, g.lat, g.lon] for i, (s, g) in enumerate(zip(cands.arclengths.tolist(), geo))
+        )
     return rows

@@ -27,7 +27,7 @@ from .dataio import (
     render_csv,
     save_dataset,
 )
-from .geo import project_points, to_geo
+from .geo import project_points, unproject_points
 from .pipeline import (
     ALL_METHODS,
     CollectedSet,
@@ -73,14 +73,8 @@ def _load_or_synth(args) -> Dataset:
 
 def _run_config(args) -> RunConfig:
     return RunConfig(
-        method=args.method,
-        lam=getattr(args, "lam", 100.0),
-        th=getattr(args, "th", 10.0),
-        tau=getattr(args, "tau", 0.5),
-        mu0=getattr(args, "mu0", 1e-2),
-        rho=getattr(args, "rho", 1.3),
-        max_iters=getattr(args, "max_iters", 300),
-        seed=args.seed,
+        method=args.method, lam=args.lam, th=args.th, tau=args.tau,
+        mu0=args.mu0, rho=args.rho, max_iters=args.max_iters, seed=args.seed,
     )
 
 
@@ -250,10 +244,15 @@ def _cmd_plot(args) -> int:
         seg = dataset.segments[sid]
         cands = sample_candidates(seg)
         frame = cands.frame
+        geo = {
+            "collected": dataset.collected[sid].points,
+            "candidate": unproject_points(frame, cands.points),
+            "rectified": rectified[sid].points,
+        }
         layers = {
-            "collected": project_points(frame, dataset.collected[sid].points),
-            "candidate": cands.xy(),
-            "rectified": project_points(frame, rectified[sid].points),
+            "collected": project_points(frame, geo["collected"]),
+            "candidate": cands.points,
+            "rectified": project_points(frame, geo["rectified"]),
         }
         every = np.vstack(list(layers.values()))
         to_svg = _svg_transform(every)
@@ -261,20 +260,10 @@ def _cmd_plot(args) -> int:
         rows: list[list] = []
         circles: list[str] = []
         for role in ("candidate", "collected", "rectified"):
-            xy = layers[role]
-            geo = dataset.collected[sid].points if role == "collected" else None
             color, radius = PLOT_STYLE[role]
-            for i, p in enumerate(xy):
+            for i, (p, g) in enumerate(zip(layers[role], geo[role])):
                 sx, sy = to_svg(p)
-                if role == "collected":
-                    lat, lon = geo[i].lat, geo[i].lon
-                elif role == "rectified":
-                    g = rectified[sid].points[i]
-                    lat, lon = g.lat, g.lon
-                else:
-                    g = to_geo(frame, cands.points[i])
-                    lat, lon = g.lat, g.lon
-                rows.append([sid, role, i, float(lat), float(lon), float(p[0]), float(p[1]), sx, sy])
+                rows.append([sid, role, i, float(g.lat), float(g.lon), float(p[0]), float(p[1]), sx, sy])
                 circles.append(
                     f'<circle class="pt" cx="{sx!r}" cy="{sy!r}" r="{radius}" fill="{color}" '
                     f'fill-opacity="0.8"><title>{role} {i}</title></circle>'
@@ -315,20 +304,22 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, method_default="raa"):
+    defaults = RunConfig()
+
+    def add_common(p):
         p.add_argument("--segments", type=Path, help="segments CSV")
         p.add_argument("--collected", type=Path, help="collected-points CSV")
         p.add_argument("--truth", type=Path, help="ground-truth CSV")
-        p.add_argument("--method", default=method_default, choices=ALL_METHODS)
-        p.add_argument("--lambda", dest="lam", type=float, default=100.0,
-                       help="rank-1 coupling weight (default 100)")
-        p.add_argument("--th", type=float, default=10.0,
+        p.add_argument("--method", default=defaults.method, choices=ALL_METHODS)
+        p.add_argument("--lambda", dest="lam", type=float, default=defaults.lam,
+                       help=f"rank-1 coupling weight (default {defaults.lam:g})")
+        p.add_argument("--th", type=float, default=defaults.th,
                        help="mean-distance threshold accepting points as already correct")
-        p.add_argument("--tau", type=float, default=0.5, help="recall tolerance in meters")
-        p.add_argument("--mu0", type=float, default=0.1)
-        p.add_argument("--rho", type=float, default=1.3)
-        p.add_argument("--max-iters", type=int, default=300)
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--tau", type=float, default=defaults.tau, help="recall tolerance in meters")
+        p.add_argument("--mu0", type=float, default=defaults.mu0)
+        p.add_argument("--rho", type=float, default=defaults.rho)
+        p.add_argument("--max-iters", type=int, default=defaults.max_iters)
+        p.add_argument("--seed", type=int, default=defaults.seed)
         p.add_argument("--n-straight", type=int, default=6,
                        help="synthetic straight segments when no dataset is given")
         p.add_argument("--n-curve", type=int, default=6,

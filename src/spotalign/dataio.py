@@ -19,11 +19,13 @@ import csv
 import hashlib
 import io
 import os
+import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .geo import GeoPoint
-from .pipeline import ALL_METHODS, RAA, CollectedSet, NoiseSpec
+from .metrics import DEFAULT_RECALL_TOLERANCE_M
+from .pipeline import ALL_METHODS, DEFAULT_CORRECTNESS_THRESHOLD_M, RAA, CollectedSet
 from .roads import CURVE, STRAIGHT, RoadSegment, SpotType
 from .solver import SolverConfig
 
@@ -52,14 +54,13 @@ class RunConfig:
     """Knobs for one rectification / evaluation run."""
 
     method: str = RAA
-    lam: float = 100.0
-    th: float = 10.0
-    tau: float = 0.5
-    mu0: float = 0.1
-    rho: float = 1.3
-    max_iters: int = 300
+    lam: float = SolverConfig.lam
+    th: float = DEFAULT_CORRECTNESS_THRESHOLD_M
+    tau: float = DEFAULT_RECALL_TOLERANCE_M
+    mu0: float = SolverConfig.mu0
+    rho: float = SolverConfig.rho
+    max_iters: int = SolverConfig.max_iters
     seed: int = 0
-    noise: NoiseSpec | None = None
 
     def __post_init__(self) -> None:
         if self.method not in ALL_METHODS:
@@ -79,13 +80,24 @@ class RunConfig:
 # writing
 # ---------------------------------------------------------------------------
 
+# mkstemp creates owner-only files; outputs get the mode a plain open() gives
+_UMASK = os.umask(0)
+os.umask(_UMASK)
+
+
 def atomic_write_text(path: Path, content: str) -> None:
-    """Write a whole file via a temp sibling and rename; never leaves partials."""
+    """Write a whole file via a unique temp sibling and rename; never leaves partials."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(content, encoding="utf-8")
-    os.replace(tmp, path)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    try:
+        with open(fd, "w", encoding="utf-8") as fh:
+            fh.write(content)
+        os.chmod(tmp, 0o666 & ~_UMASK)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def render_csv(meta: str, header: list[str], rows: list[list]) -> str:
@@ -180,13 +192,26 @@ def _parse_float(path: Path, line: int, name: str, raw: str) -> float:
         raise DatasetError(f"{path} line {line}: bad {name} value {raw!r}") from None
 
 
+def _parse_index(path: Path, line: int, name: str, raw: str, seen: dict[int, int]) -> int:
+    """Parse a row index; ``seen`` maps the segment's indices so far to their lines."""
+    value = _parse_float(path, line, name, raw)
+    if not value.is_integer():
+        raise DatasetError(f"{path} line {line}: non-integer {name} value {raw!r}")
+    idx = int(value)
+    if idx in seen:
+        raise DatasetError(f"{path} line {line}: duplicate {name} {idx} (first on line {seen[idx]})")
+    seen[idx] = line
+    return idx
+
+
 def load_segments(path: Path) -> dict[str, RoadSegment]:
     grouped: dict[str, list[tuple[int, int, GeoPoint, bool, str, str]]] = {}
+    seen: dict[str, dict[int, int]] = {}
     for line, rec in _read_rows(path, SEGMENT_COLUMNS):
         sid = rec["segment_id"]
         if not sid:
             raise DatasetError(f"{path} line {line}: empty segment_id")
-        idx = int(_parse_float(path, line, "point_index", rec["point_index"]))
+        idx = _parse_index(path, line, "point_index", rec["point_index"], seen.setdefault(sid, {}))
         try:
             point = GeoPoint(
                 _parse_float(path, line, "lat", rec["lat"]),
@@ -226,9 +251,10 @@ def load_segments(path: Path) -> dict[str, RoadSegment]:
 
 def load_points(path: Path) -> dict[str, list[GeoPoint]]:
     grouped: dict[str, list[tuple[int, GeoPoint]]] = {}
+    seen: dict[str, dict[int, int]] = {}
     for line, rec in _read_rows(path, COLLECTED_COLUMNS):
         sid = rec["segment_id"]
-        idx = int(_parse_float(path, line, "spot_index", rec["spot_index"]))
+        idx = _parse_index(path, line, "spot_index", rec["spot_index"], seen.setdefault(sid, {}))
         try:
             point = GeoPoint(
                 _parse_float(path, line, "lat", rec["lat"]),

@@ -73,37 +73,43 @@ def make_frame(origin: GeoPoint) -> LocalFrame:
 
 def to_local(frame: LocalFrame, p: GeoPoint) -> LocalPoint:
     """Project ``p`` into frame meters.  Rejects points beyond 10 km of the origin."""
-    x = (p.lon - frame.origin.lon) * frame.meters_per_deg_lon
-    y = (p.lat - frame.origin.lat) * frame.meters_per_deg_lat
-    if math.hypot(x, y) > MAX_FRAME_RANGE_M:
-        raise ValueError(
-            f"point {p} is {math.hypot(x, y):.0f} m from the frame origin "
-            f"(limit {MAX_FRAME_RANGE_M:.0f} m)"
-        )
+    x, y = project_points(frame, [p])[0].tolist()
     return LocalPoint(x, y)
 
 
 def to_geo(frame: LocalFrame, q: LocalPoint) -> GeoPoint:
     """Exact inverse of :func:`to_local`."""
-    return GeoPoint(
-        lat=frame.origin.lat + q.y / frame.meters_per_deg_lat,
-        lon=frame.origin.lon + q.x / frame.meters_per_deg_lon,
-    )
+    return unproject_points(frame, [[q.x, q.y]])[0]
 
 
 def project_points(frame: LocalFrame, points: list[GeoPoint] | tuple[GeoPoint, ...]) -> np.ndarray:
-    """Project a sequence of GeoPoints to an (N, 2) array of local meters."""
-    out = np.empty((len(points), 2), dtype=float)
-    for i, p in enumerate(points):
-        q = to_local(frame, p)
-        out[i, 0] = q.x
-        out[i, 1] = q.y
-    return out
+    """Project a sequence of GeoPoints to an (N, 2) array of local meters.
+
+    Rejects the whole sequence if any point lies beyond 10 km of the origin;
+    the error names the first such point.
+    """
+    ll = np.array([(p.lat, p.lon) for p in points], dtype=float).reshape(-1, 2)
+    xy = np.column_stack((
+        (ll[:, 1] - frame.origin.lon) * frame.meters_per_deg_lon,
+        (ll[:, 0] - frame.origin.lat) * frame.meters_per_deg_lat,
+    ))
+    dist = np.hypot(xy[:, 0], xy[:, 1])
+    far = np.flatnonzero(dist > MAX_FRAME_RANGE_M)
+    if far.size:
+        i = int(far[0])
+        raise ValueError(
+            f"point {points[i]} is {dist[i]:.0f} m from the frame origin "
+            f"(limit {MAX_FRAME_RANGE_M:.0f} m)"
+        )
+    return xy
 
 
 def unproject_points(frame: LocalFrame, xy: np.ndarray) -> list[GeoPoint]:
     """Inverse of :func:`project_points` for an (N, 2) array."""
-    return [to_geo(frame, LocalPoint(float(x), float(y))) for x, y in np.asarray(xy, dtype=float)]
+    xy = np.asarray(xy, dtype=float)
+    lat = frame.origin.lat + xy[:, 1] / frame.meters_per_deg_lat
+    lon = frame.origin.lon + xy[:, 0] / frame.meters_per_deg_lon
+    return [GeoPoint(a, b) for a, b in zip(lat.tolist(), lon.tolist())]
 
 
 def centroid(points: list[GeoPoint] | tuple[GeoPoint, ...]) -> GeoPoint:

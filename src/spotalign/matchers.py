@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment, linprog
 
-from .geo import LocalPoint
 from .roads import CandidateSet
 
 ED = "ed"
@@ -33,10 +32,7 @@ class Assignment:
 
 
 def _as_xy(points) -> np.ndarray:
-    if isinstance(points, np.ndarray):
-        xy = np.asarray(points, dtype=float)
-    else:
-        xy = np.array([(p.x, p.y) for p in points], dtype=float)
+    xy = np.asarray(points, dtype=float)
     if xy.ndim != 2 or xy.shape[1] != 2:
         raise ValueError("expected an (N, 2) point array")
     return xy
@@ -145,14 +141,15 @@ def wd_match(collected, candidates) -> tuple[Assignment, float]:
     return Assignment(pairs, float((plan * cost).sum())), float(res.fun)
 
 
-def baseline_rectify(collected, candidate_set: CandidateSet, method: str) -> tuple[list[LocalPoint], int]:
+def baseline_rectify(collected, candidate_set: CandidateSet, method: str) -> tuple[np.ndarray, int]:
     """Snap collected points to candidates using one of the four baselines.
 
     ED and WD pick per-point candidates from the full set.  CD and HA slide an
     M-wide window over the candidates (stride 1), score each window with the
     chamfer distance or the Hungarian optimum, and return the best window's
     candidates in order (ties: smaller start index).  Returns the snapped
-    points and the window start index (0 for the full-set methods).
+    points as an (M, 2) array of candidate rows and the window start index
+    (0 for the full-set methods).
     """
     pts = _as_xy(collected)
     cand = candidate_set.xy()
@@ -161,11 +158,10 @@ def baseline_rectify(collected, candidate_set: CandidateSet, method: str) -> tup
         raise ValueError("no collected points to rectify")
 
     if method == ED:
-        idx = [j for _, j in ed_match(pts, cand).pairs]
-        return [candidate_set.points[j] for j in idx], 0
+        return cand[[j for _, j in ed_match(pts, cand).pairs]], 0
     if method == WD:
         assignment, _ = wd_match(pts, cand)
-        return [candidate_set.points[j] for _, j in assignment.pairs], 0
+        return cand[[j for _, j in assignment.pairs]], 0
 
     if k < m:
         raise ValueError(f"{k} candidates cannot window {m} collected points")
@@ -180,4 +176,4 @@ def baseline_rectify(collected, candidate_set: CandidateSet, method: str) -> tup
     else:
         raise ValueError(f"unknown baseline method {method!r}")
     best = int(np.argmin(scores))  # argmin keeps the smaller index on ties
-    return list(candidate_set.points[best:best + m]), best
+    return cand[best:best + m], best

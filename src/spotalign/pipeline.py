@@ -235,13 +235,11 @@ def rectify(
         raise ValueError(f"unknown method {method!r}")
     cands = sample_candidates(segment)
     pts = project_points(cands.frame, collected.points)
-    snapped_local, start = baseline_rectify(pts, cands, method)
-    snapped = [np.array([p.x, p.y]) for p in snapped_local]
-    geo = unproject_points(cands.frame, np.array(snapped))
-    residual = float(np.hypot(*(pts - np.array(snapped)).T).sum())
+    snapped, start = baseline_rectify(pts, cands, method)
+    residual = float(np.hypot(*(pts - snapped).T).sum())
     return RectifiedSet(
         segment_id=collected.segment_id,
-        points=tuple(geo),
+        points=tuple(unproject_points(cands.frame, snapped)),
         window_start_index=start,
         loss=residual,
         method=method,

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geo import GeoPoint, LocalFrame, LocalPoint, centroid, make_frame, project_points
+from .geo import GeoPoint, LocalFrame, centroid, make_frame, project_points
 
 INTERSECTION_CLEARANCE_M = 50.0
 
@@ -85,13 +85,17 @@ class RoadSegment:
         return make_frame(centroid(self.polyline))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CandidateSet:
-    """Candidate spot locations sampled along one segment, ordered by arclength."""
+    """Candidate spot locations sampled along one segment, ordered by arclength.
+
+    ``points`` is a read-only (K, 2) array of local meters and ``arclengths``
+    the read-only (K,) array of their arclength positions.
+    """
 
     segment_id: str
-    points: tuple[LocalPoint, ...]
-    arclengths: tuple[float, ...]
+    points: np.ndarray
+    arclengths: np.ndarray
     frame: LocalFrame
 
     def __len__(self) -> int:
@@ -99,7 +103,7 @@ class CandidateSet:
 
     def xy(self) -> np.ndarray:
         """Candidate coordinates as a (K, 2) array of local meters."""
-        return np.array([(p.x, p.y) for p in self.points], dtype=float)
+        return self.points
 
 
 def _cumulative_arclengths(xy: np.ndarray) -> np.ndarray:
@@ -111,16 +115,6 @@ def segment_arclength(segment: RoadSegment) -> float:
     """Total polyline length in meters, measured in the segment's local frame."""
     xy = project_points(segment.frame(), segment.polyline)
     return float(_cumulative_arclengths(xy)[-1])
-
-
-def _point_at_arclength(xy: np.ndarray, cum: np.ndarray, s: float) -> LocalPoint:
-    # cum is non-decreasing; interpolate within the edge containing s
-    i = int(np.searchsorted(cum, s, side="right")) - 1
-    i = min(max(i, 0), len(cum) - 2)
-    length = cum[i + 1] - cum[i]
-    t = 0.0 if length == 0.0 else (s - cum[i]) / length
-    p = xy[i] + t * (xy[i + 1] - xy[i])
-    return LocalPoint(float(p[0]), float(p[1]))
 
 
 def _admissible_intervals(total: float, exclusion_centers: list[float]) -> list[tuple[float, float]]:
@@ -169,16 +163,16 @@ def sample_candidates(segment: RoadSegment) -> CandidateSet:
     if not intervals or usable < spacing:
         raise EmptyCandidateError(segment.id, usable)
 
-    arcs: list[float] = []
-    for a, b in intervals:
-        # guard keeps the last step admissible when (b - a) is a hair under a
-        # multiple of the spacing; overshoot is bounded by 6e-10 m
-        n_steps = int(math.floor((b - a) / spacing + 1e-10))
-        arcs.extend(a + k * spacing for k in range(n_steps + 1))
-    points = tuple(_point_at_arclength(xy, cum, s) for s in arcs)
-    return CandidateSet(
-        segment_id=segment.id,
-        points=points,
-        arclengths=tuple(arcs),
-        frame=frame,
-    )
+    # guard keeps the last step admissible when (b - a) is a hair under a
+    # multiple of the spacing; overshoot is bounded by 6e-10 m
+    arcs = np.concatenate([
+        a + np.arange(math.floor((b - a) / spacing + 1e-10) + 1) * spacing for a, b in intervals
+    ])
+    # interpolate each arclength within the edge containing it (cum is non-decreasing)
+    edge = np.clip(np.searchsorted(cum, arcs, side="right") - 1, 0, len(cum) - 2)
+    length = cum[edge + 1] - cum[edge]
+    t = np.divide(arcs - cum[edge], length, out=np.zeros_like(arcs), where=length != 0.0)
+    points = xy[edge] + t[:, None] * (xy[edge + 1] - xy[edge])
+    points.flags.writeable = False
+    arcs.flags.writeable = False
+    return CandidateSet(segment_id=segment.id, points=points, arclengths=arcs, frame=frame)

@@ -131,16 +131,6 @@ class SolverState:
     def warp2(self) -> np.ndarray:
         return warp_values(self.theta2.theta, self.theta2.s_x, self.theta2.s_y, self.Rd)
 
-    def copy(self) -> "SolverState":
-        return SolverState(
-            P=self.P, Rd=self.Rd,
-            C=self.C.copy(), D=self.D.copy(), A=self.A.copy(),
-            E1=self.E1.copy(), E2=self.E2.copy(),
-            theta1=self.theta1, theta2=self.theta2,
-            Y1=self.Y1.copy(), Y2=self.Y2.copy(), Y3=self.Y3.copy(),
-            mu=self.mu,
-        )
-
 
 @dataclass
 class IterationTrace:
@@ -260,27 +250,18 @@ def update_coupling(state: SolverState, cfg: SolverConfig) -> SolverState:
 
 def update_rectified_blocks(
     state: SolverState,
-    gradP: np.ndarray | None = None,
-    gradRd: np.ndarray | None = None,
-    delta1: TransformIncrement | None = None,
-    delta2: TransformIncrement | None = None,
     warp1: np.ndarray | None = None,
     warp2: np.ndarray | None = None,
 ) -> SolverState:
     """C/D-step: each block is the average of its two quadratic anchors.
 
-    The increment terms participate only when a not-yet-folded increment is
-    supplied; inside the solve loop the increments were folded at the end of
-    the previous sweep, so they are zero here.
+    The transform increments take no part: inside the solve loop they were
+    folded at the end of the previous sweep, so they are zero here.
     """
     w1 = (state.warp1() if warp1 is None else warp1) + state.E1 + state.Y1 / state.mu
-    if delta1 is not None:
-        w1 = w1 + gradP @ delta1.as_vector()
     state.C = 0.5 * (w1 + state.A[:, 0] - state.Y3[:, 0] / state.mu)
 
     w2 = (state.warp2() if warp2 is None else warp2) + state.E2 + state.Y2 / state.mu
-    if delta2 is not None:
-        w2 = w2 + gradRd @ delta2.as_vector()
     state.D = 0.5 * (w2 + state.A[:, 1] - state.Y3[:, 1] / state.mu)
     return state
 

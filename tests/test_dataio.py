@@ -4,6 +4,7 @@ from spotalign.dataio import (
     Dataset,
     DatasetError,
     RunConfig,
+    atomic_write_text,
     load_dataset,
     save_dataset,
 )
@@ -83,6 +84,43 @@ class TestSaveLoad:
         with pytest.raises(DatasetError, match="line 3"):
             load_dataset(seg, col)
 
+    def test_non_integer_index_reports_line(self, tmp_path):
+        seg = tmp_path / "segments.csv"
+        seg.write_text(
+            "segment_id,point_index,lat,lon,is_intersection,spot_type,shape_class\n"
+            "r1,0,0.0,0.0,0,parallel,straight\n"
+            "r1,1,0.0,0.001,0,parallel,straight\n"
+        )
+        col = tmp_path / "collected.csv"
+        col.write_text("segment_id,spot_index,lat,lon\nr1,0,0.0,0.0\nr1,1.5,0.0,0.0005\n")
+        with pytest.raises(DatasetError, match=r"line 3: non-integer spot_index value '1\.5'"):
+            load_dataset(seg, col)
+
+    def test_duplicate_index_reports_line(self, tmp_path):
+        seg = tmp_path / "segments.csv"
+        seg.write_text(
+            "segment_id,point_index,lat,lon,is_intersection,spot_type,shape_class\n"
+            "r1,0,0.0,0.0,0,parallel,straight\n"
+            "r1,1,0.0,0.001,0,parallel,straight\n"
+        )
+        col = tmp_path / "collected.csv"
+        col.write_text("segment_id,spot_index,lat,lon\nr1,0,0.0,0.0\nr2,0,0.0,0.0\nr1,0,0.0,0.0005\n")
+        with pytest.raises(DatasetError, match="line 4: duplicate spot_index 0 \\(first on line 2\\)"):
+            load_dataset(seg, col)
+
+    def test_duplicate_polyline_index_reports_line(self, tmp_path):
+        seg = tmp_path / "segments.csv"
+        seg.write_text(
+            "segment_id,point_index,lat,lon,is_intersection,spot_type,shape_class\n"
+            "r1,0,0.0,0.0,0,parallel,straight\n"
+            "r1,1,0.0,0.001,0,parallel,straight\n"
+            "r1,1.0,0.0,0.002,0,parallel,straight\n"
+        )
+        col = tmp_path / "collected.csv"
+        col.write_text("segment_id,spot_index,lat,lon\nr1,0,0.0,0.0005\n")
+        with pytest.raises(DatasetError, match="line 4: duplicate point_index 1"):
+            load_dataset(seg, col)
+
     def test_truth_size_mismatch(self, tmp_path):
         ds = corpus_dataset(1, 0)
         paths = save_dataset(ds, tmp_path)
@@ -119,3 +157,20 @@ class TestRunConfig:
     def test_invalid_method(self):
         with pytest.raises(ValueError):
             RunConfig(method="psychic")
+
+
+class TestAtomicWrite:
+    def test_existing_tmp_sibling_untouched(self, tmp_path):
+        target = tmp_path / "out.csv"
+        bystander = tmp_path / "out.csv.tmp"
+        bystander.write_text("someone else's file")
+        atomic_write_text(target, "a,b\n")
+        assert target.read_text() == "a,b\n"
+        assert bystander.read_text() == "someone else's file"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "out.csv.tmp"]
+
+    def test_failed_write_leaves_no_files(self, tmp_path):
+        target = tmp_path / "out.csv"
+        with pytest.raises(UnicodeEncodeError):
+            atomic_write_text(target, "lone surrogate \ud800")
+        assert list(tmp_path.iterdir()) == []

@@ -89,6 +89,16 @@ class TestProjection:
         with pytest.raises(ValueError):
             to_local(frame, GeoPoint(0.0, 0.2))  # ~22 km east
 
+    def test_project_points_names_first_far_point(self):
+        frame = make_frame(GeoPoint(0.0, 0.0))
+        far = GeoPoint(0.0, 0.2)  # ~22 km east
+        with pytest.raises(ValueError) as single:
+            to_local(frame, far)
+        with pytest.raises(ValueError) as batch:
+            project_points(frame, [GeoPoint(0.0, 0.001), far, GeoPoint(0.3, 0.0)])
+        assert str(batch.value) == str(single.value)
+        assert str(batch.value) == f"point {far} is 22264 m from the frame origin (limit 10000 m)"
+
 
 class TestFrameProperties:
     @given(

@@ -188,7 +188,7 @@ class TestBaselineRectify:
         window = cands.xy()[4:12]
         for method in ("ed", "cd", "ha"):
             snapped, _ = baseline_rectify(window, cands, method)
-            got = np.array([(p.x, p.y) for p in snapped])
+            got = np.array([(p[0], p[1]) for p in snapped])
             assert np.allclose(got, window, atol=1e-9), method
 
     def test_clean_points_fixed_by_wd_at_equal_sizes(self):
@@ -199,7 +199,7 @@ class TestBaselineRectify:
         cands = sample_candidates(seg)
         window = cands.xy()
         snapped, _ = baseline_rectify(window, cands, "wd")
-        got = np.array([(p.x, p.y) for p in snapped])
+        got = np.array([(p[0], p[1]) for p in snapped])
         assert np.allclose(got, window, atol=1e-9)
 
     def test_ha_recovers_shifted_window(self, rng):
@@ -225,7 +225,7 @@ class TestBaselineRectify:
         corrupted[3] += np.array([20.0, 0.5])
         snapped, _ = baseline_rectify(corrupted, cands, "ed")
         wrong = snapped[3]
-        assert math.hypot(wrong.x - truth[3, 0], wrong.y - truth[3, 1]) >= 6.0
+        assert math.hypot(wrong[0] - truth[3, 0], wrong[1] - truth[3, 1]) >= 6.0
 
     def test_unknown_method_rejected(self):
         cands = self.make_candidates()

@@ -76,8 +76,17 @@ class TestSampleCandidates:
         seg = straight_segment(77.0, SpotType.PARALLEL, n_vertices=3)
         a = sample_candidates(seg)
         b = sample_candidates(seg)
-        assert a.arclengths == b.arclengths
-        assert all(p.x == q.x and p.y == q.y for p, q in zip(a.points, b.points))
+        assert np.array_equal(a.arclengths, b.arclengths)
+        assert all(p[0] == q[0] and p[1] == q[1] for p, q in zip(a.points, b.points))
+
+    def test_arrays_read_only(self):
+        cands = sample_candidates(straight_segment(77.0, SpotType.PARALLEL, n_vertices=3))
+        assert cands.points.shape == (len(cands), 2)
+        assert cands.arclengths.shape == (len(cands),)
+        assert cands.xy() is cands.points
+        for arr in (cands.points, cands.arclengths):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
 
     def test_too_short_after_exclusion(self):
         seg = straight_segment(104.0, SpotType.PARALLEL, n_vertices=3, intersections=(0, 2))
@@ -95,8 +104,8 @@ class TestSampleCandidates:
             dists = []
             for a, b in zip(verts, verts[1:]):
                 ab = b - a
-                t = np.clip(np.dot([p.x, p.y] - a, ab) / np.dot(ab, ab), 0.0, 1.0)
-                dists.append(np.hypot(*([p.x, p.y] - a - t * ab)))
+                t = np.clip(np.dot([p[0], p[1]] - a, ab) / np.dot(ab, ab), 0.0, 1.0)
+                dists.append(np.hypot(*([p[0], p[1]] - a - t * ab)))
             assert min(dists) < 1e-6
 
 
