@@ -172,16 +172,24 @@ def _read_rows(path: Path, expected: list[str]) -> list[tuple[int, dict[str, str
     if not path.exists():
         raise DatasetError(f"missing file: {path}")
     rows: list[tuple[int, dict[str, str]]] = []
+    # file_lines[n - 1] is the physical line number of the n-th non-comment
+    # line, so errors name the line an editor shows
+    file_lines: list[int] = []
     with path.open(newline="", encoding="utf-8") as fh:
-        filtered = (line for line in fh if not line.startswith("#"))
-        reader = csv.DictReader(filtered)
+        def data_lines():
+            for number, line in enumerate(fh, start=1):
+                if not line.startswith("#"):
+                    file_lines.append(number)
+                    yield line
+
+        reader = csv.DictReader(data_lines())
         if reader.fieldnames is None:
             raise DatasetError(f"{path}: empty file")
         missing = [c for c in expected if c not in reader.fieldnames]
         if missing:
             raise DatasetError(f"{path}: missing columns {missing}")
         for record in reader:
-            rows.append((reader.line_num, record))
+            rows.append((file_lines[reader.line_num - 1], record))
     return rows
 
 
@@ -263,6 +271,12 @@ def load_points(path: Path) -> dict[str, list[GeoPoint]]:
         except ValueError as exc:
             raise DatasetError(f"{path} line {line}: {exc}") from None
         grouped.setdefault(sid, []).append((idx, point))
+    for sid, indices in seen.items():
+        missing = set(range(len(indices))) - indices.keys()
+        if missing:
+            raise DatasetError(
+                f"{path}: segment {sid!r}: spot_index must run 0..{len(indices) - 1}, {min(missing)} is missing"
+            )
     return {
         sid: [p for _, p in sorted(entries, key=lambda e: e[0])]
         for sid, entries in grouped.items()
@@ -273,8 +287,9 @@ def load_dataset(segments_path: Path, collected_path: Path, truth_path: Path | N
     """Load and cross-validate the canonical dataset files.
 
     Raises :class:`DatasetError` for missing files, malformed rows (with the
-    line number), collected points referencing unknown segments, or ground
-    truth whose size disagrees with the collected set.
+    line number), a segment whose spot indices are not exactly 0..M-1,
+    collected points referencing unknown segments, or ground truth whose
+    size disagrees with the collected set.
     """
     segments = load_segments(segments_path)
     collected_pts = load_points(collected_path)

@@ -62,21 +62,19 @@ def acd(pred, truth) -> float:
     ``pred`` and ``truth`` are sequences of (M_i, 2) arrays of local-frame
     meters, index-aligned within each segment.
     """
-    devs = _deviations(pred, truth)
-    return float(sum(d.sum() for d in devs) / sum(d.size for d in devs))
+    return evaluate_segments(range(len(pred)), pred, truth).acd
 
 
 def ar(pred, truth, tau: float = DEFAULT_RECALL_TOLERANCE_M) -> float:
     """Average recall: per-segment fraction of points within ``tau`` meters,
     averaged over segments without size weighting."""
-    if tau <= 0:
-        raise ValueError("tau must be positive")
-    devs = _deviations(pred, truth)
-    return float(np.mean([(d < tau).mean() for d in devs]))
+    return evaluate_segments(range(len(pred)), pred, truth, tau).ar
 
 
 def evaluate_segments(ids, pred, truth, tau: float = DEFAULT_RECALL_TOLERANCE_M) -> EvalReport:
     """Per-segment scores plus point-pooled ACD and segment-averaged AR."""
+    if tau <= 0:
+        raise ValueError("tau must be positive")
     devs = _deviations(pred, truth)
     per = tuple(
         SegmentScore(

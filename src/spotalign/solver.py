@@ -18,6 +18,12 @@ candidate side, and the rigid transforms are re-linearized every sweep: the
 increment least-squares solution is folded into the running transform and
 the Jacobians recomputed.
 
+:func:`sweep` is the one implementation of a sweep; :func:`admm_solve`
+repeats it until convergence, and its trace mode records the same sweep.
+The state carries its current linearization (the warped inputs W1, W2 and
+their Jacobians J1, J2), which :meth:`SolverState.set_transforms` rebuilds
+whenever the transforms move, so every block update reads one copy of it.
+
 The E2 regularizer is realized purely through its translation structure (the
 per-axis-mean projection is the exact block minimizer), so the augmented
 Lagrangian tracked here contains no separate E2 norm term; every block update
@@ -31,6 +37,7 @@ configurable meters-per-radian-equivalent scale.
 
 from __future__ import annotations
 
+import copy
 import logging
 import math
 from dataclasses import dataclass, field
@@ -42,6 +49,7 @@ from .rigid import (
     StackedCoords,
     TransformIncrement,
     compose,
+    invert,
     jacobian_values,
     warp_values,
 )
@@ -105,6 +113,9 @@ class SolverState:
     P and Rd are fixed inputs; C, D, A, E1, E2 are the primal blocks;
     Y1, Y2, Y3 the multipliers; mu the current penalty.  E2 keeps its
     translation structure (one constant per axis) after every update.
+    W1, W2 (the warped inputs) and J1, J2 (their Jacobians) are the current
+    linearization; :meth:`set_transforms` keeps them in step with the
+    transforms.
     """
 
     P: np.ndarray
@@ -120,16 +131,21 @@ class SolverState:
     Y2: np.ndarray
     Y3: np.ndarray
     mu: float
+    W1: np.ndarray = field(init=False)
+    W2: np.ndarray = field(init=False)
+    J1: np.ndarray = field(init=False)
+    J2: np.ndarray = field(init=False)
 
-    @property
-    def m(self) -> int:
-        return self.P.size // 2
+    def __post_init__(self) -> None:
+        self.set_transforms(self.theta1, self.theta2)
 
-    def warp1(self) -> np.ndarray:
-        return warp_values(self.theta1.theta, self.theta1.s_x, self.theta1.s_y, self.P)
-
-    def warp2(self) -> np.ndarray:
-        return warp_values(self.theta2.theta, self.theta2.s_x, self.theta2.s_y, self.Rd)
+    def set_transforms(self, theta1: RigidTransform2D, theta2: RigidTransform2D) -> None:
+        """Move both transforms and re-linearize the warps around them."""
+        self.theta1, self.theta2 = theta1, theta2
+        self.J1 = jacobian_values(theta1.theta, self.P)
+        self.J2 = jacobian_values(theta2.theta, self.Rd)
+        self.W1 = warp_values(theta1.theta, theta1.s_x, theta1.s_y, self.P)
+        self.W2 = warp_values(theta2.theta, theta2.s_x, theta2.s_y, self.Rd)
 
 
 @dataclass
@@ -143,8 +159,6 @@ class IterationTrace:
 
     lagrangians: list[tuple[float, float, float, float, float]] = field(default_factory=list)
     coupling_residuals: list[float] = field(default_factory=list)
-    primal_residuals: list[float] = field(default_factory=list)
-    mus: list[float] = field(default_factory=list)
 
 
 @dataclass
@@ -153,7 +167,6 @@ class SolverResult:
     loss: float
     iterations: int
     converged: bool
-    primal_residual: float
     trace: IterationTrace | None = None
 
     def aligned_collected(self) -> np.ndarray:
@@ -163,14 +176,8 @@ class SolverResult:
         theta2); on a clean alignment this lands on Rd itself.
         """
         s = self.state
-        moved = warp_values(s.theta1.theta, s.theta1.s_x, s.theta1.s_y, s.P) - s.E2
-        c, sn = math.cos(s.theta2.theta), math.sin(s.theta2.theta)
-        x = moved[0::2] - s.theta2.s_x
-        y = moved[1::2] - s.theta2.s_y
-        out = np.empty_like(moved)
-        out[0::2] = c * x + sn * y
-        out[1::2] = -sn * x + c * y
-        return out
+        back = invert(s.theta2)
+        return warp_values(back.theta, back.s_x, back.s_y, s.W1 - s.E2)
 
 
 def soft_threshold(v: np.ndarray, t: float) -> np.ndarray:
@@ -248,39 +255,29 @@ def update_coupling(state: SolverState, cfg: SolverConfig) -> SolverState:
     return state
 
 
-def update_rectified_blocks(
-    state: SolverState,
-    warp1: np.ndarray | None = None,
-    warp2: np.ndarray | None = None,
-) -> SolverState:
+def update_rectified_blocks(state: SolverState) -> SolverState:
     """C/D-step: each block is the average of its two quadratic anchors.
 
     The transform increments take no part: inside the solve loop they were
     folded at the end of the previous sweep, so they are zero here.
     """
-    w1 = (state.warp1() if warp1 is None else warp1) + state.E1 + state.Y1 / state.mu
+    w1 = state.W1 + state.E1 + state.Y1 / state.mu
     state.C = 0.5 * (w1 + state.A[:, 0] - state.Y3[:, 0] / state.mu)
 
-    w2 = (state.warp2() if warp2 is None else warp2) + state.E2 + state.Y2 / state.mu
+    w2 = state.W2 + state.E2 + state.Y2 / state.mu
     state.D = 0.5 * (w2 + state.A[:, 1] - state.Y3[:, 1] / state.mu)
     return state
 
 
-def update_error_blocks(
-    state: SolverState,
-    warp1: np.ndarray | None = None,
-    warp2: np.ndarray | None = None,
-) -> SolverState:
+def update_error_blocks(state: SolverState) -> SolverState:
     """E-step: shrink the collected-side residual, average the candidate-side one.
 
     E1 gets the elementwise soft threshold at 1/mu; E2 is the projection of
     its residual onto translation structure (every x entry the mean of the
     x residuals, likewise for y).
     """
-    w1 = state.warp1() if warp1 is None else warp1
-    w2 = state.warp2() if warp2 is None else warp2
-    state.E1 = soft_threshold(state.C - w1 - state.Y1 / state.mu, 1.0 / state.mu)
-    state.E2 = axis_mean_replicate(state.D - w2 - state.Y2 / state.mu)
+    state.E1 = soft_threshold(state.C - state.W1 - state.Y1 / state.mu, 1.0 / state.mu)
+    state.E2 = axis_mean_replicate(state.D - state.W2 - state.Y2 / state.mu)
     return state
 
 
@@ -301,46 +298,40 @@ def _solve_increment(grad: np.ndarray, residual: np.ndarray) -> TransformIncreme
     return TransformIncrement(float(sol[0]), float(sol[1]), float(sol[2]))
 
 
-def update_transform_increments(
-    state: SolverState,
-    gradP: np.ndarray,
-    gradRd: np.ndarray,
-    warp1: np.ndarray | None = None,
-    warp2: np.ndarray | None = None,
-) -> tuple[TransformIncrement, TransformIncrement]:
+def update_transform_increments(state: SolverState) -> tuple[TransformIncrement, TransformIncrement]:
     """Increment-step: least-squares fit of each linearized warp to its residual."""
-    w1 = state.warp1() if warp1 is None else warp1
-    w2 = state.warp2() if warp2 is None else warp2
-    d1 = _solve_increment(gradP, state.C - w1 - state.E1 - state.Y1 / state.mu)
-    d2 = _solve_increment(gradRd, state.D - w2 - state.E2 - state.Y2 / state.mu)
+    d1 = _solve_increment(state.J1, state.C - state.W1 - state.E1 - state.Y1 / state.mu)
+    d2 = _solve_increment(state.J2, state.D - state.W2 - state.E2 - state.Y2 / state.mu)
     return d1, d2
 
 
-def update_multipliers(state: SolverState, cfg: SolverConfig) -> SolverState:
-    """Dual ascent on all three constraints, then grow the penalty."""
-    state.Y1 = state.Y1 + state.mu * (state.warp1() + state.E1 - state.C)
-    state.Y2 = state.Y2 + state.mu * (state.warp2() + state.E2 - state.D)
-    state.Y3 = state.Y3 + state.mu * (np.stack([state.C, state.D], axis=1) - state.A)
-    state.mu = state.mu * cfg.rho
-    return state
-
-
-def lagrangian(
-    state: SolverState,
-    cfg: SolverConfig,
-    delta1: TransformIncrement | None = None,
-    delta2: TransformIncrement | None = None,
-    gradP: np.ndarray | None = None,
-    gradRd: np.ndarray | None = None,
-) -> float:
-    """Augmented Lagrangian at the current state (and optional unfolded increments)."""
-    h1 = state.warp1() + state.E1 - state.C
-    if delta1 is not None:
-        h1 = h1 + gradP @ delta1.as_vector()
-    h2 = state.warp2() + state.E2 - state.D
-    if delta2 is not None:
-        h2 = h2 + gradRd @ delta2.as_vector()
+def _constraint_residuals(state: SolverState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """W1 + E1 - C, W2 + E2 - D and [C D] - A."""
+    h1 = state.W1 + state.E1 - state.C
+    h2 = state.W2 + state.E2 - state.D
     g = np.stack([state.C, state.D], axis=1) - state.A
+    return h1, h2, g
+
+
+def update_multipliers(state: SolverState, cfg: SolverConfig) -> tuple[float, float]:
+    """Dual ascent on all three constraints, then grow the penalty.
+
+    Returns the coupling residual |[C D] - A| and the largest of the three
+    constraint residuals, both measured before the ascent.
+    """
+    h1, h2, g = _constraint_residuals(state)
+    coupling = float(np.linalg.norm(g))
+    primal = max(float(np.linalg.norm(h1)), float(np.linalg.norm(h2)), coupling)
+    state.Y1 = state.Y1 + state.mu * h1
+    state.Y2 = state.Y2 + state.mu * h2
+    state.Y3 = state.Y3 + state.mu * g
+    state.mu = state.mu * cfg.rho
+    return coupling, primal
+
+
+def lagrangian(state: SolverState, cfg: SolverConfig) -> float:
+    """Augmented Lagrangian at the current state and linearization."""
+    h1, h2, g = _constraint_residuals(state)
     mu = state.mu
     return float(
         np.abs(state.E1).sum()
@@ -370,6 +361,40 @@ def _state_vector(state: SolverState) -> np.ndarray:
     ])
 
 
+def sweep(state: SolverState, cfg: SolverConfig, trace: IterationTrace | None = None) -> float:
+    """One ADMM sweep: A -> C/D -> E1/E2 -> increments -> multipliers.
+
+    The increments are folded into the transforms (re-linearizing the warps)
+    before the dual step.  Returns the largest constraint residual; with a
+    ``trace`` the Lagrangian after each block and the coupling residual are
+    appended to it.
+    """
+    if trace is not None:
+        l_start = lagrangian(state, cfg)
+    update_coupling(state, cfg)
+    if trace is not None:
+        l_a = lagrangian(state, cfg)
+    update_rectified_blocks(state)
+    if trace is not None:
+        l_cd = lagrangian(state, cfg)
+    update_error_blocks(state)
+    if trace is not None:
+        l_e = lagrangian(state, cfg)
+    d1, d2 = update_transform_increments(state)
+    if trace is not None:
+        # the increment step's value before folding: the same state with each
+        # warp moved along its Jacobian
+        moved = copy.copy(state)
+        moved.W1 = state.W1 + state.J1 @ d1.as_vector()
+        moved.W2 = state.W2 + state.J2 @ d2.as_vector()
+        trace.lagrangians.append((l_start, l_a, l_cd, l_e, lagrangian(moved, cfg)))
+    state.set_transforms(compose(d1, state.theta1), compose(d2, state.theta2))
+    coupling, primal = update_multipliers(state, cfg)
+    if trace is not None:
+        trace.coupling_residuals.append(coupling)
+    return primal
+
+
 def admm_solve(
     P: StackedCoords,
     Rd: StackedCoords,
@@ -379,10 +404,9 @@ def admm_solve(
 ) -> SolverResult:
     """Run the full alternating solve of P against the candidate window Rd.
 
-    Sweeps A -> C/D -> E1/E2 -> increments (folded immediately, Jacobians
-    recomputed) -> multipliers until the largest constraint residual drops
-    below ``tol_primal``, the relative state change drops below
-    ``tol_change``, or ``max_iters`` sweeps have run.
+    Repeats :func:`sweep` until the largest constraint residual drops below
+    ``tol_primal``, the relative state change drops below ``tol_change``, or
+    ``max_iters`` sweeps have run.
 
     Raises :class:`NumericalFailureError` if the state leaves the
     representable range, and :class:`DegenerateGeometryError` for coincident
@@ -392,55 +416,10 @@ def admm_solve(
     state = init_state(P, Rd, cfg)
     trace = IterationTrace() if collect_trace else None
 
-    gradP = jacobian_values(state.theta1.theta, state.P)
-    gradRd = jacobian_values(state.theta2.theta, state.Rd)
-    w1 = state.warp1()
-    w2 = state.warp2()
-
     converged = False
-    primal = math.inf
-    iterations = 0
     prev_vec = _state_vector(state)
-
-    for it in range(cfg.max_iters):
-        iterations = it + 1
-        if trace is not None:
-            l_start = lagrangian(state, cfg)
-
-        update_coupling(state, cfg)
-        if trace is not None:
-            l_a = lagrangian(state, cfg)
-
-        update_rectified_blocks(state, warp1=w1, warp2=w2)
-        if trace is not None:
-            l_cd = lagrangian(state, cfg)
-
-        update_error_blocks(state, warp1=w1, warp2=w2)
-        if trace is not None:
-            l_e = lagrangian(state, cfg)
-
-        d1, d2 = update_transform_increments(state, gradP, gradRd, warp1=w1, warp2=w2)
-        if trace is not None:
-            l_inc = lagrangian(state, cfg, d1, d2, gradP, gradRd)
-            trace.lagrangians.append((l_start, l_a, l_cd, l_e, l_inc))
-
-        state.theta1 = compose(d1, state.theta1)
-        state.theta2 = compose(d2, state.theta2)
-        gradP = jacobian_values(state.theta1.theta, state.P)
-        gradRd = jacobian_values(state.theta2.theta, state.Rd)
-        w1 = state.warp1()
-        w2 = state.warp2()
-
-        h1 = w1 + state.E1 - state.C
-        h2 = w2 + state.E2 - state.D
-        g = np.stack([state.C, state.D], axis=1) - state.A
-        coupling = float(np.linalg.norm(g))
-        primal = max(float(np.linalg.norm(h1)), float(np.linalg.norm(h2)), coupling)
-
-        state.Y1 = state.Y1 + state.mu * h1
-        state.Y2 = state.Y2 + state.mu * h2
-        state.Y3 = state.Y3 + state.mu * g
-
+    for iterations in range(1, cfg.max_iters + 1):
+        primal = sweep(state, cfg, trace)
         vec = _state_vector(state)
         if not np.all(np.isfinite(vec)):
             raise NumericalFailureError(iterations)
@@ -448,14 +427,6 @@ def admm_solve(
             np.linalg.norm(vec - prev_vec) / max(1.0, float(np.linalg.norm(prev_vec)))
         )
         prev_vec = vec
-
-        if trace is not None:
-            trace.coupling_residuals.append(coupling)
-            trace.primal_residuals.append(primal)
-            trace.mus.append(state.mu)
-
-        state.mu = state.mu * cfg.rho
-
         if primal < cfg.tol_primal or rel_change < cfg.tol_change:
             converged = True
             break
@@ -463,13 +434,6 @@ def admm_solve(
     loss = alignment_loss(state, cfg)
     log.debug(
         "admm_solve: m=%d iters=%d converged=%s primal=%.3e loss=%.6f",
-        state.m, iterations, converged, primal, loss,
+        state.P.size // 2, iterations, converged, primal, loss,
     )
-    return SolverResult(
-        state=state,
-        loss=loss,
-        iterations=iterations,
-        converged=converged,
-        primal_residual=primal,
-        trace=trace,
-    )
+    return SolverResult(state=state, loss=loss, iterations=iterations, converged=converged, trace=trace)

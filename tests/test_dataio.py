@@ -121,6 +121,32 @@ class TestSaveLoad:
         with pytest.raises(DatasetError, match="line 4: duplicate point_index 1"):
             load_dataset(seg, col)
 
+    def test_comment_line_counted_in_line_numbers(self, tmp_path):
+        seg = tmp_path / "segments.csv"
+        seg.write_text(
+            "segment_id,point_index,lat,lon,is_intersection,spot_type,shape_class\n"
+            "r1,0,0.0,0.0,0,parallel,straight\n"
+            "r1,1,0.0,0.001,0,parallel,straight\n"
+        )
+        col = tmp_path / "collected.csv"
+        col.write_text("# spotalign collected 0123456789ab\nsegment_id,spot_index,lat,lon\nr1,0,0.0,0.0\nr1,1,bad,0.0\n")
+        with pytest.raises(DatasetError, match="line 4: bad lat value 'bad'"):
+            load_dataset(seg, col)
+
+    def test_spot_index_gap_rejected(self, tmp_path):
+        seg = tmp_path / "segments.csv"
+        seg.write_text(
+            "segment_id,point_index,lat,lon,is_intersection,spot_type,shape_class\n"
+            "r1,0,0.0,0.0,0,parallel,straight\n"
+            "r1,1,0.0,0.001,0,parallel,straight\n"
+        )
+        col = tmp_path / "collected.csv"
+        col.write_text("segment_id,spot_index,lat,lon\nr1,0,0.0,0.0\nr1,1,0.0,0.0005\nr1,2,0.0,0.001\n")
+        truth = tmp_path / "truth.csv"
+        truth.write_text("segment_id,spot_index,lat,lon\nr1,0,0.0,0.0\nr1,101,0.0,0.0005\nr1,102,0.0,0.001\n")
+        with pytest.raises(DatasetError, match=r"truth\.csv: segment 'r1': spot_index must run 0\.\.2, 1 is missing"):
+            load_dataset(seg, col, truth)
+
     def test_truth_size_mismatch(self, tmp_path):
         ds = corpus_dataset(1, 0)
         paths = save_dataset(ds, tmp_path)

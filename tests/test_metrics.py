@@ -108,3 +108,9 @@ class TestEvaluateSegments:
         assert report.acd == pytest.approx((0.2 + 10.0) / 4)
         assert report.ar == pytest.approx(0.5)
         assert report.correspondence == "index"
+
+    @pytest.mark.parametrize("tau", [0.0, -0.5])
+    def test_nonpositive_tau_rejected(self, tau):
+        truth = [np.zeros((2, 2))]
+        with pytest.raises(ValueError, match="tau must be positive"):
+            evaluate_segments(["a"], truth, truth, tau=tau)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from spotalign.rigid import RigidTransform2D, StackedCoords, TransformIncrement, compose, jacobian_values
+from spotalign.rigid import RigidTransform2D, StackedCoords
 from spotalign.solver import (
     DegenerateGeometryError,
     SolverConfig,
@@ -15,7 +15,7 @@ from spotalign.solver import (
     rank1_excess,
     rank1_excess_prox,
     svt_prox,
-    update_coupling,
+    sweep,
     update_error_blocks,
     update_multipliers,
     update_rectified_blocks,
@@ -43,8 +43,10 @@ def random_state(rng, m=8, mu=0.7):
     state.Y1 = rng.uniform(-1, 1, 2 * m)
     state.Y2 = rng.uniform(-1, 1, 2 * m)
     state.Y3 = rng.uniform(-1, 1, (2 * m, 2))
-    state.theta1 = RigidTransform2D(rng.uniform(-0.3, 0.3), rng.uniform(-5, 5), rng.uniform(-5, 5))
-    state.theta2 = RigidTransform2D(rng.uniform(-0.3, 0.3), rng.uniform(-5, 5), rng.uniform(-5, 5))
+    state.set_transforms(
+        RigidTransform2D(rng.uniform(-0.3, 0.3), rng.uniform(-5, 5), rng.uniform(-5, 5)),
+        RigidTransform2D(rng.uniform(-0.3, 0.3), rng.uniform(-5, 5), rng.uniform(-5, 5)),
+    )
     return state, cfg
 
 
@@ -117,15 +119,15 @@ class TestRectifiedBlocks:
         state.Y1[:] = 0.0
         state.Y2[:] = 0.0
         state.Y3[:] = 0.0
-        state.A = np.stack([state.warp1(), state.warp2()], axis=1)
+        state.A = np.stack([state.W1, state.W2], axis=1)
         update_rectified_blocks(state)
-        assert np.allclose(state.C, state.warp1(), atol=1e-12)
-        assert np.allclose(state.D, state.warp2(), atol=1e-12)
+        assert np.allclose(state.C, state.W1, atol=1e-12)
+        assert np.allclose(state.D, state.W2, atol=1e-12)
 
     def test_averages_anchors(self, rng):
         state, cfg = random_state(rng)
         # make W1 = 2 everywhere and W2 = 0 by construction
-        state.theta1 = RigidTransform2D.identity()
+        state.set_transforms(RigidTransform2D.identity(), state.theta2)
         state.E1 = 2.0 - state.P
         state.Y1[:] = 0.0
         state.A[:, 0] = 0.0
@@ -151,10 +153,9 @@ class TestErrorBlocks:
     def test_soft_threshold_example(self, rng):
         state, cfg = random_state(rng, m=2)
         state.mu = 2.0  # threshold 1/mu = 0.5
-        state.theta1 = RigidTransform2D.identity()
+        state.set_transforms(RigidTransform2D.identity(), RigidTransform2D.identity())
         state.Y1[:] = 0.0
         state.C = state.P + np.array([0.3, -2.0, 0.0, 0.0])
-        state.theta2 = RigidTransform2D.identity()
         state.Y2[:] = 0.0
         state.D = state.Rd.copy()
         update_error_blocks(state)
@@ -162,10 +163,9 @@ class TestErrorBlocks:
 
     def test_axis_means_example(self, rng):
         state, cfg = random_state(rng, m=2)
-        state.theta2 = RigidTransform2D.identity()
+        state.set_transforms(RigidTransform2D.identity(), RigidTransform2D.identity())
         state.Y2[:] = 0.0
         state.D = state.Rd + np.array([1.0, 3.0, 2.0, 4.0])
-        state.theta1 = RigidTransform2D.identity()
         state.Y1[:] = 0.0
         state.C = state.P.copy()
         update_error_blocks(state)
@@ -175,7 +175,7 @@ class TestErrorBlocks:
         # E2 must beat every translation-structured vector on a refined grid
         state, cfg = random_state(rng, m=6)
         update_error_blocks(state)
-        target = state.D - state.warp2() - state.Y2 / state.mu
+        target = state.D - state.W2 - state.Y2 / state.mu
         best = float(np.sum((state.E2 - target) ** 2))
         ex, ey = state.E2[0], state.E2[1]
         for dx in np.linspace(-2, 2, 41):
@@ -195,29 +195,25 @@ class TestErrorBlocks:
 class TestTransformIncrements:
     def test_zero_residual(self, rng):
         state, cfg = random_state(rng)
-        state.C = state.warp1() + state.E1 + state.Y1 / state.mu
-        state.D = state.warp2() + state.E2 + state.Y2 / state.mu
-        gradP = jacobian_values(state.theta1.theta, state.P)
-        gradRd = jacobian_values(state.theta2.theta, state.Rd)
-        d1, d2 = update_transform_increments(state, gradP, gradRd)
+        state.C = state.W1 + state.E1 + state.Y1 / state.mu
+        state.D = state.W2 + state.E2 + state.Y2 / state.mu
+        d1, d2 = update_transform_increments(state)
         assert np.allclose(d1.as_vector(), 0.0, atol=1e-9)
         assert np.allclose(d2.as_vector(), 0.0, atol=1e-9)
 
     def test_pure_translation_residual(self, rng):
         state, cfg = random_state(rng)
-        gradP = jacobian_values(state.theta1.theta, state.P)
-        state.C = state.warp1() + state.E1 + state.Y1 / state.mu + gradP @ np.array([0.0, 2.5, -1.25])
-        d1, _ = update_transform_increments(state, gradP, jacobian_values(state.theta2.theta, state.Rd))
+        state.C = state.W1 + state.E1 + state.Y1 / state.mu + state.J1 @ np.array([0.0, 2.5, -1.25])
+        d1, _ = update_transform_increments(state)
         assert d1.as_vector() == pytest.approx([0.0, 2.5, -1.25], abs=1e-9)
 
     def test_normal_equations_satisfied(self, rng):
         for _ in range(20):
             state, cfg = random_state(rng)
-            gradP = jacobian_values(state.theta1.theta, state.P)
-            gradRd = jacobian_values(state.theta2.theta, state.Rd)
-            d1, d2 = update_transform_increments(state, gradP, gradRd)
-            r1 = state.C - state.warp1() - state.E1 - state.Y1 / state.mu
-            r2 = state.D - state.warp2() - state.E2 - state.Y2 / state.mu
+            d1, d2 = update_transform_increments(state)
+            gradP, gradRd = state.J1, state.J2
+            r1 = state.C - state.W1 - state.E1 - state.Y1 / state.mu
+            r2 = state.D - state.W2 - state.E2 - state.Y2 / state.mu
             assert np.linalg.norm(gradP.T @ (gradP @ d1.as_vector() - r1)) < 1e-9 * max(1, np.linalg.norm(r1))
             assert np.linalg.norm(gradRd.T @ (gradRd @ d2.as_vector() - r2)) < 1e-9 * max(1, np.linalg.norm(r2))
 
@@ -225,16 +221,15 @@ class TestTransformIncrements:
         cfg = SolverConfig()
         pts = StackedCoords.from_points(np.zeros((5, 2)))
         state = init_state(pts, pts, cfg)
-        grad = jacobian_values(0.0, state.P)
         with pytest.raises(DegenerateGeometryError):
-            update_transform_increments(state, grad, grad)
+            update_transform_increments(state)
 
 
 class TestMultipliers:
     def test_zero_residuals_leave_duals(self, rng):
         state, cfg = random_state(rng)
-        state.C = state.warp1() + state.E1
-        state.D = state.warp2() + state.E2
+        state.C = state.W1 + state.E1
+        state.D = state.W2 + state.E2
         state.A = np.stack([state.C, state.D], axis=1)
         y1, mu = state.Y1.copy(), state.mu
         update_multipliers(state, cfg)
@@ -245,7 +240,7 @@ class TestMultipliers:
         state, cfg = random_state(rng)
         state.Y1[:] = 0.0
         state.mu = 2.0
-        r = state.warp1() + state.E1 - state.C
+        r = state.W1 + state.E1 - state.C
         update_multipliers(state, cfg)
         assert np.allclose(state.Y1, 2.0 * r, atol=1e-12)
 
@@ -326,18 +321,8 @@ class TestAdmmSolve:
             SolverConfig(),
         )
         cfg = SolverConfig()
-        gradP = jacobian_values(0.0, state.P)
-        gradRd = jacobian_values(0.0, state.Rd)
         for _ in range(40):
-            update_coupling(state, cfg)
-            update_rectified_blocks(state)
-            update_error_blocks(state)
-            d1, d2 = update_transform_increments(state, gradP, gradRd)
-            state.theta1 = compose(d1, state.theta1)
-            state.theta2 = compose(d2, state.theta2)
-            gradP = jacobian_values(state.theta1.theta, state.P)
-            gradRd = jacobian_values(state.theta2.theta, state.Rd)
-            update_multipliers(state, cfg)
+            sweep(state, cfg)
             assert np.ptp(state.E2[0::2]) == 0.0
             assert np.ptp(state.E2[1::2]) == 0.0
 
@@ -346,8 +331,21 @@ class TestAdmmSolve:
         assert alignment_loss(state, cfg) >= 0.0
         state.E1[:] = 0.0
         state.E2[:] = 0.0
-        state.theta1 = RigidTransform2D.identity()
+        state.set_transforms(RigidTransform2D.identity(), state.theta2)
         assert alignment_loss(state, cfg) == 0.0
+
+    def test_trace_leaves_solve_unchanged(self, rng):
+        a = StackedCoords.from_points(rng.uniform(-40, 40, (10, 2)))
+        b = StackedCoords.from_points(rng.uniform(-40, 40, (10, 2)))
+        plain = admm_solve(a, b, SolverConfig())
+        traced = admm_solve(a, b, SolverConfig(), collect_trace=True)
+        assert traced.loss == plain.loss  # bitwise
+        assert traced.iterations == plain.iterations
+        assert len(traced.trace.lagrangians) == traced.iterations
+        for name in ("C", "D", "A", "E1", "E2", "Y1", "Y2", "Y3", "W1", "W2", "J1", "J2"):
+            assert np.array_equal(getattr(traced.state, name), getattr(plain.state, name)), name
+        assert (traced.state.theta1, traced.state.theta2, traced.state.mu) == (
+            plain.state.theta1, plain.state.theta2, plain.state.mu)
 
     def test_deterministic(self, rng):
         a = StackedCoords.from_points(rng.uniform(-40, 40, (10, 2)))
