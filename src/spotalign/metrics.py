@@ -72,10 +72,15 @@ def ar(pred, truth, tau: float = DEFAULT_RECALL_TOLERANCE_M) -> float:
 
 
 def evaluate_segments(ids, pred, truth, tau: float = DEFAULT_RECALL_TOLERANCE_M) -> EvalReport:
-    """Per-segment scores plus point-pooled ACD and segment-averaged AR."""
+    """Per-segment scores plus point-pooled ACD and segment-averaged AR.
+
+    ``ids`` names the segments of ``pred`` and ``truth``, one id each.
+    """
     if tau <= 0:
         raise ValueError("tau must be positive")
     devs = _deviations(pred, truth)
+    if len(ids) != len(devs):
+        raise ValueError(f"id count mismatch: {len(ids)} ids for {len(devs)} segments")
     per = tuple(
         SegmentScore(
             segment_id=str(sid),

@@ -88,15 +88,18 @@ class StackedCoords:
         return self.values.reshape(-1, 2)
 
 
-def warp_values(theta: float, s_x: float, s_y: float, values: np.ndarray) -> np.ndarray:
-    """Apply the rigid transform to an interleaved coordinate vector."""
-    c, s = math.cos(theta), math.sin(theta)
-    x = values[0::2]
-    y = values[1::2]
-    out = np.empty_like(values)
-    out[0::2] = x * c - y * s + s_x
-    out[1::2] = x * s + y * c + s_y
-    return out
+def warp_values(theta, s_x, s_y, values: np.ndarray) -> np.ndarray:
+    """Apply the rigid transform to an interleaved coordinate vector.
+
+    ``values`` may carry leading axes, one vector per transform; ``theta``,
+    ``s_x`` and ``s_y`` then have that leading shape (the solver warps its
+    two sides, stacked as a (2, 2M) array, in one call).  Each point (x, y)
+    is taken as the complex number x + iy, so the warp is e^(i theta) z + s.
+    """
+    turn = np.exp(1j * np.asarray(theta, dtype=float))[..., None]
+    shift = (np.asarray(s_x, dtype=float) + 1j * np.asarray(s_y, dtype=float))[..., None]
+    z = np.ascontiguousarray(values, dtype=float).view(np.complex128)
+    return (turn * z + shift).view(float)
 
 
 def warp(t: RigidTransform2D, pts: StackedCoords) -> StackedCoords:

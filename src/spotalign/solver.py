@@ -16,13 +16,18 @@ penalty, so the coupling exerts no pressure to shrink or translate the data.
 E1 absorbs sparse outliers, E2 absorbs a systematic per-axis offset of the
 candidate side, and the rigid transforms are re-linearized every sweep: the
 increment least-squares solution is folded into the running transform and
-the Jacobians recomputed.
+the inputs re-warped.
 
 :func:`sweep` is the one implementation of a sweep; :func:`admm_solve`
 repeats it until convergence, and its trace mode records the same sweep.
-The state carries its current linearization (the warped inputs W1, W2 and
-their Jacobians J1, J2), which :meth:`SolverState.set_transforms` rebuilds
-whenever the transforms move, so every block update reads one copy of it.
+The state stacks the two sides: every block is one (2, 2M) array, row 0 the
+collected side and row 1 the candidate side, so a block update is one set of
+numpy calls for both.  It carries the warped inputs W = [W1; W2], which
+:meth:`SolverState.set_transforms` rebuilds whenever the transforms move.
+A has exactly two columns and each increment three unknowns, so both the
+coupling step (:func:`rank1_excess_prox`, a two-column SVD) and the
+increment step (:func:`update_transform_increments`) are closed forms; the
+warp Jacobians J1, J2 are only computed on demand, for trace mode and tests.
 
 The E2 regularizer is realized purely through its translation structure (the
 per-axis-mean projection is the exact block minimizer), so the augmented
@@ -64,9 +69,10 @@ class DegenerateGeometryError(Exception):
 class NumericalFailureError(Exception):
     """The solver state left the representable range."""
 
-    def __init__(self, iteration: int):
+    def __init__(self, iteration: int | None = None):
         self.iteration = iteration
-        super().__init__(f"solver state became non-finite at iteration {iteration}")
+        where = "" if iteration is None else f" at iteration {iteration}"
+        super().__init__(f"solver state became non-finite{where}")
 
 
 @dataclass(frozen=True)
@@ -106,46 +112,79 @@ class SolverConfig:
             raise ValueError("theta_norm_scale must be positive")
 
 
-@dataclass
-class SolverState:
-    """All ADMM blocks for one alignment problem.
+class _View:
+    """A per-side block, read and written as a view into its stacked array.
 
-    P and Rd are fixed inputs; C, D, A, E1, E2 are the primal blocks;
-    Y1, Y2, Y3 the multipliers; mu the current penalty.  E2 keeps its
-    translation structure (one constant per axis) after every update.
-    W1, W2 (the warped inputs) and J1, J2 (their Jacobians) are the current
-    linearization; :meth:`set_transforms` keeps them in step with the
-    transforms.
+    With ``row`` it is that side's row of a (2, 2M) block; without, the
+    block seen as the (2M, 2) matrix with one column per side (A and Y3).
     """
 
-    P: np.ndarray
-    Rd: np.ndarray
-    C: np.ndarray
-    D: np.ndarray
-    A: np.ndarray
-    E1: np.ndarray
-    E2: np.ndarray
+    def __init__(self, block: str, row: int | None = None) -> None:
+        self.block, self.row = block, row
+
+    def __get__(self, state, owner=None):
+        if state is None:
+            return self
+        stacked = getattr(state, self.block)
+        return stacked.T if self.row is None else stacked[self.row]
+
+    def __set__(self, state, value) -> None:
+        self.__get__(state)[...] = value
+
+
+@dataclass
+class SolverState:
+    """All ADMM blocks for one alignment problem, both sides stacked.
+
+    Every block is a (2, 2M) array whose row 0 is the collected side and
+    row 1 the candidate side: ``inputs`` is [P; Rd], ``CD`` the rectified
+    blocks [C; D], ``E`` the error blocks [E1; E2], ``Y`` their multipliers
+    [Y1; Y2] and ``W`` the warped inputs [W1; W2].  ``A_rows`` and
+    ``Y3_rows`` hold the coupling matrix A and its multiplier Y3 (2M x 2)
+    transposed into the same layout, so the coupling constraint reads
+    CD = A_rows.  ``mu`` is the current penalty.  E2 keeps its translation
+    structure (one constant per axis) after every update.
+
+    Each per-side block is also a view under its own name (``P``, ``C``,
+    ``E1``, ``W2``, ``A``, ``Y3``, ...).  :meth:`set_transforms` keeps W in
+    step with the transforms; the Jacobians J1, J2 of W1, W2 are computed on
+    demand.
+    """
+
+    inputs: np.ndarray
+    CD: np.ndarray
+    A_rows: np.ndarray
+    E: np.ndarray
     theta1: RigidTransform2D
     theta2: RigidTransform2D
-    Y1: np.ndarray
-    Y2: np.ndarray
-    Y3: np.ndarray
+    Y: np.ndarray
+    Y3_rows: np.ndarray
     mu: float
-    W1: np.ndarray = field(init=False)
-    W2: np.ndarray = field(init=False)
-    J1: np.ndarray = field(init=False)
-    J2: np.ndarray = field(init=False)
+    W: np.ndarray = field(init=False)
+
+    P, Rd = _View("inputs", 0), _View("inputs", 1)
+    C, D = _View("CD", 0), _View("CD", 1)
+    E1, E2 = _View("E", 0), _View("E", 1)
+    Y1, Y2 = _View("Y", 0), _View("Y", 1)
+    W1, W2 = _View("W", 0), _View("W", 1)
+    A, Y3 = _View("A_rows"), _View("Y3_rows")
 
     def __post_init__(self) -> None:
         self.set_transforms(self.theta1, self.theta2)
 
     def set_transforms(self, theta1: RigidTransform2D, theta2: RigidTransform2D) -> None:
-        """Move both transforms and re-linearize the warps around them."""
+        """Move both transforms and re-warp the inputs through them."""
         self.theta1, self.theta2 = theta1, theta2
-        self.J1 = jacobian_values(theta1.theta, self.P)
-        self.J2 = jacobian_values(theta2.theta, self.Rd)
-        self.W1 = warp_values(theta1.theta, theta1.s_x, theta1.s_y, self.P)
-        self.W2 = warp_values(theta2.theta, theta2.s_x, theta2.s_y, self.Rd)
+        params = np.array([[t.theta, t.s_x, t.s_y] for t in (theta1, theta2)])
+        self.W = warp_values(*params.T, self.inputs)
+
+    @property
+    def J1(self) -> np.ndarray:
+        return jacobian_values(self.theta1.theta, self.P)
+
+    @property
+    def J2(self) -> np.ndarray:
+        return jacobian_values(self.theta2.theta, self.Rd)
 
 
 @dataclass
@@ -181,8 +220,8 @@ class SolverResult:
 
 
 def soft_threshold(v: np.ndarray, t: float) -> np.ndarray:
-    """Elementwise shrinkage sign(v) * max(|v| - t, 0)."""
-    return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
+    """Elementwise shrinkage sign(v) * max(|v| - t, 0), i.e. v minus its clip to [-t, t]."""
+    return v - np.minimum(np.maximum(v, -t), t)
 
 
 def svt_prox(B: np.ndarray, threshold: float) -> np.ndarray:
@@ -200,19 +239,29 @@ def svt_prox(B: np.ndarray, threshold: float) -> np.ndarray:
 
 
 def rank1_excess_prox(B: np.ndarray, threshold: float) -> np.ndarray:
-    """Soft-threshold every singular value except the largest.
+    """Soft-threshold the smaller singular value of a two-column matrix.
 
     Proximal operator of threshold * (spectral mass beyond rank one).  The
     leading singular pair is untouched, so the dominant pattern carries no
     shrinkage; only the deviation from rank one is penalized.
+
+    Closed form: one Jacobi rotation of the 2x2 Gram matrix gives the right
+    singular vectors; the small singular value is taken as |B v2| (not as
+    the square root of a Gram eigenvalue, which loses it to cancellation),
+    and the result is B - (1 - max(s2 - t, 0) / s2) (B v2) v2^T.
     """
     if threshold < 0:
         raise ValueError("threshold must be non-negative")
     B = np.asarray(B, dtype=float)
-    u, sig, vt = np.linalg.svd(B, full_matrices=False)
-    kept = sig.copy()
-    kept[1:] = np.maximum(kept[1:] - threshold, 0.0)
-    return (u * kept) @ vt
+    if B.ndim != 2 or B.shape[1] != 2:
+        raise ValueError(f"expected an (n, 2) matrix, got shape {B.shape}")
+    (g00, g01), (_, g11) = (B.T @ B).tolist()
+    phi = 0.5 * math.atan2(2.0 * g01, g00 - g11)
+    v2 = np.array([-math.sin(phi), math.cos(phi)])
+    bv2 = B @ v2
+    sigma2 = math.sqrt(bv2 @ bv2)
+    shrink = 1.0 if sigma2 <= threshold else threshold / sigma2
+    return B - np.outer(bv2, shrink * v2)
 
 
 def rank1_excess(B: np.ndarray) -> float:
@@ -223,10 +272,10 @@ def rank1_excess(B: np.ndarray) -> float:
 
 def axis_mean_replicate(v: np.ndarray) -> np.ndarray:
     """Project an interleaved vector onto translation structure (per-axis means)."""
-    out = np.empty_like(v)
-    out[0::2] = v[0::2].mean()
-    out[1::2] = v[1::2].mean()
-    return out
+    pts = v.reshape(-1, 2)
+    out = np.empty_like(pts)
+    out[:] = pts.sum(axis=0) / len(pts)
+    return out.reshape(v.shape)
 
 
 def init_state(P: StackedCoords, Rd: StackedCoords, cfg: SolverConfig) -> SolverState:
@@ -236,22 +285,19 @@ def init_state(P: StackedCoords, Rd: StackedCoords, cfg: SolverConfig) -> Solver
         raise ValueError(f"P and Rd must stack the same point count ({p.size} vs {r.size})")
     if p.size < 4:
         raise ValueError("alignment needs at least 2 points per side")
+    inputs = np.stack([p, r])
     return SolverState(
-        P=p.copy(), Rd=r.copy(),
-        C=p.copy(), D=r.copy(),
-        A=np.stack([p, r], axis=1),
-        E1=np.zeros_like(p), E2=np.zeros_like(r),
+        inputs=inputs, CD=inputs.copy(), A_rows=inputs.copy(), E=np.zeros_like(inputs),
         theta1=RigidTransform2D.identity(), theta2=RigidTransform2D.identity(),
-        Y1=np.zeros_like(p), Y2=np.zeros_like(r),
-        Y3=np.zeros((p.size, 2)),
+        Y=np.zeros_like(inputs), Y3_rows=np.zeros_like(inputs),
         mu=cfg.mu0,
     )
 
 
 def update_coupling(state: SolverState, cfg: SolverConfig) -> SolverState:
     """A-step: threshold the rank-1 excess of [C D] + Y3/mu at lam/mu."""
-    target = np.stack([state.C, state.D], axis=1) + state.Y3 / state.mu
-    state.A = rank1_excess_prox(target, cfg.lam / state.mu)
+    target = state.CD + state.Y3_rows / state.mu
+    state.A_rows = rank1_excess_prox(target.T, cfg.lam / state.mu).T
     return state
 
 
@@ -261,11 +307,8 @@ def update_rectified_blocks(state: SolverState) -> SolverState:
     The transform increments take no part: inside the solve loop they were
     folded at the end of the previous sweep, so they are zero here.
     """
-    w1 = state.W1 + state.E1 + state.Y1 / state.mu
-    state.C = 0.5 * (w1 + state.A[:, 0] - state.Y3[:, 0] / state.mu)
-
-    w2 = state.W2 + state.E2 + state.Y2 / state.mu
-    state.D = 0.5 * (w2 + state.A[:, 1] - state.Y3[:, 1] / state.mu)
+    mu = state.mu
+    state.CD = 0.5 * (state.W + state.E + state.Y / mu + state.A_rows - state.Y3_rows / mu)
     return state
 
 
@@ -276,41 +319,63 @@ def update_error_blocks(state: SolverState) -> SolverState:
     its residual onto translation structure (every x entry the mean of the
     x residuals, likewise for y).
     """
-    state.E1 = soft_threshold(state.C - state.W1 - state.Y1 / state.mu, 1.0 / state.mu)
-    state.E2 = axis_mean_replicate(state.D - state.W2 - state.Y2 / state.mu)
+    e = state.CD - state.W - state.Y / state.mu
+    e[0] = soft_threshold(e[0], 1.0 / state.mu)
+    e[1] = axis_mean_replicate(e[1])
+    state.E = e
     return state
 
 
-def _solve_increment(grad: np.ndarray, residual: np.ndarray) -> TransformIncrement:
-    # column-equilibrated normal equations: the rotation column norm grows with
-    # the coordinate magnitude, so solve in scaled variables
-    norms = np.sqrt((grad * grad).sum(axis=0))
-    if np.any(norms == 0.0):
-        raise DegenerateGeometryError("degenerate geometry: zero Jacobian column")
-    scaled = grad / norms
-    gtg = scaled.T @ scaled
-    # after equilibration the translation columns are orthonormal, so the Gram
-    # is singular exactly when the rotation column lies in their span
-    r2 = gtg[0, 1] ** 2 + gtg[0, 2] ** 2
-    if r2 > 1.0 - 1e-10:
-        raise DegenerateGeometryError("point set too degenerate for an increment solve")
-    sol = np.linalg.solve(gtg, scaled.T @ residual) / norms
-    return TransformIncrement(float(sol[0]), float(sol[1]), float(sol[2]))
-
-
 def update_transform_increments(state: SolverState) -> tuple[TransformIncrement, TransformIncrement]:
-    """Increment-step: least-squares fit of each linearized warp to its residual."""
-    d1 = _solve_increment(state.J1, state.C - state.W1 - state.E1 - state.Y1 / state.mu)
-    d2 = _solve_increment(state.J2, state.D - state.W2 - state.E2 - state.Y2 / state.mu)
-    return d1, d2
+    """Increment-step: least-squares fit of each linearized warp to its residual.
+
+    Taking each point (x, y) as the complex number x + iy, the Jacobian's
+    rotation column at warped point w_i is i (w_i - s) for translation s, so
+    with residual r_i each side's 3-unknown problem has the closed form
+
+        d_theta = sum cross(w_i - w_mean, r_i - r_mean) / sum |w_i - w_mean|^2
+        d_s     = r_mean - i (w_mean - s) d_theta,
+
+    with cross(a, b) = Im(conj(a) b).  The per-point sums run for both sides
+    at once.  A side is singular when its spread sum |w_i - w_mean|^2 is
+    negligible against the rotation column's squared norm sum |w_i - s|^2
+    (the spread plus M |w_mean - s|^2).
+
+    Raises :class:`NumericalFailureError` if a sum or an increment is not
+    finite (checked first: an overflowed sum would pass for singular), and
+    :class:`DegenerateGeometryError` for a singular side.
+    """
+    m = state.W.shape[1] // 2
+    w = state.W.view(np.complex128)
+    r = (state.CD - state.W - state.E - state.Y / state.mu).view(np.complex128)
+    w_mean = w.sum(axis=1) / m
+    r_mean = r.sum(axis=1) / m
+    wc = w - w_mean[:, None]
+    wc_conj = wc.conj()
+    spread = (wc_conj * wc).real.sum(axis=1)
+    turn = (wc_conj * (r - r_mean[:, None])).sum(axis=1).imag
+    # three unknowns per side: scalar arithmetic from here on
+    increments = []
+    sides = zip((state.theta1, state.theta2), w_mean.tolist(), r_mean.tolist(),
+                spread.tolist(), turn.tolist())
+    for t, w_bar, r_bar, spread_i, turn_i in sides:
+        arm = w_bar - complex(t.s_x, t.s_y)
+        lever = spread_i + m * (arm.real * arm.real + arm.imag * arm.imag)
+        if not (math.isfinite(turn_i) and math.isfinite(lever)):
+            raise NumericalFailureError()
+        if spread_i <= 1e-10 * lever:
+            raise DegenerateGeometryError("point set too degenerate for an increment solve")
+        d_theta = turn_i / spread_i
+        d_s = r_bar - 1j * arm * d_theta
+        if not all(map(math.isfinite, (d_theta, d_s.real, d_s.imag))):
+            raise NumericalFailureError()
+        increments.append(TransformIncrement(d_theta, d_s.real, d_s.imag))
+    return tuple(increments)
 
 
-def _constraint_residuals(state: SolverState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """W1 + E1 - C, W2 + E2 - D and [C D] - A."""
-    h1 = state.W1 + state.E1 - state.C
-    h2 = state.W2 + state.E2 - state.D
-    g = np.stack([state.C, state.D], axis=1) - state.A
-    return h1, h2, g
+def _constraint_residuals(state: SolverState) -> tuple[np.ndarray, np.ndarray]:
+    """[W1 + E1 - C; W2 + E2 - D] and [C D] - A, both in row layout."""
+    return state.W + state.E - state.CD, state.CD - state.A_rows
 
 
 def update_multipliers(state: SolverState, cfg: SolverConfig) -> tuple[float, float]:
@@ -319,26 +384,25 @@ def update_multipliers(state: SolverState, cfg: SolverConfig) -> tuple[float, fl
     Returns the coupling residual |[C D] - A| and the largest of the three
     constraint residuals, both measured before the ascent.
     """
-    h1, h2, g = _constraint_residuals(state)
-    coupling = float(np.linalg.norm(g))
-    primal = max(float(np.linalg.norm(h1)), float(np.linalg.norm(h2)), coupling)
-    state.Y1 = state.Y1 + state.mu * h1
-    state.Y2 = state.Y2 + state.mu * h2
-    state.Y3 = state.Y3 + state.mu * g
+    h, g = _constraint_residuals(state)
+    h1, h2 = np.sqrt((h * h).sum(axis=1)).tolist()
+    coupling = math.sqrt((g * g).sum())
+    primal = max(h1, h2, coupling)
+    state.Y = state.Y + state.mu * h
+    state.Y3_rows = state.Y3_rows + state.mu * g
     state.mu = state.mu * cfg.rho
     return coupling, primal
 
 
 def lagrangian(state: SolverState, cfg: SolverConfig) -> float:
     """Augmented Lagrangian at the current state and linearization."""
-    h1, h2, g = _constraint_residuals(state)
+    h, g = _constraint_residuals(state)
     mu = state.mu
     return float(
         np.abs(state.E1).sum()
         + cfg.lam * rank1_excess(state.A)
-        + state.Y1 @ h1 + 0.5 * mu * (h1 @ h1)
-        + state.Y2 @ h2 + 0.5 * mu * (h2 @ h2)
-        + np.sum(state.Y3 * g) + 0.5 * mu * np.sum(g * g)
+        + np.sum(state.Y * h) + 0.5 * mu * np.sum(h * h)
+        + np.sum(state.Y3_rows * g) + 0.5 * mu * np.sum(g * g)
     )
 
 
@@ -347,17 +411,16 @@ def alignment_loss(state: SolverState, cfg: SolverConfig) -> float:
     scale = cfg.theta_norm_scale
     t = state.theta1
     return float(
-        np.abs(state.E1).sum()
-        + np.abs(state.E2).sum()
+        np.abs(state.E).sum()
         + math.sqrt(t.theta**2 + (t.s_x / scale) ** 2 + (t.s_y / scale) ** 2)
     )
 
 
 def _state_vector(state: SolverState) -> np.ndarray:
+    t1, t2 = state.theta1, state.theta2
     return np.concatenate([
-        state.C, state.D, state.A.ravel(), state.E1, state.E2,
-        [state.theta1.theta, state.theta1.s_x, state.theta1.s_y,
-         state.theta2.theta, state.theta2.s_x, state.theta2.s_y],
+        state.CD.ravel(), state.A_rows.ravel(), state.E.ravel(),
+        [t1.theta, t1.s_x, t1.s_y, t2.theta, t2.s_x, t2.s_y],
     ])
 
 
@@ -385,8 +448,7 @@ def sweep(state: SolverState, cfg: SolverConfig, trace: IterationTrace | None = 
         # the increment step's value before folding: the same state with each
         # warp moved along its Jacobian
         moved = copy.copy(state)
-        moved.W1 = state.W1 + state.J1 @ d1.as_vector()
-        moved.W2 = state.W2 + state.J2 @ d2.as_vector()
+        moved.W = state.W + np.stack([state.J1 @ d1.as_vector(), state.J2 @ d2.as_vector()])
         trace.lagrangians.append((l_start, l_a, l_cd, l_e, lagrangian(moved, cfg)))
     state.set_transforms(compose(d1, state.theta1), compose(d2, state.theta2))
     coupling, primal = update_multipliers(state, cfg)
@@ -418,15 +480,19 @@ def admm_solve(
 
     converged = False
     prev_vec = _state_vector(state)
+    prev_norm = math.sqrt(prev_vec @ prev_vec)
     for iterations in range(1, cfg.max_iters + 1):
-        primal = sweep(state, cfg, trace)
+        try:
+            primal = sweep(state, cfg, trace)
+        except NumericalFailureError:
+            raise NumericalFailureError(iterations) from None
         vec = _state_vector(state)
-        if not np.all(np.isfinite(vec)):
+        norm2 = vec @ vec  # not finite once any entry (or the norm itself) is not
+        if not math.isfinite(norm2):
             raise NumericalFailureError(iterations)
-        rel_change = float(
-            np.linalg.norm(vec - prev_vec) / max(1.0, float(np.linalg.norm(prev_vec)))
-        )
-        prev_vec = vec
+        step = vec - prev_vec
+        rel_change = math.sqrt(step @ step) / max(1.0, prev_norm)
+        prev_vec, prev_norm = vec, math.sqrt(norm2)
         if primal < cfg.tol_primal or rel_change < cfg.tol_change:
             converged = True
             break
@@ -434,6 +500,6 @@ def admm_solve(
     loss = alignment_loss(state, cfg)
     log.debug(
         "admm_solve: m=%d iters=%d converged=%s primal=%.3e loss=%.6f",
-        state.P.size // 2, iterations, converged, primal, loss,
+        state.inputs.shape[1] // 2, iterations, converged, primal, loss,
     )
     return SolverResult(state=state, loss=loss, iterations=iterations, converged=converged, trace=trace)

@@ -1,6 +1,8 @@
 """Smoke test: the fast demos run to completion against the library source.
 
-Demo 06 (the full benchmark matrix, ~30 s) is left out to keep the suite fast.
+Demos 01-05 take about 7 s together; demo 06 (the full benchmark matrix,
+about 15 s) is left out to keep the suite fast.  Both times: 2 cores,
+Python 3.11, numpy 2.4.
 """
 
 import os

@@ -109,6 +109,13 @@ class TestEvaluateSegments:
         assert report.ar == pytest.approx(0.5)
         assert report.correspondence == "index"
 
+    @pytest.mark.parametrize("ids", [["a"], ["a", "b", "c"]])
+    def test_id_count_mismatch_rejected(self, ids):
+        truth = [np.zeros((2, 2)), np.zeros((2, 2))]
+        pred = [truth[0], truth[1] + [3.0, 4.0]]
+        with pytest.raises(ValueError, match="id count mismatch"):
+            evaluate_segments(ids, pred, truth)
+
     @pytest.mark.parametrize("tau", [0.0, -0.5])
     def test_nonpositive_tau_rejected(self, tau):
         truth = [np.zeros((2, 2))]

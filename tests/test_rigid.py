@@ -11,6 +11,7 @@ from spotalign.rigid import (
     invert,
     jacobian,
     warp,
+    warp_values,
 )
 
 
@@ -52,6 +53,15 @@ class TestWarp:
         da = np.hypot(*(a[:, None] - a[None, :]).transpose(2, 0, 1))
         db = np.hypot(*(b[:, None] - b[None, :]).transpose(2, 0, 1))
         assert np.max(np.abs(da - db)) < 1e-9
+
+    def test_stacked_vectors_warp_like_single_ones(self, rng):
+        ts = [random_transform(rng) for _ in range(2)]
+        pts = [random_points(rng, 7) for _ in range(2)]
+        params = np.array([[t.theta, t.s_x, t.s_y] for t in ts])
+        both = warp_values(*params.T, np.stack([p.values for p in pts]))
+        assert both.shape == (2, 14)
+        for row, t, p in zip(both, ts, pts):
+            assert np.allclose(row, warp(t, p).values, rtol=0.0, atol=1e-12)
 
     def test_inverse_round_trip(self, rng):
         for _ in range(20):

@@ -2,10 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import spotalign.solver
 from spotalign.rigid import RigidTransform2D, StackedCoords
 from spotalign.solver import (
     DegenerateGeometryError,
+    NumericalFailureError,
     SolverConfig,
     admm_solve,
     alignment_loss,
@@ -103,6 +107,47 @@ class TestRank1ExcessProx:
         sig_out = np.linalg.svd(out, compute_uv=False)
         assert sig_out[0] == pytest.approx(sig_in[0], abs=1e-10)
         assert sig_out[1] == pytest.approx(max(sig_in[1] - 0.5, 0.0), abs=1e-10)
+
+    @given(
+        n=st.integers(2, 70),
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(["general", "rank1", "zero"]),
+        ratio_exp=st.one_of(st.just(0.0), st.floats(-12.0, 0.0)),
+        scale_exp=st.floats(-6.0, 6.0),
+        col_scale_exp=st.one_of(st.just(0.0), st.floats(-6.0, 6.0)),
+        t_frac=st.one_of(st.just(0.0), st.floats(1e-14, 2.0)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_svd_reference(self, n, seed, kind, ratio_exp, scale_exp, col_scale_exp, t_frac):
+        # sigma_1 kept, sigma_2 soft-thresholded, against LAPACK's SVD, down
+        # to sigma_2 / sigma_1 = 1e-12 and column scales 1e6 apart
+        rng = np.random.default_rng(seed)
+        if kind == "zero":
+            b = np.zeros((n, 2))
+        elif kind == "rank1":
+            col = rng.normal(size=n) * 10.0**scale_exp
+            b = np.stack([col, col * rng.choice([0.0, 0.5, -2.0, 1.0])], axis=1)[:, rng.permutation(2)]
+        else:
+            u, _ = np.linalg.qr(rng.normal(size=(n, 2)))
+            ang = rng.uniform(0, 2 * math.pi)
+            v = np.array([[math.cos(ang), -math.sin(ang)], [math.sin(ang), math.cos(ang)]])
+            b = u @ np.diag([1.0, 10.0**ratio_exp]) @ v.T * 10.0**scale_exp
+        b = b * [1.0, 10.0**col_scale_exp]
+        u, sig_in, vt = np.linalg.svd(b, full_matrices=False)
+        t = t_frac * sig_in[0]
+        out = rank1_excess_prox(b, t)
+        sig_out = np.linalg.svd(out, compute_uv=False)
+        assert sig_out[0] == pytest.approx(sig_in[0], rel=1e-12, abs=0.0)
+        assert abs(sig_out[1] - max(sig_in[1] - t, 0.0)) <= 1e-10 * sig_in[0]
+        if sig_in[0] - sig_in[1] > 1e-3 * sig_in[0]:
+            # a clear spectral gap fixes the singular vectors: same matrix
+            reference = (u * [sig_in[0], max(sig_in[1] - t, 0.0)]) @ vt
+            assert np.abs(out - reference).max() <= 1e-10 * sig_in[0]
+
+    @pytest.mark.parametrize("shape", [(6, 3), (6, 1), (6,)])
+    def test_not_two_columns_rejected(self, shape):
+        with pytest.raises(ValueError):
+            rank1_excess_prox(np.ones(shape), 0.5)
 
     def test_excess_measure(self, rng):
         b = rng.normal(size=(8, 2))
@@ -347,6 +392,16 @@ class TestAdmmSolve:
         assert (traced.state.theta1, traced.state.theta2, traced.state.mu) == (
             plain.state.theta1, plain.state.theta2, plain.state.mu)
 
+    def test_untraced_solve_builds_no_jacobian(self, rng, monkeypatch):
+        # the closed-form increment step needs none; only trace mode does
+        def forbidden(*args):
+            raise AssertionError("jacobian_values called")
+
+        monkeypatch.setattr(spotalign.solver, "jacobian_values", forbidden)
+        a = StackedCoords.from_points(rng.uniform(-40, 40, (10, 2)))
+        b = StackedCoords.from_points(rng.uniform(-40, 40, (10, 2)))
+        assert admm_solve(a, b, SolverConfig()).iterations > 1
+
     def test_deterministic(self, rng):
         a = StackedCoords.from_points(rng.uniform(-40, 40, (10, 2)))
         b = StackedCoords.from_points(rng.uniform(-40, 40, (10, 2)))
@@ -362,6 +417,12 @@ class TestAdmmSolve:
                 StackedCoords.from_points(rng.uniform(-1, 1, (5, 2))),
                 SolverConfig(),
             )
+
+    def test_overflow_raises_numerical_failure(self, rng):
+        a = StackedCoords.from_points(rng.uniform(-1, 1, (6, 2)) * 1e160)
+        b = StackedCoords.from_points(rng.uniform(-1, 1, (6, 2)) * 1e160)
+        with pytest.raises(NumericalFailureError):
+            admm_solve(a, b, SolverConfig())
 
     def test_single_point_rejected(self):
         pts = StackedCoords.from_points([[1.0, 2.0]])

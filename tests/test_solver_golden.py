@@ -1,0 +1,75 @@
+"""Window-by-window equivalence of the solver against recorded results.
+
+``data/solver_golden.json`` holds, for every segment of
+``synth_corpus(3, 3, seed=1)`` rectified by ``raa_rectify`` at ``th=1``, the
+winning ``window_start_index`` and, for each of its 212 window solves, the
+loss (``float.hex``), the sweep count and the ``converged`` flag.  It was
+recorded with the LAPACK-based solver of git commit 7ede870 (general
+``np.linalg.svd`` for the coupling step, ``np.linalg.solve`` on equilibrated
+normal equations for the increments) by running this module as a script
+against that checkout:
+
+    PYTHONPATH=src python tests/test_solver_golden.py
+
+The test re-solves the same windows through ``raa_rectify`` and requires
+losses within 1e-9 relative, identical sweep counts and flags, and the same
+winning window.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+from pathlib import Path
+
+import spotalign.pipeline as pipeline
+from spotalign import synth_corpus
+
+GOLDEN = Path(__file__).resolve().parent / "data" / "solver_golden.json"
+CORPUS = {"n_straight": 3, "n_curve": 3, "seed": 1}
+TH = 1.0
+
+
+def record() -> dict:
+    """Rectify the corpus, recording every window solve ``raa_rectify`` makes."""
+    solves = []
+    original = pipeline.admm_solve
+
+    def recording(*args, **kwargs):
+        result = original(*args, **kwargs)
+        solves.append({"loss": result.loss.hex(), "iterations": result.iterations,
+                       "converged": result.converged})
+        return result
+
+    pipeline.admm_solve = recording
+    segments = []
+    try:
+        for segment, collected in synth_corpus(**CORPUS):
+            start = len(solves)
+            out = pipeline.raa_rectify(collected, segment, th=TH)
+            segments.append({"id": segment.id, "window_start_index": out.window_start_index,
+                             "windows": solves[start:]})
+    finally:
+        pipeline.admm_solve = original
+    return {"corpus": CORPUS, "th": TH, "segments": segments}
+
+
+def test_window_solves_match_recorded():
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    assert (golden["corpus"], golden["th"]) == (CORPUS, TH)
+    got = record()
+    assert [s["id"] for s in got["segments"]] == [s["id"] for s in golden["segments"]]
+    assert sum(len(s["windows"]) for s in golden["segments"]) == 212
+    for new, old in zip(got["segments"], golden["segments"]):
+        assert new["window_start_index"] == old["window_start_index"], new["id"]
+        assert len(new["windows"]) == len(old["windows"]), new["id"]
+        for i, (a, b) in enumerate(zip(new["windows"], old["windows"])):
+            where = f"{new['id']} window {i}"
+            assert (a["iterations"], a["converged"]) == (b["iterations"], b["converged"]), where
+            la, lb = float.fromhex(a["loss"]), float.fromhex(b["loss"])
+            assert math.isclose(la, lb, rel_tol=1e-9, abs_tol=0.0), where
+
+
+if __name__ == "__main__":
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps(record(), indent=1) + "\n", encoding="utf-8")
