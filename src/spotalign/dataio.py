@@ -18,8 +18,10 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import operator
 import os
 import tempfile
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -106,8 +108,7 @@ def render_csv(meta: str, header: list[str], rows: list[list]) -> str:
     buf.write(f"# {meta}\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+    writer.writerows(rows)  # csv writes each float as repr() does
     return buf.getvalue()
 
 
@@ -167,74 +168,98 @@ def save_dataset(dataset: Dataset, out_dir: Path) -> dict[str, Path]:
 # reading
 # ---------------------------------------------------------------------------
 
-def _read_rows(path: Path, expected: list[str]) -> list[tuple[int, dict[str, str]]]:
+def _read_rows(path: Path, expected: list[str]) -> Iterator[tuple[int, tuple[str, ...]]]:
+    """Yield ``(line, fields)`` per data row, ``fields`` in the order of ``expected``.
+
+    ``line`` is the physical line that ends the row, comment lines counted, so
+    errors name the line an editor shows.  Blank rows are skipped; when a
+    header names a column twice its last occurrence wins; extra columns are
+    ignored; a row too short to hold an expected column is rejected.
+    """
     path = Path(path)
     if not path.exists():
         raise DatasetError(f"missing file: {path}")
-    rows: list[tuple[int, dict[str, str]]] = []
-    # file_lines[n - 1] is the physical line number of the n-th non-comment
-    # line, so errors name the line an editor shows
-    file_lines: list[int] = []
     with path.open(newline="", encoding="utf-8") as fh:
-        def data_lines():
-            for number, line in enumerate(fh, start=1):
-                if not line.startswith("#"):
-                    file_lines.append(number)
-                    yield line
+        comments = 0
 
-        reader = csv.DictReader(data_lines())
-        if reader.fieldnames is None:
+        def data_lines():
+            nonlocal comments
+            for text in fh:
+                if text.startswith("#"):
+                    comments += 1
+                else:
+                    yield text
+
+        reader = csv.reader(data_lines())
+        header = next(reader, None)
+        if header is None:
             raise DatasetError(f"{path}: empty file")
-        missing = [c for c in expected if c not in reader.fieldnames]
+        position = {name: i for i, name in enumerate(header)}
+        missing = [c for c in expected if c not in position]
         if missing:
             raise DatasetError(f"{path}: missing columns {missing}")
-        for record in reader:
-            rows.append((file_lines[reader.line_num - 1], record))
-    return rows
+        pick = operator.itemgetter(*(position[c] for c in expected))
+        for row in reader:
+            if not row:
+                continue
+            line = reader.line_num + comments
+            try:
+                fields = pick(row)
+            except IndexError:
+                short = next(c for c in expected if position[c] >= len(row))
+                raise DatasetError(f"{path} line {line}: missing {short} value ({len(row)} fields)") from None
+            yield line, fields
 
 
 def _parse_float(path: Path, line: int, name: str, raw: str) -> float:
     try:
         return float(raw)
-    except (TypeError, ValueError):
+    except ValueError:
         raise DatasetError(f"{path} line {line}: bad {name} value {raw!r}") from None
 
 
-def _parse_index(path: Path, line: int, name: str, raw: str, seen: dict[int, int]) -> int:
-    """Parse a row index; ``seen`` maps the segment's indices so far to their lines."""
-    value = _parse_float(path, line, name, raw)
+def _parse_index(path: Path, line: int, name: str, raw: str, seen: dict[int, tuple]) -> int:
+    """Parse a row index; ``seen`` maps the segment's indices so far to entries
+    whose first item is their line."""
+    try:
+        value = float(raw)
+    except ValueError:
+        value = _parse_float(path, line, name, raw)
     if not value.is_integer():
         raise DatasetError(f"{path} line {line}: non-integer {name} value {raw!r}")
     idx = int(value)
     if idx in seen:
-        raise DatasetError(f"{path} line {line}: duplicate {name} {idx} (first on line {seen[idx]})")
-    seen[idx] = line
+        raise DatasetError(f"{path} line {line}: duplicate {name} {idx} (first on line {seen[idx][0]})")
     return idx
 
 
+def _geo_point(path: Path, line: int, raw_lat: str, raw_lon: str) -> GeoPoint:
+    try:
+        lat, lon = float(raw_lat), float(raw_lon)
+    except ValueError:  # name the field
+        lat, lon = _parse_float(path, line, "lat", raw_lat), _parse_float(path, line, "lon", raw_lon)
+    try:
+        return GeoPoint(lat, lon)
+    except ValueError as exc:
+        raise DatasetError(f"{path} line {line}: {exc}") from None
+
+
 def load_segments(path: Path) -> dict[str, RoadSegment]:
-    grouped: dict[str, list[tuple[int, int, GeoPoint, bool, str, str]]] = {}
-    seen: dict[str, dict[int, int]] = {}
-    for line, rec in _read_rows(path, SEGMENT_COLUMNS):
-        sid = rec["segment_id"]
+    # segment id -> point_index -> (line, point, is_intersection, spot_type, shape_class)
+    grouped: dict[str, dict[int, tuple[int, GeoPoint, bool, str, str]]] = {}
+    for line, (sid, raw_index, raw_lat, raw_lon, raw_flag, spot, shape) in _read_rows(path, SEGMENT_COLUMNS):
         if not sid:
             raise DatasetError(f"{path} line {line}: empty segment_id")
-        idx = _parse_index(path, line, "point_index", rec["point_index"], seen.setdefault(sid, {}))
-        try:
-            point = GeoPoint(
-                _parse_float(path, line, "lat", rec["lat"]),
-                _parse_float(path, line, "lon", rec["lon"]),
-            )
-        except ValueError as exc:
-            raise DatasetError(f"{path} line {line}: {exc}") from None
-        flag = rec["is_intersection"].strip() in ("1", "true", "True")
-        grouped.setdefault(sid, []).append((idx, line, point, flag, rec["spot_type"], rec["shape_class"]))
+        vertices = grouped.setdefault(sid, {})
+        idx = _parse_index(path, line, "point_index", raw_index, vertices)
+        point = _geo_point(path, line, raw_lat, raw_lon)
+        vertices[idx] = (line, point, raw_flag.strip() in ("1", "true", "True"), spot, shape)
 
     segments: dict[str, RoadSegment] = {}
-    for sid, entries in grouped.items():
-        entries.sort(key=lambda e: e[0])
-        spot_labels = {e[4] for e in entries}
-        shape_labels = {e[5].strip().lower() for e in entries}
+    for sid, vertices in grouped.items():
+        entries = [vertices[i] for i in sorted(vertices)]
+        spot_labels = {e[3] for e in entries}
+        shape_labels = {e[4].strip().lower() for e in entries}
         if len(spot_labels) != 1 or len(shape_labels) != 1:
             raise DatasetError(f"{path}: segment {sid!r} has inconsistent spot_type/shape_class rows")
         shape = shape_labels.pop()
@@ -247,10 +272,10 @@ def load_segments(path: Path) -> dict[str, RoadSegment]:
         try:
             segments[sid] = RoadSegment(
                 id=sid,
-                polyline=tuple(e[2] for e in entries),
+                polyline=tuple(e[1] for e in entries),
                 spot_type=spot_type,
                 shape_class=shape,
-                intersection_indices=frozenset(i for i, e in enumerate(entries) if e[3]),
+                intersection_indices=frozenset(i for i, e in enumerate(entries) if e[2]),
             )
         except ValueError as exc:
             raise DatasetError(f"{path}: segment {sid!r}: {exc}") from None
@@ -258,29 +283,21 @@ def load_segments(path: Path) -> dict[str, RoadSegment]:
 
 
 def load_points(path: Path) -> dict[str, list[GeoPoint]]:
-    grouped: dict[str, list[tuple[int, GeoPoint]]] = {}
-    seen: dict[str, dict[int, int]] = {}
-    for line, rec in _read_rows(path, COLLECTED_COLUMNS):
-        sid = rec["segment_id"]
-        idx = _parse_index(path, line, "spot_index", rec["spot_index"], seen.setdefault(sid, {}))
+    # segment id -> spot_index -> (line, point)
+    grouped: dict[str, dict[int, tuple[int, GeoPoint]]] = {}
+    for line, (sid, raw_index, raw_lat, raw_lon) in _read_rows(path, COLLECTED_COLUMNS):
+        spots = grouped.setdefault(sid, {})
+        idx = _parse_index(path, line, "spot_index", raw_index, spots)
+        spots[idx] = (line, _geo_point(path, line, raw_lat, raw_lon))
+    points: dict[str, list[GeoPoint]] = {}
+    for sid, spots in grouped.items():
         try:
-            point = GeoPoint(
-                _parse_float(path, line, "lat", rec["lat"]),
-                _parse_float(path, line, "lon", rec["lon"]),
-            )
-        except ValueError as exc:
-            raise DatasetError(f"{path} line {line}: {exc}") from None
-        grouped.setdefault(sid, []).append((idx, point))
-    for sid, indices in seen.items():
-        missing = set(range(len(indices))) - indices.keys()
-        if missing:
+            points[sid] = [spots[i][1] for i in range(len(spots))]
+        except KeyError as exc:  # the smallest index absent from 0..M-1
             raise DatasetError(
-                f"{path}: segment {sid!r}: spot_index must run 0..{len(indices) - 1}, {min(missing)} is missing"
-            )
-    return {
-        sid: [p for _, p in sorted(entries, key=lambda e: e[0])]
-        for sid, entries in grouped.items()
-    }
+                f"{path}: segment {sid!r}: spot_index must run 0..{len(spots) - 1}, {exc.args[0]} is missing"
+            ) from None
+    return points
 
 
 def load_dataset(segments_path: Path, collected_path: Path, truth_path: Path | None = None) -> Dataset:

@@ -9,10 +9,10 @@ method, and snap to the best window.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment, linprog
 
 from .roads import CandidateSet
 
@@ -29,6 +29,26 @@ class Assignment:
 
     pairs: tuple[tuple[int, int], ...]
     total_cost: float
+
+
+# scipy.optimize takes most of a second to import and only HA and WD need it,
+# so it loads on the first call.  The matchers look these two names up at call
+# time, which keeps them replaceable (e.g. by wrappers that time them).
+@functools.cache
+def _optimize():
+    import scipy.optimize
+
+    return scipy.optimize
+
+
+def linear_sum_assignment(cost):
+    """:func:`scipy.optimize.linear_sum_assignment`."""
+    return _optimize().linear_sum_assignment(cost)
+
+
+def linprog(c, **kwargs):
+    """:func:`scipy.optimize.linprog`."""
+    return _optimize().linprog(c, **kwargs)
 
 
 def _as_xy(points) -> np.ndarray:

@@ -475,29 +475,32 @@ def admm_solve(
     input points.
     """
     cfg = cfg or SolverConfig()
-    state = init_state(P, Rd, cfg)
-    trace = IterationTrace() if collect_trace else None
+    # overflow shows as a non-finite state, which the checks below turn into
+    # NumericalFailureError; numpy warnings would only add noise before it
+    with np.errstate(over="ignore", invalid="ignore"):
+        state = init_state(P, Rd, cfg)
+        trace = IterationTrace() if collect_trace else None
 
-    converged = False
-    prev_vec = _state_vector(state)
-    prev_norm = math.sqrt(prev_vec @ prev_vec)
-    for iterations in range(1, cfg.max_iters + 1):
-        try:
-            primal = sweep(state, cfg, trace)
-        except NumericalFailureError:
-            raise NumericalFailureError(iterations) from None
-        vec = _state_vector(state)
-        norm2 = vec @ vec  # not finite once any entry (or the norm itself) is not
-        if not math.isfinite(norm2):
-            raise NumericalFailureError(iterations)
-        step = vec - prev_vec
-        rel_change = math.sqrt(step @ step) / max(1.0, prev_norm)
-        prev_vec, prev_norm = vec, math.sqrt(norm2)
-        if primal < cfg.tol_primal or rel_change < cfg.tol_change:
-            converged = True
-            break
+        converged = False
+        prev_vec = _state_vector(state)
+        prev_norm = math.sqrt(prev_vec @ prev_vec)
+        for iterations in range(1, cfg.max_iters + 1):
+            try:
+                primal = sweep(state, cfg, trace)
+            except NumericalFailureError:
+                raise NumericalFailureError(iterations) from None
+            vec = _state_vector(state)
+            norm2 = vec @ vec  # not finite once any entry (or the norm itself) is not
+            if not math.isfinite(norm2):
+                raise NumericalFailureError(iterations)
+            step = vec - prev_vec
+            rel_change = math.sqrt(step @ step) / max(1.0, prev_norm)
+            prev_vec, prev_norm = vec, math.sqrt(norm2)
+            if primal < cfg.tol_primal or rel_change < cfg.tol_change:
+                converged = True
+                break
 
-    loss = alignment_loss(state, cfg)
+        loss = alignment_loss(state, cfg)
     log.debug(
         "admm_solve: m=%d iters=%d converged=%s primal=%.3e loss=%.6f",
         state.inputs.shape[1] // 2, iterations, converged, primal, loss,

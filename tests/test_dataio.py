@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from spotalign.dataio import (
@@ -6,6 +7,7 @@ from spotalign.dataio import (
     RunConfig,
     atomic_write_text,
     load_dataset,
+    render_csv,
     save_dataset,
 )
 from spotalign.pipeline import synth_corpus
@@ -147,6 +149,55 @@ class TestSaveLoad:
         with pytest.raises(DatasetError, match=r"truth\.csv: segment 'r1': spot_index must run 0\.\.2, 1 is missing"):
             load_dataset(seg, col, truth)
 
+    def test_short_segments_row_reports_column(self, tmp_path):
+        seg = tmp_path / "segments.csv"
+        seg.write_text(
+            "# spotalign segments 0123456789ab\n"
+            "segment_id,point_index,lat,lon,is_intersection,spot_type,shape_class\n"
+            "r1,0,0.0,0.0,0,parallel,straight\n"
+            "r1,1,0.0,0.001,0,parallel\n"
+        )
+        col = tmp_path / "collected.csv"
+        col.write_text("segment_id,spot_index,lat,lon\nr1,0,0.0,0.0005\n")
+        with pytest.raises(DatasetError, match=r"segments\.csv line 4: missing shape_class value"):
+            load_dataset(seg, col)
+
+    def test_short_collected_row_reports_column(self, tmp_path):
+        seg = tmp_path / "segments.csv"
+        seg.write_text(
+            "segment_id,point_index,lat,lon,is_intersection,spot_type,shape_class\n"
+            "r1,0,0.0,0.0,0,parallel,straight\n"
+            "r1,1,0.0,0.001,0,parallel,straight\n"
+        )
+        col = tmp_path / "collected.csv"
+        # only required columns count: a row may stop short of an extra one
+        col.write_text("segment_id,spot_index,lat,lon,note\nr1,0,0.0,0.0005\nr1,1,0.0\n")
+        with pytest.raises(DatasetError, match=r"collected\.csv line 3: missing lon value"):
+            load_dataset(seg, col)
+
+    def test_csv_dialect_variants_load_like_plain_form(self, tmp_path):
+        plain, variant = tmp_path / "plain", tmp_path / "variant"
+        plain.mkdir()
+        variant.mkdir()
+        (plain / "segments.csv").write_text(
+            "segment_id,point_index,lat,lon,is_intersection,spot_type,shape_class\n"
+            "r 1,0,0.0,0.0,1,parallel,straight\n"
+            "r 1,1,0.0,0.001,0,parallel,straight\n"
+        )
+        (variant / "segments.csv").write_bytes(
+            b"# spotalign segments 0123456789ab\r\n"
+            b"segment_id,point_index,lat,lon,is_intersection,spot_type,shape_class,note\r\n"
+            b'"r 1",0,0.0,0.0,1,parallel,straight,"a, b"\r\n'
+            b"\r\n"
+            b'"r 1",1,"0.0",0.001,0,parallel,straight,x,y\r\n'
+        )
+        for d in (plain, variant):
+            (d / "collected.csv").write_text("segment_id,spot_index,lat,lon\nr 1,0,0.0,0.0005\n")
+        a = load_dataset(plain / "segments.csv", plain / "collected.csv")
+        b = load_dataset(variant / "segments.csv", variant / "collected.csv")
+        assert a.segments == b.segments
+        assert a.collected == b.collected
+
     def test_truth_size_mismatch(self, tmp_path):
         ds = corpus_dataset(1, 0)
         paths = save_dataset(ds, tmp_path)
@@ -165,6 +216,15 @@ class TestSaveLoad:
         assert paths["segments"].read_text().startswith("# spotalign segments")
         loaded = load_dataset(paths["segments"], paths["collected"])
         assert sorted(loaded.segments) == sorted(ds.segments)
+
+
+class TestRenderCsv:
+    def test_numpy_floats_written_as_python_floats(self):
+        header = ["segment_id", "spot_index", "lat", "lon"]
+        rows = [["r1", 0, 0.1, 1 / 3]]
+        text = render_csv("meta", header, rows)
+        assert render_csv("meta", header, [["r1", np.int64(0), np.float64(0.1), np.float64(1 / 3)]]) == text
+        assert text.splitlines()[-1] == "r1,0,0.1,0.3333333333333333"
 
 
 class TestRunConfig:

@@ -1,9 +1,14 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spotalign.matchers
 from spotalign.matchers import (
     Assignment,
     baseline_rectify,
@@ -231,3 +236,35 @@ class TestBaselineRectify:
         cands = self.make_candidates()
         with pytest.raises(ValueError):
             baseline_rectify(cands.xy()[:4], cands, "nearest")
+
+
+class TestColdPath:
+    def test_import_leaves_scipy_optimize_unloaded(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, spotalign, spotalign.cli; print('scipy.optimize' in sys.modules)"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
+    def test_scipy_entry_points_looked_up_at_call_time(self, monkeypatch):
+        calls = []
+        for name in ("linear_sum_assignment", "linprog"):
+            real = getattr(spotalign.matchers, name)
+
+            def counted(*args, _name=name, _real=real, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(spotalign.matchers, name, counted)
+        cands = sample_candidates(straight_segment(7 * 6.0, SpotType.PARALLEL))
+        window = cands.xy()[2:6]
+        hungarian_assign(np.eye(3))
+        baseline_rectify(window, cands, "ha")
+        wd_match(window, cands.xy())
+        # hungarian_assign: the optimum plus 4 refinement solves; HA: 5 windows
+        assert calls.count("linear_sum_assignment") == 1 + 4 + 5
+        assert calls.count("linprog") == 1

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -423,6 +424,14 @@ class TestAdmmSolve:
         b = StackedCoords.from_points(rng.uniform(-1, 1, (6, 2)) * 1e160)
         with pytest.raises(NumericalFailureError):
             admm_solve(a, b, SolverConfig())
+
+    def test_overflow_raises_no_warning(self, rng):
+        a = StackedCoords.from_points(rng.uniform(-1, 1, (6, 2)) * 1e160)
+        b = StackedCoords.from_points(rng.uniform(-1, 1, (6, 2)) * 1e160)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalFailureError):
+                admm_solve(a, b, SolverConfig())
 
     def test_single_point_rejected(self):
         pts = StackedCoords.from_points([[1.0, 2.0]])
