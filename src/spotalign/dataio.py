@@ -33,6 +33,8 @@ from .solver import SolverConfig
 
 SEGMENT_COLUMNS = ["segment_id", "point_index", "lat", "lon", "is_intersection", "spot_type", "shape_class"]
 COLLECTED_COLUMNS = ["segment_id", "spot_index", "lat", "lon"]
+# is_intersection values after stripping whitespace; anything else is an error
+_INTERSECTION_FLAGS = {"1": True, "true": True, "True": True, "0": False, "false": False, "False": False}
 
 
 class DatasetError(Exception):
@@ -253,27 +255,30 @@ def load_segments(path: Path) -> dict[str, RoadSegment]:
         vertices = grouped.setdefault(sid, {})
         idx = _parse_index(path, line, "point_index", raw_index, vertices)
         point = _geo_point(path, line, raw_lat, raw_lon)
-        vertices[idx] = (line, point, raw_flag.strip() in ("1", "true", "True"), spot, shape)
+        try:
+            flag = _INTERSECTION_FLAGS[raw_flag.strip()]
+        except KeyError:
+            raise DatasetError(f"{path} line {line}: bad is_intersection value {raw_flag!r}") from None
+        vertices[idx] = (line, point, flag, spot, shape)
 
     segments: dict[str, RoadSegment] = {}
     for sid, vertices in grouped.items():
         entries = [vertices[i] for i in sorted(vertices)]
-        spot_labels = {e[3] for e in entries}
+        try:  # each distinct raw label once, so differently spelled labels of one type agree
+            spot_types = {SpotType.from_label(label) for label in {e[3] for e in entries}}
+        except ValueError as exc:
+            raise DatasetError(f"{path}: segment {sid!r}: {exc}") from None
         shape_labels = {e[4].strip().lower() for e in entries}
-        if len(spot_labels) != 1 or len(shape_labels) != 1:
+        if len(spot_types) != 1 or len(shape_labels) != 1:
             raise DatasetError(f"{path}: segment {sid!r} has inconsistent spot_type/shape_class rows")
         shape = shape_labels.pop()
         if shape not in (STRAIGHT, CURVE):
             raise DatasetError(f"{path}: segment {sid!r} has unknown shape_class {shape!r}")
         try:
-            spot_type = SpotType.from_label(spot_labels.pop())
-        except ValueError as exc:
-            raise DatasetError(f"{path}: segment {sid!r}: {exc}") from None
-        try:
             segments[sid] = RoadSegment(
                 id=sid,
                 polyline=tuple(e[1] for e in entries),
-                spot_type=spot_type,
+                spot_type=spot_types.pop(),
                 shape_class=shape,
                 intersection_indices=frozenset(i for i, e in enumerate(entries) if e[2]),
             )

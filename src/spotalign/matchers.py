@@ -10,6 +10,7 @@ method, and snap to the best window.
 from __future__ import annotations
 
 import functools
+import importlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,29 +33,29 @@ class Assignment:
 
 
 # scipy.optimize takes most of a second to import and only HA and WD need it,
-# so it loads on the first call.  The matchers look these two names up at call
-# time, which keeps them replaceable (e.g. by wrappers that time them).
+# so scipy modules load on first use.  The matchers look the two solvers up at
+# call time, which keeps them replaceable (e.g. by wrappers that time them).
 @functools.cache
-def _optimize():
-    import scipy.optimize
-
-    return scipy.optimize
+def _scipy(name: str):
+    return importlib.import_module(f"scipy.{name}")
 
 
 def linear_sum_assignment(cost):
     """:func:`scipy.optimize.linear_sum_assignment`."""
-    return _optimize().linear_sum_assignment(cost)
+    return _scipy("optimize").linear_sum_assignment(cost)
 
 
 def linprog(c, **kwargs):
     """:func:`scipy.optimize.linprog`."""
-    return _optimize().linprog(c, **kwargs)
+    return _scipy("optimize").linprog(c, **kwargs)
 
 
 def _as_xy(points) -> np.ndarray:
     xy = np.asarray(points, dtype=float)
     if xy.ndim != 2 or xy.shape[1] != 2:
         raise ValueError("expected an (N, 2) point array")
+    if not np.isfinite(xy).all():
+        raise ValueError("point coordinates must be finite")
     return xy
 
 
@@ -63,26 +64,37 @@ def _pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.hypot(diff[..., 0], diff[..., 1])
 
 
+def _distances(set_a, set_b, name: str) -> np.ndarray:
+    a = _as_xy(set_a)
+    b = _as_xy(set_b)
+    if a.size == 0 or b.size == 0:
+        raise ValueError(f"{name} needs non-empty point sets")
+    return _pairwise_distances(a, b)
+
+
+def _nearest(dist: np.ndarray) -> Assignment:
+    idx = np.argmin(dist, axis=1)  # argmin returns the first (lowest) index on ties
+    cost = float(dist[np.arange(len(idx)), idx].sum())
+    return Assignment(tuple((i, int(j)) for i, j in enumerate(idx)), cost)
+
+
 def ed_match(collected, candidates) -> Assignment:
     """Match each collected point to its nearest candidate (ties: lower index)."""
-    a = _as_xy(collected)
-    b = _as_xy(candidates)
-    if a.size == 0 or b.size == 0:
-        raise ValueError("ed_match needs non-empty point sets")
-    dist = _pairwise_distances(a, b)
-    idx = np.argmin(dist, axis=1)  # argmin returns the first (lowest) index on ties
-    cost = float(dist[np.arange(len(a)), idx].sum())
-    return Assignment(tuple((i, int(j)) for i, j in enumerate(idx)), cost)
+    return _nearest(_distances(collected, candidates, "ed_match"))
+
+
+def _chamfer(dist: np.ndarray) -> float:
+    return float(dist.min(axis=1).sum() + dist.min(axis=0).sum())
 
 
 def cd_distance(set_a, set_b) -> float:
     """Chamfer distance: symmetric sum of nearest-neighbor distances."""
-    a = _as_xy(set_a)
-    b = _as_xy(set_b)
-    if a.size == 0 or b.size == 0:
-        raise ValueError("cd_distance needs non-empty point sets")
-    dist = _pairwise_distances(a, b)
-    return float(dist.min(axis=1).sum() + dist.min(axis=0).sum())
+    return _chamfer(_distances(set_a, set_b, "cd_distance"))
+
+
+def _optimum(cost: np.ndarray) -> float:
+    rows, cols = linear_sum_assignment(cost)
+    return float(cost[rows, cols].sum())
 
 
 def hungarian_assign(cost: np.ndarray) -> Assignment:
@@ -99,8 +111,7 @@ def hungarian_assign(cost: np.ndarray) -> Assignment:
     if not np.all(np.isfinite(cost)):
         raise ValueError("cost matrix must be finite")
     n = cost.shape[0]
-    rows, cols = linear_sum_assignment(cost)
-    optimum = float(cost[rows, cols].sum())
+    optimum = _optimum(cost)
     tol = 1e-9 * max(1.0, abs(optimum))
 
     chosen: list[int] = []
@@ -109,11 +120,7 @@ def hungarian_assign(cost: np.ndarray) -> Assignment:
     for i in range(n):
         for j in sorted(free):
             rest = [c for c in free if c != j]
-            if rest:
-                rr, cc = linear_sum_assignment(cost[np.ix_(range(i + 1, n), rest)])
-                completion = float(cost[np.ix_(range(i + 1, n), rest)][rr, cc].sum())
-            else:
-                completion = 0.0
+            completion = _optimum(cost[np.ix_(range(i + 1, n), rest)]) if rest else 0.0
             if cost[i, j] + completion <= remaining + tol:
                 chosen.append(j)
                 free.remove(j)
@@ -127,30 +134,16 @@ def hungarian_assign(cost: np.ndarray) -> Assignment:
     return Assignment(tuple((i, j) for i, j in enumerate(chosen)), total)
 
 
-def wd_match(collected, candidates) -> tuple[Assignment, float]:
-    """Exact discrete optimal transport with uniform weights.
-
-    Mass 1/M per collected point against 1/K per candidate; the reported
-    mapping sends each collected point to the candidate receiving its largest
-    mass share (ties: lower index).  Returns the assignment and the transport
-    cost.
-    """
-    a = _as_xy(collected)
-    b = _as_xy(candidates)
-    if a.size == 0 or b.size == 0:
-        raise ValueError("wd_match needs non-empty point sets")
-    m, k = len(a), len(b)
-    cost = _pairwise_distances(a, b)
-
-    # marginals as equality constraints on the m*k transport variables
-    row_marginal = np.zeros((m, m * k))
-    for i in range(m):
-        row_marginal[i, i * k:(i + 1) * k] = 1.0
-    col_marginal = np.zeros((k, m * k))
-    for j in range(k):
-        col_marginal[j, j::k] = 1.0
+def _transport(cost: np.ndarray) -> tuple[Assignment, float]:
+    m, k = cost.shape
+    # transport variable i*k + j enters the marginal of collected point i (row
+    # i) and of candidate j (row m + j)
+    rows = (np.column_stack(np.divmod(np.arange(m * k), k)) + (0, m)).ravel()
+    marginals = _scipy("sparse").csc_array(
+        (np.ones(2 * m * k), rows, np.arange(0, 2 * m * k + 1, 2)), shape=(m + k, m * k)
+    )
     # drop one redundant constraint to keep the system full-rank
-    a_eq = np.vstack([row_marginal, col_marginal[:-1]])
+    a_eq = marginals[:-1]
     b_eq = np.concatenate([np.full(m, 1.0 / m), np.full(k - 1, 1.0 / k)])
     res = linprog(cost.reshape(-1), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
     if not res.success:
@@ -161,6 +154,17 @@ def wd_match(collected, candidates) -> tuple[Assignment, float]:
     return Assignment(pairs, float((plan * cost).sum())), float(res.fun)
 
 
+def wd_match(collected, candidates) -> tuple[Assignment, float]:
+    """Exact discrete optimal transport with uniform weights.
+
+    Mass 1/M per collected point against 1/K per candidate; the reported
+    mapping sends each collected point to the candidate receiving its largest
+    mass share (ties: lower index).  Returns the assignment and the transport
+    cost.
+    """
+    return _transport(_distances(collected, candidates, "wd_match"))
+
+
 def baseline_rectify(collected, candidate_set: CandidateSet, method: str) -> tuple[np.ndarray, int]:
     """Snap collected points to candidates using one of the four baselines.
 
@@ -169,31 +173,31 @@ def baseline_rectify(collected, candidate_set: CandidateSet, method: str) -> tup
     chamfer distance or the Hungarian optimum, and return the best window's
     candidates in order (ties: smaller start index).  Returns the snapped
     points as an (M, 2) array of candidate rows and the window start index
-    (0 for the full-set methods).
+    (0 for the full-set methods).  All four work from one point-to-candidate
+    distance matrix; a window's scores use its column slice.
     """
     pts = _as_xy(collected)
     cand = candidate_set.xy()
     m, k = len(pts), len(cand)
     if m == 0:
         raise ValueError("no collected points to rectify")
+    if k == 0:
+        raise ValueError("no candidates to snap to")
+    dist = _pairwise_distances(pts, cand)
 
     if method == ED:
-        return cand[[j for _, j in ed_match(pts, cand).pairs]], 0
+        return cand[[j for _, j in _nearest(dist).pairs]], 0
     if method == WD:
-        assignment, _ = wd_match(pts, cand)
-        return cand[[j for _, j in assignment.pairs]], 0
+        return cand[[j for _, j in _transport(dist)[0].pairs]], 0
 
     if k < m:
         raise ValueError(f"{k} candidates cannot window {m} collected points")
     if method == CD:
-        scores = [cd_distance(pts, cand[i:i + m]) for i in range(k - m + 1)]
+        score = _chamfer
     elif method == HA:
-        scores = []
-        for i in range(k - m + 1):
-            cost = _pairwise_distances(pts, cand[i:i + m])
-            rows, cols = linear_sum_assignment(cost)
-            scores.append(float(cost[rows, cols].sum()))
+        score = _optimum
     else:
         raise ValueError(f"unknown baseline method {method!r}")
+    scores = [score(dist[:, i:i + m]) for i in range(k - m + 1)]
     best = int(np.argmin(scores))  # argmin keeps the smaller index on ties
     return cand[best:best + m], best

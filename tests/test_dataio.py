@@ -7,10 +7,12 @@ from spotalign.dataio import (
     RunConfig,
     atomic_write_text,
     load_dataset,
+    load_segments,
     render_csv,
     save_dataset,
 )
 from spotalign.pipeline import synth_corpus
+from spotalign.roads import SpotType
 
 
 def corpus_dataset(n_straight=2, n_curve=1, seed=8) -> Dataset:
@@ -148,6 +150,39 @@ class TestSaveLoad:
         truth.write_text("segment_id,spot_index,lat,lon\nr1,0,0.0,0.0\nr1,101,0.0,0.0005\nr1,102,0.0,0.001\n")
         with pytest.raises(DatasetError, match=r"truth\.csv: segment 'r1': spot_index must run 0\.\.2, 1 is missing"):
             load_dataset(seg, col, truth)
+
+    @pytest.mark.parametrize("raw, flagged", [
+        ("1", True), ("true", True), ("True", True), (" 1 ", True),
+        ("0", False), ("false", False), ("False", False),
+    ])
+    def test_intersection_flag_values(self, tmp_path, raw, flagged):
+        seg = tmp_path / "segments.csv"
+        seg.write_text(
+            "segment_id,point_index,lat,lon,is_intersection,spot_type,shape_class\n"
+            "r1,0,0.0,0.0,0,parallel,straight\n"
+            f"r1,1,0.0,0.001,{raw},parallel,straight\n"
+        )
+        assert load_segments(seg)["r1"].intersection_indices == ({1} if flagged else set())
+
+    @pytest.mark.parametrize("raw", ["yes", "TRUE", "2", ""])
+    def test_bad_intersection_flag_reports_line(self, tmp_path, raw):
+        seg = tmp_path / "segments.csv"
+        seg.write_text(
+            "segment_id,point_index,lat,lon,is_intersection,spot_type,shape_class\n"
+            "r1,0,0.0,0.0,0,parallel,straight\n"
+            f"r1,1,0.0,0.001,{raw},parallel,straight\n"
+        )
+        with pytest.raises(DatasetError, match=f"segments\\.csv line 3: bad is_intersection value '{raw}'$"):
+            load_segments(seg)
+
+    def test_spot_type_labels_compared_normalized(self, tmp_path):
+        seg = tmp_path / "segments.csv"
+        seg.write_text(
+            "segment_id,point_index,lat,lon,is_intersection,spot_type,shape_class\n"
+            "r1,0,0.0,0.0,0,parallel,straight\n"
+            "r1,1,0.0,0.001,0,Parallel ,Straight\n"
+        )
+        assert load_segments(seg)["r1"].spot_type is SpotType.PARALLEL
 
     def test_short_segments_row_reports_column(self, tmp_path):
         seg = tmp_path / "segments.csv"

@@ -232,6 +232,15 @@ class TestBaselineRectify:
         wrong = snapped[3]
         assert math.hypot(wrong[0] - truth[3, 0], wrong[1] - truth[3, 1]) >= 6.0
 
+    @pytest.mark.parametrize("method", ["ed", "cd", "ha", "wd"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_point_rejected(self, method, bad):
+        cands = self.make_candidates()
+        window = cands.xy()[4:12].copy()
+        window[3, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            baseline_rectify(window, cands, method)
+
     def test_unknown_method_rejected(self):
         cands = self.make_candidates()
         with pytest.raises(ValueError):
@@ -245,6 +254,17 @@ class TestColdPath:
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-c", "import sys, spotalign, spotalign.cli; print('scipy.optimize' in sys.modules)"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
+    def test_import_leaves_scipy_sparse_unloaded(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, spotalign, spotalign.cli; print('scipy.sparse' in sys.modules)"],
             env=env, capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
