@@ -174,7 +174,8 @@ def baseline_rectify(collected, candidate_set: CandidateSet, method: str) -> tup
     candidates in order (ties: smaller start index).  Returns the snapped
     points as an (M, 2) array of candidate rows and the window start index
     (0 for the full-set methods).  All four work from one point-to-candidate
-    distance matrix; a window's scores use its column slice.
+    distance matrix; a window's scores use its column slice.  CD and HA raise
+    :class:`InsufficientCandidatesError` when K < M.
     """
     pts = _as_xy(collected)
     cand = candidate_set.xy()
@@ -190,14 +191,13 @@ def baseline_rectify(collected, candidate_set: CandidateSet, method: str) -> tup
     if method == WD:
         return cand[[j for _, j in _transport(dist)[0].pairs]], 0
 
-    if k < m:
-        raise ValueError(f"{k} candidates cannot window {m} collected points")
+    n_windows = candidate_set.window_count(m)
     if method == CD:
         score = _chamfer
     elif method == HA:
         score = _optimum
     else:
         raise ValueError(f"unknown baseline method {method!r}")
-    scores = [score(dist[:, i:i + m]) for i in range(k - m + 1)]
+    scores = [score(dist[:, i:i + m]) for i in range(n_windows)]
     best = int(np.argmin(scores))  # argmin keeps the smaller index on ties
     return cand[best:best + m], best

@@ -26,9 +26,8 @@ class EvalReport:
     """Pooled metrics plus the per-segment breakdown they were pooled from.
 
     ``acd`` pools deviations over all points; ``ar`` averages per-segment
-    recall without weighting by segment size.  ``correspondence`` records how
-    predictions were matched to ground truth (index-aligned throughout this
-    library).
+    recall without weighting by segment size.  Predictions are matched to
+    ground truth by index.
     """
 
     acd: float
@@ -36,7 +35,6 @@ class EvalReport:
     per_segment: tuple[SegmentScore, ...]
     n_segments: int
     tau: float = DEFAULT_RECALL_TOLERANCE_M
-    correspondence: str = "index"
 
 
 def _deviations(pred, truth) -> list[np.ndarray]:

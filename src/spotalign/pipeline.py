@@ -13,26 +13,14 @@ import numpy as np
 from .geo import GeoPoint, LocalFrame, make_frame, project_points, unproject_points
 from .matchers import BASELINE_METHODS, baseline_rectify
 from .rigid import StackedCoords
-from .roads import CURVE, STRAIGHT, RoadSegment, SpotType, sample_candidates
+# InsufficientCandidatesError: re-exported for the package and the CLI
+from .roads import CURVE, STRAIGHT, InsufficientCandidatesError, RoadSegment, SpotType, sample_candidates
 from .solver import SolverConfig, admm_solve
 
 RAA = "raa"
 ALL_METHODS = (RAA,) + BASELINE_METHODS
 
 DEFAULT_CORRECTNESS_THRESHOLD_M = 10.0
-
-
-class InsufficientCandidatesError(Exception):
-    """Fewer candidates than collected points; no window can be formed."""
-
-    def __init__(self, segment_id: str, n_candidates: int, n_collected: int):
-        self.segment_id = segment_id
-        self.n_candidates = n_candidates
-        self.n_collected = n_collected
-        super().__init__(
-            f"segment {segment_id!r}: {n_candidates} candidates cannot host "
-            f"{n_collected} collected points"
-        )
 
 
 @dataclass(frozen=True)
@@ -174,14 +162,13 @@ def raa_rectify(
     winning window's candidates.
 
     Raises :class:`InsufficientCandidatesError` when the candidate set is
-    smaller than the collected set.
+    smaller than the collected set, and ``ValueError`` when a single
+    collected point is not already correct (a window solve needs two).
     """
     cfg = cfg or SolverConfig()
     cands = sample_candidates(segment)
     m = len(collected.points)
-    k = len(cands)
-    if k < m:
-        raise InsufficientCandidatesError(segment.id, k, m)
+    n_windows = cands.window_count(m)
 
     frame = cands.frame
     pts = project_points(frame, collected.points)
@@ -199,8 +186,10 @@ def raa_rectify(
             already_correct=True,
         )
 
-    losses = np.empty(k - m + 1)
-    for i in range(k - m + 1):
+    if m < 2:
+        raise ValueError(f"segment {segment.id!r}: RAA needs at least 2 collected points, got {m}")
+    losses = np.empty(n_windows)
+    for i in range(n_windows):
         window = cand_xy[i:i + m]
         center = window.mean(axis=0)
         result = admm_solve(

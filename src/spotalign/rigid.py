@@ -1,9 +1,9 @@
-"""2D rigid transform algebra: warp, composition, and the warp Jacobian.
+"""2D rigid transform algebra: warp, increment folding, and the warp Jacobian.
 
 Transforms are parameterized as (theta, s_x, s_y) instead of a 3x3 homogeneous
 matrix so that an increment stays a 3-vector and the solver's least-squares
-step is a 3-unknown solve.  Point sets travel as interleaved stacked vectors
-(x1, y1, x2, y2, ...), the layout the alignment solver works in.
+step is a 3-unknown solve; the solver keeps them as rows of an (n, 3) array.
+Point sets travel as interleaved stacked vectors (x1, y1, x2, y2, ...).
 """
 
 from __future__ import annotations
@@ -39,22 +39,6 @@ class RigidTransform2D:
     @classmethod
     def identity(cls) -> "RigidTransform2D":
         return cls(0.0, 0.0, 0.0)
-
-
-@dataclass(frozen=True)
-class TransformIncrement:
-    """Small change (d_theta, d_sx, d_sy) applied after a base transform."""
-
-    d_theta: float
-    d_sx: float
-    d_sy: float
-
-    def __post_init__(self) -> None:
-        if not all(map(math.isfinite, (self.d_theta, self.d_sx, self.d_sy))):
-            raise ValueError("increment parameters must be finite")
-
-    def as_vector(self) -> np.ndarray:
-        return np.array([self.d_theta, self.d_sx, self.d_sy], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -107,27 +91,20 @@ def warp(t: RigidTransform2D, pts: StackedCoords) -> StackedCoords:
     return StackedCoords(warp_values(t.theta, t.s_x, t.s_y, pts.values))
 
 
-def compose(outer: TransformIncrement, base: RigidTransform2D) -> RigidTransform2D:
-    """Fold an increment, applied after ``base``, into a single transform.
+def fold_increments(transforms: np.ndarray, increments: np.ndarray) -> np.ndarray:
+    """Fold each increment, applied after its base transform, into one transform.
 
-    warp(compose(outer, base), p) == increment-transform(warp(base, p)).
+    Row i of ``transforms``, ``increments`` and the result is (theta, s_x, s_y);
+    warping by result row i equals warping by transform row i and then by
+    increment row i.  The angle comes back normalized to (-pi, pi].  A few
+    rows at most, so the arithmetic is scalar.
     """
-    c, s = math.cos(outer.d_theta), math.sin(outer.d_theta)
-    return RigidTransform2D(
-        theta=base.theta + outer.d_theta,
-        s_x=c * base.s_x - s * base.s_y + outer.d_sx,
-        s_y=s * base.s_x + c * base.s_y + outer.d_sy,
-    )
-
-
-def invert(t: RigidTransform2D) -> RigidTransform2D:
-    """Inverse transform: warp(invert(t), warp(t, p)) == p."""
-    c, s = math.cos(t.theta), math.sin(t.theta)
-    return RigidTransform2D(
-        theta=-t.theta,
-        s_x=-(c * t.s_x + s * t.s_y),
-        s_y=-(-s * t.s_x + c * t.s_y),
-    )
+    rows = []
+    for (theta, s_x, s_y), (d_theta, d_sx, d_sy) in zip(transforms.tolist(), increments.tolist()):
+        c, s = math.cos(d_theta), math.sin(d_theta)
+        x, y = c * s_x - s * s_y + d_sx, s * s_x + c * s_y + d_sy
+        rows.append((_normalize_angle(theta + d_theta), x, y))
+    return np.array(rows)
 
 
 def jacobian_values(theta: float, values: np.ndarray) -> np.ndarray:

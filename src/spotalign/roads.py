@@ -56,6 +56,19 @@ class EmptyCandidateError(Exception):
         )
 
 
+class InsufficientCandidatesError(ValueError):
+    """Fewer candidates than collected points; no window can be formed."""
+
+    def __init__(self, segment_id: str, n_candidates: int, n_collected: int):
+        self.segment_id = segment_id
+        self.n_candidates = n_candidates
+        self.n_collected = n_collected
+        super().__init__(
+            f"segment {segment_id!r}: {n_candidates} candidates cannot host "
+            f"{n_collected} collected points"
+        )
+
+
 @dataclass(frozen=True)
 class RoadSegment:
     """Ordered polyline with intersection flags and the spot layout on it.
@@ -104,6 +117,13 @@ class CandidateSet:
     def xy(self) -> np.ndarray:
         """Candidate coordinates as a (K, 2) array of local meters."""
         return self.points
+
+    def window_count(self, m: int) -> int:
+        """K - M + 1 windows at stride 1; :class:`InsufficientCandidatesError` if K < M."""
+        k = len(self.points)
+        if k < m:
+            raise InsufficientCandidatesError(self.segment_id, k, m)
+        return k - m + 1
 
 
 def _cumulative_arclengths(xy: np.ndarray) -> np.ndarray:

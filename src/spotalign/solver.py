@@ -15,17 +15,18 @@ candidate pattern; the leading singular value (the pattern itself) carries no
 penalty, so the coupling exerts no pressure to shrink or translate the data.
 E1 absorbs sparse outliers, E2 absorbs a systematic per-axis offset of the
 candidate side, and the rigid transforms are re-linearized every sweep: the
-increment least-squares solution is folded into the running transform and
+increment least-squares solution is folded into the running transforms and
 the inputs re-warped.
 
 :func:`sweep` is the one implementation of a sweep; :func:`admm_solve`
 repeats it until convergence, and its trace mode records the same sweep.
 The state stacks the two sides: every block is one (2, 2M) array, row 0 the
 collected side and row 1 the candidate side, so a block update is one set of
-numpy calls for both.  It carries the warped inputs W = [W1; W2], which
-:meth:`SolverState.set_transforms` rebuilds whenever the transforms move.
-A has exactly two columns and each increment three unknowns, so both the
-coupling step (:func:`rank1_excess_prox`, a two-column SVD) and the
+numpy calls for both; the transforms and their increments are (2, 3)
+blocks of (theta, s_x, s_y) rows.  It carries the warped inputs W = [W1; W2],
+which :meth:`SolverState.set_transforms` rebuilds whenever the transforms
+move.  A has exactly two columns and each increment three unknowns, so both
+the coupling step (:func:`rank1_excess_prox`, a two-column SVD) and the
 increment step (:func:`update_transform_increments`) are closed forms; the
 warp Jacobians J1, J2 are only computed on demand, for trace mode and tests.
 
@@ -49,15 +50,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .rigid import (
-    RigidTransform2D,
-    StackedCoords,
-    TransformIncrement,
-    compose,
-    invert,
-    jacobian_values,
-    warp_values,
-)
+from .rigid import RigidTransform2D, StackedCoords, fold_increments, jacobian_values, warp_values
 
 log = logging.getLogger(__name__)
 
@@ -142,21 +135,23 @@ class SolverState:
     [Y1; Y2] and ``W`` the warped inputs [W1; W2].  ``A_rows`` and
     ``Y3_rows`` hold the coupling matrix A and its multiplier Y3 (2M x 2)
     transposed into the same layout, so the coupling constraint reads
-    CD = A_rows.  ``mu`` is the current penalty.  E2 keeps its translation
+    CD = A_rows.  ``transforms`` holds the (theta, s_x, s_y) rows of the
+    rigid transforms theta1 (moving P) and theta2 (moving Rd), theta in
+    (-pi, pi].  ``mu`` is the current penalty.  E2 keeps its translation
     structure (one constant per axis) after every update.
 
     Each per-side block is also a view under its own name (``P``, ``C``,
-    ``E1``, ``W2``, ``A``, ``Y3``, ...).  :meth:`set_transforms` keeps W in
-    step with the transforms; the Jacobians J1, J2 of W1, W2 are computed on
-    demand.
+    ``E1``, ``W2``, ``A``, ``Y3``, ...); ``theta1`` and ``theta2`` read a
+    transform row as a :class:`RigidTransform2D`.  :meth:`set_transforms`
+    keeps W in step with the transforms; the Jacobians J1, J2 of W1, W2 are
+    computed on demand.
     """
 
     inputs: np.ndarray
     CD: np.ndarray
     A_rows: np.ndarray
     E: np.ndarray
-    theta1: RigidTransform2D
-    theta2: RigidTransform2D
+    transforms: np.ndarray
     Y: np.ndarray
     Y3_rows: np.ndarray
     mu: float
@@ -170,21 +165,31 @@ class SolverState:
     A, Y3 = _View("A_rows"), _View("Y3_rows")
 
     def __post_init__(self) -> None:
-        self.set_transforms(self.theta1, self.theta2)
+        self.set_transforms(self.transforms)
 
-    def set_transforms(self, theta1: RigidTransform2D, theta2: RigidTransform2D) -> None:
-        """Move both transforms and re-warp the inputs through them."""
-        self.theta1, self.theta2 = theta1, theta2
-        params = np.array([[t.theta, t.s_x, t.s_y] for t in (theta1, theta2)])
-        self.W = warp_values(*params.T, self.inputs)
+    def set_transforms(self, transforms) -> None:
+        """Move both transforms, given as (2, 3) rows, and re-warp the inputs."""
+        transforms = np.array(transforms, dtype=float)
+        if transforms.shape != (2, 3):
+            raise ValueError(f"expected (2, 3) transform rows, got shape {transforms.shape}")
+        self.transforms = transforms
+        self.W = warp_values(*transforms.T, self.inputs)
+
+    @property
+    def theta1(self) -> RigidTransform2D:
+        return RigidTransform2D(*self.transforms[0].tolist())
+
+    @property
+    def theta2(self) -> RigidTransform2D:
+        return RigidTransform2D(*self.transforms[1].tolist())
 
     @property
     def J1(self) -> np.ndarray:
-        return jacobian_values(self.theta1.theta, self.P)
+        return jacobian_values(self.transforms[0, 0], self.P)
 
     @property
     def J2(self) -> np.ndarray:
-        return jacobian_values(self.theta2.theta, self.Rd)
+        return jacobian_values(self.transforms[1, 0], self.Rd)
 
 
 @dataclass
@@ -215,8 +220,9 @@ class SolverResult:
         theta2); on a clean alignment this lands on Rd itself.
         """
         s = self.state
-        back = invert(s.theta2)
-        return warp_values(back.theta, back.s_x, back.s_y, s.W1 - s.E2)
+        theta, s_x, s_y = s.transforms[1].tolist()
+        z = (s.W1 - s.E2).view(np.complex128)
+        return (np.exp(-1j * theta) * (z - complex(s_x, s_y))).view(float)
 
 
 def soft_threshold(v: np.ndarray, t: float) -> np.ndarray:
@@ -288,8 +294,7 @@ def init_state(P: StackedCoords, Rd: StackedCoords, cfg: SolverConfig) -> Solver
     inputs = np.stack([p, r])
     return SolverState(
         inputs=inputs, CD=inputs.copy(), A_rows=inputs.copy(), E=np.zeros_like(inputs),
-        theta1=RigidTransform2D.identity(), theta2=RigidTransform2D.identity(),
-        Y=np.zeros_like(inputs), Y3_rows=np.zeros_like(inputs),
+        transforms=np.zeros((2, 3)), Y=np.zeros_like(inputs), Y3_rows=np.zeros_like(inputs),
         mu=cfg.mu0,
     )
 
@@ -326,8 +331,11 @@ def update_error_blocks(state: SolverState) -> SolverState:
     return state
 
 
-def update_transform_increments(state: SolverState) -> tuple[TransformIncrement, TransformIncrement]:
+def update_transform_increments(state: SolverState) -> np.ndarray:
     """Increment-step: least-squares fit of each linearized warp to its residual.
+
+    Returns the (2, 3) increment block, one (d_theta, d_sx, d_sy) row per
+    side in the layout of ``state.transforms``.
 
     Taking each point (x, y) as the complex number x + iy, the Jacobian's
     rotation column at warped point w_i is i (w_i - s) for translation s, so
@@ -356,10 +364,10 @@ def update_transform_increments(state: SolverState) -> tuple[TransformIncrement,
     turn = (wc_conj * (r - r_mean[:, None])).sum(axis=1).imag
     # three unknowns per side: scalar arithmetic from here on
     increments = []
-    sides = zip((state.theta1, state.theta2), w_mean.tolist(), r_mean.tolist(),
+    sides = zip(state.transforms.tolist(), w_mean.tolist(), r_mean.tolist(),
                 spread.tolist(), turn.tolist())
-    for t, w_bar, r_bar, spread_i, turn_i in sides:
-        arm = w_bar - complex(t.s_x, t.s_y)
+    for (_, s_x, s_y), w_bar, r_bar, spread_i, turn_i in sides:
+        arm = w_bar - complex(s_x, s_y)
         lever = spread_i + m * (arm.real * arm.real + arm.imag * arm.imag)
         if not (math.isfinite(turn_i) and math.isfinite(lever)):
             raise NumericalFailureError()
@@ -369,8 +377,8 @@ def update_transform_increments(state: SolverState) -> tuple[TransformIncrement,
         d_s = r_bar - 1j * arm * d_theta
         if not all(map(math.isfinite, (d_theta, d_s.real, d_s.imag))):
             raise NumericalFailureError()
-        increments.append(TransformIncrement(d_theta, d_s.real, d_s.imag))
-    return tuple(increments)
+        increments.append((d_theta, d_s.real, d_s.imag))
+    return np.array(increments)
 
 
 def _constraint_residuals(state: SolverState) -> tuple[np.ndarray, np.ndarray]:
@@ -409,18 +417,16 @@ def lagrangian(state: SolverState, cfg: SolverConfig) -> float:
 def alignment_loss(state: SolverState, cfg: SolverConfig) -> float:
     """Window score: |E1|_1 + |E2|_1 + norm of the collected-side transform."""
     scale = cfg.theta_norm_scale
-    t = state.theta1
+    theta, s_x, s_y = state.transforms[0].tolist()
     return float(
         np.abs(state.E).sum()
-        + math.sqrt(t.theta**2 + (t.s_x / scale) ** 2 + (t.s_y / scale) ** 2)
+        + math.sqrt(theta**2 + (s_x / scale) ** 2 + (s_y / scale) ** 2)
     )
 
 
 def _state_vector(state: SolverState) -> np.ndarray:
-    t1, t2 = state.theta1, state.theta2
     return np.concatenate([
-        state.CD.ravel(), state.A_rows.ravel(), state.E.ravel(),
-        [t1.theta, t1.s_x, t1.s_y, t2.theta, t2.s_x, t2.s_y],
+        state.CD.ravel(), state.A_rows.ravel(), state.E.ravel(), state.transforms.ravel(),
     ])
 
 
@@ -443,14 +449,14 @@ def sweep(state: SolverState, cfg: SolverConfig, trace: IterationTrace | None = 
     update_error_blocks(state)
     if trace is not None:
         l_e = lagrangian(state, cfg)
-    d1, d2 = update_transform_increments(state)
+    increments = update_transform_increments(state)
     if trace is not None:
         # the increment step's value before folding: the same state with each
         # warp moved along its Jacobian
         moved = copy.copy(state)
-        moved.W = state.W + np.stack([state.J1 @ d1.as_vector(), state.J2 @ d2.as_vector()])
+        moved.W = state.W + np.stack([state.J1 @ increments[0], state.J2 @ increments[1]])
         trace.lagrangians.append((l_start, l_a, l_cd, l_e, lagrangian(moved, cfg)))
-    state.set_transforms(compose(d1, state.theta1), compose(d2, state.theta2))
+    state.set_transforms(fold_increments(state.transforms, increments))
     coupling, primal = update_multipliers(state, cfg)
     if trace is not None:
         trace.coupling_residuals.append(coupling)

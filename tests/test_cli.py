@@ -6,6 +6,12 @@ import numpy as np
 import pytest
 
 from spotalign.cli import run_cli
+from spotalign.dataio import Dataset, save_dataset
+from spotalign.geo import unproject_points
+from spotalign.pipeline import CollectedSet
+from spotalign.roads import sample_candidates
+
+from conftest import straight_segment
 
 
 def read_csv(path: Path):
@@ -77,6 +83,23 @@ class TestRectifyEvaluate:
     def test_missing_inputs_fail_cleanly(self, tmp_path, capsys):
         assert run_cli(["evaluate", "--out-dir", str(tmp_path)]) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method, n_points, message", [
+        ("cd", 10, "segment 'short': 5 candidates cannot host 10 collected points"),
+        ("ha", 10, "segment 'short': 5 candidates cannot host 10 collected points"),
+        ("raa", 1, "segment 'short': RAA needs at least 2 collected points, got 1"),
+    ], ids=["cd", "ha", "raa"])
+    def test_size_errors_name_the_segment(self, tmp_path, capsys, method, n_points, message):
+        seg = straight_segment(4 * 6.0, seg_id="short")
+        xy = np.column_stack([np.arange(n_points) * 6.0, np.full(n_points, 30.0)])
+        points = tuple(unproject_points(sample_candidates(seg).frame, xy))
+        save_dataset(Dataset({"short": seg}, {"short": CollectedSet("short", points)}), tmp_path)
+        assert run_cli([
+            "rectify", "--segments", str(tmp_path / "segments.csv"),
+            "--collected", str(tmp_path / "collected.csv"),
+            "--method", method, "--th", "1", "--out-dir", str(tmp_path / "out"),
+        ]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_planted_window_corpus_recovered(self, tmp_path):
         # synth -> jitter the ground truth -> rectify -> the snapped output

@@ -107,7 +107,6 @@ class TestEvaluateSegments:
         assert report.per_segment[1].acd == pytest.approx(5.0)
         assert report.acd == pytest.approx((0.2 + 10.0) / 4)
         assert report.ar == pytest.approx(0.5)
-        assert report.correspondence == "index"
 
     @pytest.mark.parametrize("ids", [["a"], ["a", "b", "c"]])
     def test_id_count_mismatch_rejected(self, ids):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import spotalign.pipeline
 from spotalign.geo import GeoPoint, make_frame, project_points, unproject_points
 from spotalign.pipeline import (
     CollectedSet,
@@ -162,6 +163,25 @@ class TestRaaRectify:
         pts = tuple(unproject_points(frame, np.column_stack([np.arange(10) * 6.0, np.ones(10) * 30])))
         with pytest.raises(InsufficientCandidatesError):
             raa_rectify(CollectedSet("x", pts), seg, th=0.1)
+
+    @pytest.mark.parametrize("method", ["raa", "cd", "ha"])
+    def test_insufficient_candidates_name_the_segment(self, method):
+        seg = straight_segment(4 * 6.0, SpotType.PARALLEL, seg_id="short")
+        frame = sample_candidates(seg).frame
+        pts = tuple(unproject_points(frame, np.column_stack([np.arange(10) * 6.0, np.ones(10) * 30])))
+        with pytest.raises(InsufficientCandidatesError, match="segment 'short': 5 candidates"):
+            rectify(CollectedSet("short", pts), seg, method, th=0.1)
+
+    def test_single_point_fails_before_any_window_solve(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("admm_solve called")
+
+        monkeypatch.setattr(spotalign.pipeline, "admm_solve", forbidden)
+        seg = straight_segment(30 * 6.0, SpotType.PARALLEL, seg_id="lone")
+        frame = sample_candidates(seg).frame
+        pts = tuple(unproject_points(frame, np.array([[60.0, 30.0]])))
+        with pytest.raises(ValueError, match="segment 'lone': RAA needs at least 2 collected points"):
+            rectify(CollectedSet("lone", pts), seg, "raa", th=0.1)
 
     def test_baseline_dispatch(self, rng):
         seg = straight_segment(30 * 6.0, SpotType.PARALLEL)

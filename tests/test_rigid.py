@@ -6,9 +6,7 @@ import pytest
 from spotalign.rigid import (
     RigidTransform2D,
     StackedCoords,
-    TransformIncrement,
-    compose,
-    invert,
+    fold_increments,
     jacobian,
     warp,
     warp_values,
@@ -25,6 +23,11 @@ def random_transform(rng) -> RigidTransform2D:
 
 def random_points(rng, m=10) -> StackedCoords:
     return StackedCoords.from_points(rng.uniform(-100, 100, size=(m, 2)))
+
+
+def params(*ts: RigidTransform2D) -> np.ndarray:
+    """Transforms as (theta, s_x, s_y) rows."""
+    return np.array([[t.theta, t.s_x, t.s_y] for t in ts])
 
 
 from conftest import fd_warp_jacobian as fd_jacobian
@@ -57,44 +60,41 @@ class TestWarp:
     def test_stacked_vectors_warp_like_single_ones(self, rng):
         ts = [random_transform(rng) for _ in range(2)]
         pts = [random_points(rng, 7) for _ in range(2)]
-        params = np.array([[t.theta, t.s_x, t.s_y] for t in ts])
-        both = warp_values(*params.T, np.stack([p.values for p in pts]))
+        both = warp_values(*params(*ts).T, np.stack([p.values for p in pts]))
         assert both.shape == (2, 14)
         for row, t, p in zip(both, ts, pts):
             assert np.allclose(row, warp(t, p).values, rtol=0.0, atol=1e-12)
 
-    def test_inverse_round_trip(self, rng):
-        for _ in range(20):
-            pts = random_points(rng, 6)
-            t = random_transform(rng)
-            back = warp(invert(t), warp(t, pts))
-            assert np.max(np.abs(back.values - pts.values)) < 1e-9
-
 
 class TestCompose:
+    """Composition laws of :func:`fold_increments`, one row per transform."""
+
     def test_zero_increment(self, rng):
-        base = random_transform(rng)
-        assert compose(TransformIncrement(0.0, 0.0, 0.0), base) == base
+        base = params(random_transform(rng), random_transform(rng))
+        assert np.array_equal(fold_increments(base, np.zeros((2, 3))), base)
 
     def test_identity_base(self):
-        out = compose(TransformIncrement(0.3, 1.0, -2.0), RigidTransform2D.identity())
-        assert (out.theta, out.s_x, out.s_y) == pytest.approx((0.3, 1.0, -2.0))
+        out = fold_increments(np.zeros((1, 3)), np.array([[0.3, 1.0, -2.0]]))
+        assert out == pytest.approx(np.array([[0.3, 1.0, -2.0]]))
 
     def test_matches_sequential_warps(self, rng):
         pts = random_points(rng, 100)
         for _ in range(25):
             base = random_transform(rng)
-            inc = TransformIncrement(*(rng.uniform(-0.5, 0.5, size=3)))
-            fused = warp(compose(inc, base), pts).values
-            two_step = warp(
-                RigidTransform2D(inc.d_theta, inc.d_sx, inc.d_sy), warp(base, pts)
-            ).values
+            inc = rng.uniform(-0.5, 0.5, size=3)
+            (fused_row,) = fold_increments(params(base), inc[None])
+            fused = warp_values(*fused_row, pts.values)
+            two_step = warp(RigidTransform2D(*inc), warp(base, pts)).values
             assert np.max(np.abs(fused - two_step)) < 1e-12 * max(1.0, np.abs(two_step).max())
 
     def test_theta_normalized(self):
         t = RigidTransform2D(3 * math.pi, 0.0, 0.0)
         assert -math.pi < t.theta <= math.pi
         assert t.theta == pytest.approx(math.pi)
+
+    def test_fold_normalizes_theta(self):
+        out = fold_increments(np.array([[3.0, 0.0, 0.0]]), np.array([[0.5, 0.0, 0.0]]))
+        assert out[0, 0] == pytest.approx(3.5 - 2 * math.pi)
 
 
 class TestJacobian:
