@@ -22,8 +22,8 @@ CLEAN = "clean"
 NOISY = "noisy"
 
 
-def apply_noise_arm(dataset: Dataset, seed: int, bound: float = NOISE_ARM_BOUND_M) -> Dataset:
-    """Corrupt every collected point with uniform random noise in [0, bound]."""
+def apply_noise_arm(dataset: Dataset, seed: int) -> Dataset:
+    """Corrupt every collected point with uniform random noise in [0, NOISE_ARM_BOUND_M]."""
     corrupted = {}
     for sid in dataset.segment_ids():
         cset = dataset.collected.get(sid)
@@ -31,7 +31,7 @@ def apply_noise_arm(dataset: Dataset, seed: int, bound: float = NOISE_ARM_BOUND_
             continue
         frame = dataset.segments[sid].frame()
         sid_tag = int(hashlib.sha256(sid.encode("utf-8")).hexdigest()[:8], 16)
-        spec = NoiseSpec(RandomNoise(bound=bound, fraction=1.0), seed=seed + sid_tag % 100_000)
+        spec = NoiseSpec(RandomNoise(bound=NOISE_ARM_BOUND_M, fraction=1.0), seed=seed + sid_tag % 100_000)
         corrupted[sid] = replace(cset, points=tuple(inject_noise(cset.points, spec, frame)))
     return Dataset(segments=dataset.segments, collected=corrupted, metadata=dict(dataset.metadata))
 

@@ -1,9 +1,9 @@
 """Command-line surface: sample, rectify, evaluate, noise, synth, bench, plot.
 
-Every command writes fixed-name CSVs (and SVGs for ``plot``) under
-``--out-dir``; each file starts with a metadata comment carrying the config
-hash, and all writes are atomic.  Set ``RAA_LOG=debug`` (or info/warning) for
-progress logging.
+Each command takes only the flags it reads (one table in :func:`_build_parser`)
+and writes fixed-name CSVs (and SVGs for ``plot``) under ``--out-dir``; each
+file starts with a metadata comment carrying the config hash, and all writes
+are atomic.  Set ``RAA_LOG=debug`` (or info/warning) for progress logging.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import logging
 import math
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -72,29 +73,22 @@ def _load_or_synth(args) -> Dataset:
 
 
 def _run_config(args) -> RunConfig:
-    return RunConfig(
-        method=args.method, lam=args.lam, th=args.th, tau=args.tau,
-        mu0=args.mu0, rho=args.rho, max_iters=args.max_iters, seed=args.seed,
-    )
+    """The command's flags, with defaults for the knobs it does not take."""
+    return RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig) if hasattr(args, f.name)})
+
+
+NOISE_KINDS = {
+    "translational": lambda args: Translational(args.noise_dx, args.noise_dy),
+    "rotational": lambda args: Rotational(math.radians(args.noise_angle)),
+    "random": lambda args: RandomNoise(args.noise_bound, args.noise_fraction),
+    "mixed": lambda args: Mixed(tuple(
+        NOISE_KINDS[kind](args) for kind in ("translational", "rotational", "random")
+    )),
+}
 
 
 def _noise_spec(args) -> NoiseSpec:
-    angle = math.radians(args.noise_angle)
-    kinds = {
-        "translational": lambda: Translational(args.noise_dx, args.noise_dy),
-        "rotational": lambda: Rotational(angle),
-        "random": lambda: RandomNoise(args.noise_bound, args.noise_fraction),
-        "mixed": lambda: Mixed((
-            Translational(args.noise_dx, args.noise_dy),
-            Rotational(angle),
-            RandomNoise(args.noise_bound, args.noise_fraction),
-        )),
-    }
-    try:
-        kind = kinds[args.noise_kind]()
-    except KeyError:
-        raise DatasetError(f"unknown --noise-kind {args.noise_kind!r}") from None
-    return NoiseSpec(kind, seed=args.seed)
+    return NoiseSpec(NOISE_KINDS[args.noise_kind](args), seed=args.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -305,49 +299,53 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     defaults = RunConfig()
-
-    def add_common(p):
-        p.add_argument("--segments", type=Path, help="segments CSV")
-        p.add_argument("--collected", type=Path, help="collected-points CSV")
-        p.add_argument("--truth", type=Path, help="ground-truth CSV")
-        p.add_argument("--method", default=defaults.method, choices=ALL_METHODS)
-        p.add_argument("--lambda", dest="lam", type=float, default=defaults.lam,
-                       help=f"rank-1 coupling weight (default {defaults.lam:g})")
-        p.add_argument("--th", type=float, default=defaults.th,
-                       help="mean-distance threshold accepting points as already correct")
-        p.add_argument("--tau", type=float, default=defaults.tau, help="recall tolerance in meters")
-        p.add_argument("--mu0", type=float, default=defaults.mu0)
-        p.add_argument("--rho", type=float, default=defaults.rho)
-        p.add_argument("--max-iters", type=int, default=defaults.max_iters)
-        p.add_argument("--seed", type=int, default=defaults.seed)
-        p.add_argument("--n-straight", type=int, default=6,
-                       help="synthetic straight segments when no dataset is given")
-        p.add_argument("--n-curve", type=int, default=6,
-                       help="synthetic curved segments when no dataset is given")
-        p.add_argument("--out-dir", type=Path, default=Path("out"))
-
-    for name, fn, doc in (
-        ("sample", _cmd_sample, "emit candidate locations for every segment"),
-        ("rectify", _cmd_rectify, "rectify collected points with the chosen method"),
-        ("evaluate", _cmd_evaluate, "score predictions (in --collected) against --truth"),
-        ("noise", _cmd_noise, "emit a noise-corrupted copy of the dataset"),
-        ("synth", _cmd_synth, "emit a synthetic corpus"),
-        ("bench", _cmd_bench, "full method/noise matrix plus coupling-weight sweep"),
-        ("plot", _cmd_plot, "emit per-segment SVG + CSV scatter plots"),
+    flags = {
+        "--segments": dict(type=Path, help="segments CSV"),
+        "--collected": dict(type=Path, help="collected-points CSV"),
+        "--truth": dict(type=Path, help="ground-truth CSV"),
+        "--method": dict(default=defaults.method, choices=ALL_METHODS),
+        "--lambda": dict(dest="lam", type=float, default=defaults.lam,
+                         help=f"rank-1 coupling weight (default {defaults.lam:g})"),
+        "--th": dict(type=float, default=defaults.th,
+                     help="mean-distance threshold accepting points as already correct"),
+        "--tau": dict(type=float, default=defaults.tau, help="recall tolerance in meters"),
+        "--mu0": dict(type=float, default=defaults.mu0),
+        "--rho": dict(type=float, default=defaults.rho),
+        "--max-iters": dict(type=int, default=defaults.max_iters),
+        "--seed": dict(type=int, default=defaults.seed),
+        "--n-straight": dict(type=int, default=6, help="synthetic straight segments"),
+        "--n-curve": dict(type=int, default=6, help="synthetic curved segments"),
+        "--noise-kind": dict(default="random", choices=list(NOISE_KINDS)),
+        "--noise-bound": dict(type=float, default=20.0, help="random displacement bound in meters"),
+        "--noise-fraction": dict(type=float, default=1.0,
+                                 help="fraction of points displaced by random noise"),
+        "--noise-dx": dict(type=float, default=0.0, help="translation east, meters"),
+        "--noise-dy": dict(type=float, default=0.0, help="translation north, meters"),
+        "--noise-angle": dict(type=float, default=0.0, help="rotation in degrees"),
+        "--out-dir": dict(type=Path, default=Path("out")),
+    }
+    # a dataset from CSVs, or a synthetic corpus when none is given
+    data = "--segments --collected --truth --seed --n-straight --n-curve"
+    solver = "--lambda --th --mu0 --rho --max-iters"
+    for name, fn, doc, takes in (
+        ("sample", _cmd_sample, "emit candidate locations for every segment", data),
+        ("rectify", _cmd_rectify, "rectify collected points with the chosen method",
+         f"{data} --method {solver}"),
+        ("evaluate", _cmd_evaluate, "score predictions (in --collected) against --truth",
+         "--segments --collected --truth --method --tau"),
+        ("noise", _cmd_noise, "emit a noise-corrupted copy of the dataset",
+         f"{data} --noise-kind --noise-bound --noise-fraction --noise-dx --noise-dy --noise-angle"),
+        ("synth", _cmd_synth, "emit a synthetic corpus", "--seed --n-straight --n-curve"),
+        ("bench", _cmd_bench, "full method/noise matrix plus coupling-weight sweep",
+         f"{data} {solver} --tau"),
+        ("plot", _cmd_plot, "emit per-segment SVG + CSV scatter plots", f"{data} --method {solver}"),
     ):
         p = sub.add_parser(name, help=doc)
-        add_common(p)
+        takes = {*takes.split(), "--out-dir"}
+        for flag, spec in flags.items():
+            if flag in takes:
+                p.add_argument(flag, **spec)
         p.set_defaults(func=fn)
-        if name == "noise":
-            p.add_argument("--noise-kind", default="random",
-                           choices=["translational", "rotational", "random", "mixed"])
-            p.add_argument("--noise-bound", type=float, default=20.0,
-                           help="random displacement bound in meters")
-            p.add_argument("--noise-fraction", type=float, default=1.0,
-                           help="fraction of points displaced by random noise")
-            p.add_argument("--noise-dx", type=float, default=0.0, help="translation east, meters")
-            p.add_argument("--noise-dy", type=float, default=0.0, help="translation north, meters")
-            p.add_argument("--noise-angle", type=float, default=0.0, help="rotation in degrees")
     return parser
 
 

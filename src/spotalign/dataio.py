@@ -235,6 +235,16 @@ def _parse_index(path: Path, line: int, name: str, raw: str, seen: dict[int, tup
     return idx
 
 
+def _in_index_order(path: Path, sid: str, name: str, by_index: dict[int, tuple]) -> list[tuple]:
+    """A segment's entries in index order; the indices must run 0..N-1."""
+    try:
+        return [by_index[i] for i in range(len(by_index))]
+    except KeyError as exc:  # the smallest index absent from 0..N-1
+        raise DatasetError(
+            f"{path}: segment {sid!r}: {name} must run 0..{len(by_index) - 1}, {exc.args[0]} is missing"
+        ) from None
+
+
 def _geo_point(path: Path, line: int, raw_lat: str, raw_lon: str) -> GeoPoint:
     try:
         lat, lon = float(raw_lat), float(raw_lon)
@@ -263,7 +273,7 @@ def load_segments(path: Path) -> dict[str, RoadSegment]:
 
     segments: dict[str, RoadSegment] = {}
     for sid, vertices in grouped.items():
-        entries = [vertices[i] for i in sorted(vertices)]
+        entries = _in_index_order(path, sid, "point_index", vertices)
         try:  # each distinct raw label once, so differently spelled labels of one type agree
             spot_types = {SpotType.from_label(label) for label in {e[3] for e in entries}}
         except ValueError as exc:
@@ -294,22 +304,17 @@ def load_points(path: Path) -> dict[str, list[GeoPoint]]:
         spots = grouped.setdefault(sid, {})
         idx = _parse_index(path, line, "spot_index", raw_index, spots)
         spots[idx] = (line, _geo_point(path, line, raw_lat, raw_lon))
-    points: dict[str, list[GeoPoint]] = {}
-    for sid, spots in grouped.items():
-        try:
-            points[sid] = [spots[i][1] for i in range(len(spots))]
-        except KeyError as exc:  # the smallest index absent from 0..M-1
-            raise DatasetError(
-                f"{path}: segment {sid!r}: spot_index must run 0..{len(spots) - 1}, {exc.args[0]} is missing"
-            ) from None
-    return points
+    return {
+        sid: [point for _, point in _in_index_order(path, sid, "spot_index", spots)]
+        for sid, spots in grouped.items()
+    }
 
 
 def load_dataset(segments_path: Path, collected_path: Path, truth_path: Path | None = None) -> Dataset:
     """Load and cross-validate the canonical dataset files.
 
     Raises :class:`DatasetError` for missing files, malformed rows (with the
-    line number), a segment whose spot indices are not exactly 0..M-1,
+    line number), a segment whose point or spot indices are not exactly 0..N-1,
     collected points referencing unknown segments, or ground truth whose
     size disagrees with the collected set.
     """

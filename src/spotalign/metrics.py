@@ -18,7 +18,6 @@ class SegmentScore:
     segment_id: str
     acd: float
     ar: float
-    n_points: int
 
 
 @dataclass(frozen=True)
@@ -33,7 +32,6 @@ class EvalReport:
     acd: float
     ar: float
     per_segment: tuple[SegmentScore, ...]
-    n_segments: int
     tau: float = DEFAULT_RECALL_TOLERANCE_M
 
 
@@ -80,17 +78,12 @@ def evaluate_segments(ids, pred, truth, tau: float = DEFAULT_RECALL_TOLERANCE_M)
     if len(ids) != len(devs):
         raise ValueError(f"id count mismatch: {len(ids)} ids for {len(devs)} segments")
     per = tuple(
-        SegmentScore(
-            segment_id=str(sid),
-            acd=float(d.mean()),
-            ar=float((d < tau).mean()),
-            n_points=int(d.size),
-        )
+        SegmentScore(segment_id=str(sid), acd=float(d.mean()), ar=float((d < tau).mean()))
         for sid, d in zip(ids, devs)
     )
     pooled_acd = float(sum(d.sum() for d in devs) / sum(d.size for d in devs))
     mean_ar = float(np.mean([s.ar for s in per]))
-    return EvalReport(acd=pooled_acd, ar=mean_ar, per_segment=per, n_segments=len(per), tau=tau)
+    return EvalReport(acd=pooled_acd, ar=mean_ar, per_segment=per, tau=tau)
 
 
 def robustness_index(r_noisy: float, r_clean: float, direction: str) -> float:

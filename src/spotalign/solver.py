@@ -37,8 +37,8 @@ is then an exact minimizer and the Lagrangian is non-increasing across the
 A, C/D, E1/E2 and increment steps at fixed penalty.
 
 Window scoring uses the alignment loss |E1|_1 + |E2|_1 + |theta1|, where
-|theta1| is the Euclidean norm of (theta, s_x / scale, s_y / scale) with a
-configurable meters-per-radian-equivalent scale.
+|theta1| is the Euclidean norm of (theta, s_x / scale, s_y / scale) with the
+fixed meters-per-radian-equivalent scale :data:`THETA_NORM_SCALE_M`.
 """
 
 from __future__ import annotations
@@ -53,6 +53,9 @@ import numpy as np
 from .rigid import RigidTransform2D, StackedCoords, fold_increments, jacobian_values, warp_values
 
 log = logging.getLogger(__name__)
+
+# translation (meters) that weighs like one radian in the alignment loss
+THETA_NORM_SCALE_M = 10.0
 
 
 class DegenerateGeometryError(Exception):
@@ -78,8 +81,7 @@ class SolverConfig:
     lam/mu0 (1 km at the default lam) far above the discrepancy scale of a
     corrupted window, so the cross-column collapse completes, while at lam=1
     the same start leaves the threshold (10 m) below it and alignment visibly
-    under-develops.  ``theta_norm_scale`` is the translation unit (meters)
-    that weighs like one radian in the alignment loss.
+    under-develops.
     """
 
     lam: float = 100.0
@@ -88,7 +90,6 @@ class SolverConfig:
     max_iters: int = 300
     tol_primal: float = 1e-4
     tol_change: float = 1e-6
-    theta_norm_scale: float = 10.0
 
     def __post_init__(self) -> None:
         if self.lam <= 0:
@@ -101,8 +102,6 @@ class SolverConfig:
             raise ValueError("max_iters must be at least 1")
         if self.tol_primal <= 0 or self.tol_change <= 0:
             raise ValueError("tolerances must be positive")
-        if self.theta_norm_scale <= 0:
-            raise ValueError("theta_norm_scale must be positive")
 
 
 class _View:
@@ -414,9 +413,9 @@ def lagrangian(state: SolverState, cfg: SolverConfig) -> float:
     )
 
 
-def alignment_loss(state: SolverState, cfg: SolverConfig) -> float:
+def alignment_loss(state: SolverState) -> float:
     """Window score: |E1|_1 + |E2|_1 + norm of the collected-side transform."""
-    scale = cfg.theta_norm_scale
+    scale = THETA_NORM_SCALE_M
     theta, s_x, s_y = state.transforms[0].tolist()
     return float(
         np.abs(state.E).sum()
@@ -506,7 +505,7 @@ def admm_solve(
                 converged = True
                 break
 
-        loss = alignment_loss(state, cfg)
+        loss = alignment_loss(state)
     log.debug(
         "admm_solve: m=%d iters=%d converged=%s primal=%.3e loss=%.6f",
         state.inputs.shape[1] // 2, iterations, converged, primal, loss,

@@ -1,12 +1,13 @@
 import csv
 import re
+import shlex
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from spotalign.cli import run_cli
-from spotalign.dataio import Dataset, save_dataset
+from spotalign.cli import _build_parser, run_cli
+from spotalign.dataio import Dataset, RunConfig, save_dataset
 from spotalign.geo import unproject_points
 from spotalign.pipeline import CollectedSet
 from spotalign.roads import sample_candidates
@@ -195,3 +196,66 @@ class TestDeterminism:
         a = (tmp_path / "one" / "rectified.csv").read_bytes()
         b = (tmp_path / "two" / "rectified.csv").read_bytes()
         assert a == b
+
+
+DATA = {"--segments", "--collected", "--truth", "--seed", "--n-straight", "--n-curve", "--out-dir"}
+SOLVER = {"--method", "--lambda", "--th", "--mu0", "--rho", "--max-iters"}
+NOISE = {"--noise-kind", "--noise-bound", "--noise-fraction", "--noise-dx", "--noise-dy", "--noise-angle"}
+TAKES = {
+    "synth": {"--seed", "--n-straight", "--n-curve", "--out-dir"},
+    "sample": DATA,
+    "evaluate": {"--segments", "--collected", "--truth", "--method", "--tau", "--out-dir"},
+    "rectify": DATA | SOLVER,
+    "noise": DATA | NOISE,
+    "bench": DATA | (SOLVER - {"--method"}) | {"--tau"},
+    "plot": DATA | SOLVER,
+}
+
+
+class TestFlags:
+    def test_each_command_takes_only_the_flags_it_reads(self):
+        subparsers = next(a for a in _build_parser()._actions if isinstance(a.choices, dict))
+        takes = {
+            name: {flag for action in p._actions for flag in action.option_strings} - {"-h", "--help"}
+            for name, p in subparsers.choices.items()
+        }
+        assert takes == TAKES
+        assert sum(map(len, takes.values())) == 69
+
+    @pytest.mark.parametrize("command, flag", [
+        ("synth", ["--method", "raa"]),
+        ("sample", ["--lambda", "10"]),
+        ("evaluate", ["--n-straight", "2"]),
+        ("rectify", ["--tau", "1"]),
+        ("noise", ["--th", "1"]),
+        ("bench", ["--method", "ed"]),
+        ("plot", ["--tau", "1"]),
+    ], ids=lambda v: v if isinstance(v, str) else v[0])
+    def test_flag_not_taken_rejected(self, tmp_path, capsys, command, flag):
+        assert run_cli([command, *flag, "--out-dir", str(tmp_path)]) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_config_header_hashes_defaults_for_flags_not_taken(self, small_dataset, tmp_path):
+        data = ["--segments", str(small_dataset / "segments.csv"), "--truth", str(small_dataset / "truth.csv")]
+        assert run_cli(["sample", *data, "--collected", str(small_dataset / "collected.csv"),
+                        "--seed", "3", "--out-dir", str(tmp_path)]) == 0
+        assert run_cli(["evaluate", *data, "--collected", str(small_dataset / "truth.csv"),
+                        "--method", "ed", "--tau", "2", "--out-dir", str(tmp_path)]) == 0
+        header = (tmp_path / "candidates.csv").read_text().splitlines()[0]
+        assert header == f"# spotalign candidates config={RunConfig(seed=3).config_hash()}"
+        header = (tmp_path / "eval.csv").read_text().splitlines()[0]
+        cfg = RunConfig(method="ed", tau=2.0)
+        assert header == f"# spotalign eval tau=2.0 correspondence=index config={cfg.config_hash()}"
+
+
+def readme_command_lines() -> list[list[str]]:
+    """Each ``spotalign ...`` line of README's command-line block, continuations joined."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line, comments=True)[1:] for line in lines if line.startswith("spotalign ")]
+
+
+@pytest.mark.parametrize("argv", readme_command_lines(), ids=lambda argv: argv[0])
+def test_readme_command_line_parses(argv):
+    _build_parser().parse_args(argv)

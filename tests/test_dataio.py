@@ -151,6 +151,20 @@ class TestSaveLoad:
         with pytest.raises(DatasetError, match=r"truth\.csv: segment 'r1': spot_index must run 0\.\.2, 1 is missing"):
             load_dataset(seg, col, truth)
 
+    @pytest.mark.parametrize("indices, missing", [((0, 5, 1), 2), ((0, -3, 1), 2)], ids=["gap", "negative"])
+    def test_point_index_outside_range_rejected(self, tmp_path, indices, missing):
+        seg = tmp_path / "segments.csv"
+        seg.write_text(
+            "segment_id,point_index,lat,lon,is_intersection,spot_type,shape_class\n"
+            + "".join(f"r1,{i},0.0,{0.001 * n},0,parallel,straight\n" for n, i in enumerate(indices))
+        )
+        col = tmp_path / "collected.csv"
+        col.write_text("segment_id,spot_index,lat,lon\nr1,0,0.0,0.0005\n")
+        with pytest.raises(
+            DatasetError, match=rf"segments\.csv: segment 'r1': point_index must run 0\.\.2, {missing} is missing"
+        ):
+            load_dataset(seg, col)
+
     @pytest.mark.parametrize("raw, flagged", [
         ("1", True), ("true", True), ("True", True), (" 1 ", True),
         ("0", False), ("false", False), ("False", False),

@@ -102,7 +102,7 @@ class TestEvaluateSegments:
         truth = [np.zeros((2, 2)), np.zeros((2, 2))]
         pred = [truth[0] + [0.1, 0.0], truth[1] + [3.0, 4.0]]
         report = evaluate_segments(["a", "b"], pred, truth)
-        assert report.n_segments == 2
+        assert len(report.per_segment) == 2
         assert report.per_segment[0].ar == 1.0
         assert report.per_segment[1].acd == pytest.approx(5.0)
         assert report.acd == pytest.approx((0.2 + 10.0) / 4)

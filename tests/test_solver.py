@@ -384,12 +384,12 @@ class TestAdmmSolve:
             assert np.ptp(state.E2[1::2]) == 0.0
 
     def test_loss_nonnegative_and_zero_case(self, rng):
-        state, cfg = random_state(rng)
-        assert alignment_loss(state, cfg) >= 0.0
+        state, _ = random_state(rng)
+        assert alignment_loss(state) >= 0.0
         state.E1[:] = 0.0
         state.E2[:] = 0.0
         state.set_transforms([[0.0, 0.0, 0.0], state.transforms[1]])
-        assert alignment_loss(state, cfg) == 0.0
+        assert alignment_loss(state) == 0.0
 
     def test_trace_leaves_solve_unchanged(self, rng):
         a = StackedCoords.from_points(rng.uniform(-40, 40, (10, 2)))
@@ -471,7 +471,6 @@ class TestSolverConfig:
         [
             {"lam": 0.0}, {"lam": -1.0}, {"mu0": 0.0}, {"rho": 1.0},
             {"max_iters": 0}, {"tol_primal": 0.0}, {"tol_change": -1e-9},
-            {"theta_norm_scale": 0.0},
         ],
     )
     def test_invalid_rejected(self, kwargs):
