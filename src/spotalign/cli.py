@@ -68,6 +68,8 @@ def _load_or_synth(args) -> Dataset:
         if not args.collected:
             raise DatasetError("--collected is required when --segments is given")
         return load_dataset(args.segments, args.collected, args.truth)
+    if args.collected or args.truth:
+        raise DatasetError("--collected and --truth need --segments")
     log.info("no dataset given; generating a synthetic corpus (seed=%d)", args.seed)
     return _corpus_to_dataset(synth_corpus(args.n_straight, args.n_curve, seed=args.seed))
 

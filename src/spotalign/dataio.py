@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import math
 import operator
 import os
 import tempfile
@@ -69,8 +70,10 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.method not in ALL_METHODS:
             raise ValueError(f"unknown method {self.method!r} (choose from {ALL_METHODS})")
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
+        if not 0 < self.tau < math.inf:
+            raise ValueError("tau must be positive and finite")
+        if not math.isfinite(self.th):
+            raise ValueError("th must be finite")
 
     def solver_config(self) -> SolverConfig:
         return SolverConfig(lam=self.lam, mu0=self.mu0, rho=self.rho, max_iters=self.max_iters)

@@ -72,8 +72,8 @@ def evaluate_segments(ids, pred, truth, tau: float = DEFAULT_RECALL_TOLERANCE_M)
 
     ``ids`` names the segments of ``pred`` and ``truth``, one id each.
     """
-    if tau <= 0:
-        raise ValueError("tau must be positive")
+    if not 0 < tau < np.inf:
+        raise ValueError("tau must be positive and finite")
     devs = _deviations(pred, truth)
     if len(ids) != len(devs):
         raise ValueError(f"id count mismatch: {len(ids)} ids for {len(devs)} segments")

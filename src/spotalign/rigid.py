@@ -72,23 +72,22 @@ class StackedCoords:
         return self.values.reshape(-1, 2)
 
 
-def warp_values(theta, s_x, s_y, values: np.ndarray) -> np.ndarray:
-    """Apply the rigid transform to an interleaved coordinate vector.
+def warp_values(transforms, values: np.ndarray) -> np.ndarray:
+    """Warp interleaved vectors ``values`` (..., 2M) by (theta, s_x, s_y) rows (..., 3).
 
-    ``values`` may carry leading axes, one vector per transform; ``theta``,
-    ``s_x`` and ``s_y`` then have that leading shape (the solver warps its
-    two sides, stacked as a (2, 2M) array, in one call).  Each point (x, y)
-    is taken as the complex number x + iy, so the warp is e^(i theta) z + s.
+    One transform row per vector (the solver warps its two sides in one
+    call); with each point (x, y) taken as x + iy, the warp is e^(i theta) z + s.
     """
-    turn = np.exp(1j * np.asarray(theta, dtype=float))[..., None]
-    shift = (np.asarray(s_x, dtype=float) + 1j * np.asarray(s_y, dtype=float))[..., None]
+    rows = np.asarray(transforms, dtype=float)
+    turn = np.exp(1j * rows[..., :1])
+    shift = np.ascontiguousarray(rows[..., 1:]).view(np.complex128)
     z = np.ascontiguousarray(values, dtype=float).view(np.complex128)
     return (turn * z + shift).view(float)
 
 
 def warp(t: RigidTransform2D, pts: StackedCoords) -> StackedCoords:
     """x' = x cos(theta) - y sin(theta) + s_x;  y' = x sin(theta) + y cos(theta) + s_y."""
-    return StackedCoords(warp_values(t.theta, t.s_x, t.s_y, pts.values))
+    return StackedCoords(warp_values((t.theta, t.s_x, t.s_y), pts.values))
 
 
 def fold_increments(transforms: np.ndarray, increments: np.ndarray) -> np.ndarray:

@@ -20,15 +20,14 @@ the inputs re-warped.
 
 :func:`sweep` is the one implementation of a sweep; :func:`admm_solve`
 repeats it until convergence, and its trace mode records the same sweep.
-The state stacks the two sides: every block is one (2, 2M) array, row 0 the
-collected side and row 1 the candidate side, so a block update is one set of
-numpy calls for both; the transforms and their increments are (2, 3)
-blocks of (theta, s_x, s_y) rows.  It carries the warped inputs W = [W1; W2],
-which :meth:`SolverState.set_transforms` rebuilds whenever the transforms
-move.  A has exactly two columns and each increment three unknowns, so both
-the coupling step (:func:`rank1_excess_prox`, a two-column SVD) and the
-increment step (:func:`update_transform_increments`) are closed forms; the
-warp Jacobians J1, J2 are only computed on demand, for trace mode and tests.
+Every block is a (2, 2M) row pair, row 0 the collected side and row 1 the
+candidate side, so a block update is one set of numpy calls for both.  The
+blocks [C D], A and E and the (2, 3) transform rows share one flat buffer,
+so the convergence test is one subtraction; the multipliers are stored
+scaled, U = Y / mu.  A has two columns and each increment three unknowns, so
+the coupling step (:func:`rank1_excess_prox`) and the increment step
+(:func:`update_transform_increments`) are closed forms; the warp Jacobians
+J1, J2 are only computed on demand, for trace mode and tests.
 
 The E2 regularizer is realized purely through its translation structure (the
 per-axis-mean projection is the exact block minimizer), so the augmented
@@ -46,6 +45,7 @@ from __future__ import annotations
 import copy
 import logging
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -92,33 +92,31 @@ class SolverConfig:
     tol_change: float = 1e-6
 
     def __post_init__(self) -> None:
-        if self.lam <= 0:
-            raise ValueError("lam must be positive")
-        if self.mu0 <= 0:
-            raise ValueError("mu0 must be positive")
-        if self.rho <= 1:
-            raise ValueError("rho must exceed 1")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
-        if self.tol_primal <= 0 or self.tol_change <= 0:
-            raise ValueError("tolerances must be positive")
+        # written so that NaN fails every bound
+        for name in ("lam", "mu0", "tol_primal", "tol_change"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
+        if not 1 < self.rho < math.inf:
+            raise ValueError("rho must be finite and exceed 1")
+        if not isinstance(self.max_iters, numbers.Integral) or self.max_iters < 1:
+            raise ValueError("max_iters must be an integer of at least 1")
 
 
 class _View:
-    """A per-side block, read and written as a view into its stacked array.
+    """A named block of the state, read and written as a view into its buffer.
 
-    With ``row`` it is that side's row of a (2, 2M) block; without, the
-    block seen as the (2M, 2) matrix with one column per side (A and Y3).
+    ``index`` picks the block out of the buffer; with ``transpose`` a (2, 2M)
+    row pair reads as the (2M, 2) matrix with one column per side (A, U3).
     """
 
-    def __init__(self, block: str, row: int | None = None) -> None:
-        self.block, self.row = block, row
+    def __init__(self, buffer: str, index, transpose: bool = False) -> None:
+        self.buffer, self.index, self.transpose = buffer, index, transpose
 
     def __get__(self, state, owner=None):
         if state is None:
             return self
-        stacked = getattr(state, self.block)
-        return stacked.T if self.row is None else stacked[self.row]
+        view = getattr(state, self.buffer)[self.index]
+        return view.T if self.transpose else view
 
     def __set__(self, state, value) -> None:
         self.__get__(state)[...] = value
@@ -128,67 +126,65 @@ class _View:
 class SolverState:
     """All ADMM blocks for one alignment problem, both sides stacked.
 
-    Every block is a (2, 2M) array whose row 0 is the collected side and
-    row 1 the candidate side: ``inputs`` is [P; Rd], ``CD`` the rectified
-    blocks [C; D], ``E`` the error blocks [E1; E2], ``Y`` their multipliers
-    [Y1; Y2] and ``W`` the warped inputs [W1; W2].  ``A_rows`` and
-    ``Y3_rows`` hold the coupling matrix A and its multiplier Y3 (2M x 2)
-    transposed into the same layout, so the coupling constraint reads
-    CD = A_rows.  ``transforms`` holds the (theta, s_x, s_y) rows of the
-    rigid transforms theta1 (moving P) and theta2 (moving Rd), theta in
-    (-pi, pi].  ``mu`` is the current penalty.  E2 keeps its translation
-    structure (one constant per axis) after every update.
-
-    Each per-side block is also a view under its own name (``P``, ``C``,
-    ``E1``, ``W2``, ``A``, ``Y3``, ...); ``theta1`` and ``theta2`` read a
-    transform row as a :class:`RigidTransform2D`.  :meth:`set_transforms`
-    keeps W in step with the transforms; the Jacobians J1, J2 of W1, W2 are
-    computed on demand.
+    ``inputs`` [P; Rd] and the warped inputs ``W`` [W1; W2] are (2, 2M) row
+    pairs.  ``vector``, the iterate, is one flat buffer: ``blocks``, the
+    (3, 2, 2M) stack [C; D], A transposed into rows, [E1; E2], then
+    ``transforms``, the (theta, s_x, s_y) rows of theta1 (moving P) and
+    theta2 (moving Rd), theta in (-pi, pi].  ``duals`` holds the multipliers
+    scaled by the penalty ``mu``, U = Y / mu: rows [U1; U2] and U3 transposed.
+    Each block is also a view under its own name (``CD``, ``E``, ``C``,
+    ``E2``, ``U1``, ``W2``, ...; ``A`` and ``U3`` are (2M, 2)); assigning to
+    one writes into its buffer.  ``theta1``/``theta2`` read a transform row
+    as a :class:`RigidTransform2D`; :meth:`set_transforms` keeps W in step.
+    ``moments`` and ``levers`` are the increment step's terms that the
+    inputs fix (see :func:`update_transform_increments`).
     """
 
     inputs: np.ndarray
-    CD: np.ndarray
-    A_rows: np.ndarray
-    E: np.ndarray
-    transforms: np.ndarray
-    Y: np.ndarray
-    Y3_rows: np.ndarray
+    vector: np.ndarray
+    duals: np.ndarray
     mu: float
-    W: np.ndarray = field(init=False)
+    blocks: np.ndarray = field(init=False, repr=False)
+    transforms: np.ndarray = field(init=False, repr=False)
+    W: np.ndarray = field(init=False, repr=False)
+    moments: np.ndarray = field(init=False, repr=False)
+    levers: list[tuple[complex, float, float]] = field(init=False, repr=False)
 
     P, Rd = _View("inputs", 0), _View("inputs", 1)
-    C, D = _View("CD", 0), _View("CD", 1)
-    E1, E2 = _View("E", 0), _View("E", 1)
-    Y1, Y2 = _View("Y", 0), _View("Y", 1)
+    CD, A_rows, E = _View("blocks", 0), _View("blocks", 1), _View("blocks", 2)
+    C, D, E1, E2 = (_View("blocks", (i, j)) for i in (0, 2) for j in (0, 1))
+    A, U3 = _View("blocks", 1, transpose=True), _View("duals", 1, transpose=True)
+    U, U1, U2 = _View("duals", 0), _View("duals", (0, 0)), _View("duals", (0, 1))
     W1, W2 = _View("W", 0), _View("W", 1)
-    A, Y3 = _View("A_rows"), _View("Y3_rows")
 
     def __post_init__(self) -> None:
-        self.set_transforms(self.transforms)
+        n = self.inputs.shape[1]
+        self.blocks = self.vector[:6 * n].reshape(3, 2, n)
+        self.transforms = self.vector[6 * n:].reshape(2, 3)
+        self.W = warp_values(self.transforms, self.inputs)
+        # per side, moments @ r = (Re, Im) sum conj(z_i - z_mean) r_i, sum r_x, sum r_y
+        z = self.inputs.view(np.complex128)
+        z_mean = z.sum(axis=1) / (n // 2)
+        zc = z - z_mean[:, None]
+        spread = (zc.conj() * zc).real.sum(axis=1)
+        self.moments = np.zeros((2, 4, n))
+        self.moments[:, 0], self.moments[:, 1] = zc.view(float), (1j * zc).view(float)
+        self.moments[:, 2, 0::2] = self.moments[:, 3, 1::2] = 1.0
+        self.levers = [(c, s, s + n // 2 * (c.real * c.real + c.imag * c.imag))
+                       for c, s in zip(z_mean.tolist(), spread.tolist())]
 
     def set_transforms(self, transforms) -> None:
         """Move both transforms, given as (2, 3) rows, and re-warp the inputs."""
-        transforms = np.array(transforms, dtype=float)
+        transforms = np.asarray(transforms, dtype=float)
         if transforms.shape != (2, 3):
             raise ValueError(f"expected (2, 3) transform rows, got shape {transforms.shape}")
-        self.transforms = transforms
-        self.W = warp_values(*transforms.T, self.inputs)
+        self.transforms[...] = transforms
+        self.W = warp_values(self.transforms, self.inputs)
 
-    @property
-    def theta1(self) -> RigidTransform2D:
-        return RigidTransform2D(*self.transforms[0].tolist())
-
-    @property
-    def theta2(self) -> RigidTransform2D:
-        return RigidTransform2D(*self.transforms[1].tolist())
-
-    @property
-    def J1(self) -> np.ndarray:
-        return jacobian_values(self.transforms[0, 0], self.P)
-
-    @property
-    def J2(self) -> np.ndarray:
-        return jacobian_values(self.transforms[1, 0], self.Rd)
+    theta1 = property(lambda self: RigidTransform2D(*self.transforms[0].tolist()))
+    theta2 = property(lambda self: RigidTransform2D(*self.transforms[1].tolist()))
+    J1 = property(lambda self: jacobian_values(self.transforms[0, 0], self.P))
+    J2 = property(lambda self: jacobian_values(self.transforms[1, 0], self.Rd))
 
 
 @dataclass
@@ -224,9 +220,9 @@ class SolverResult:
         return (np.exp(-1j * theta) * (z - complex(s_x, s_y))).view(float)
 
 
-def soft_threshold(v: np.ndarray, t: float) -> np.ndarray:
+def soft_threshold(v: np.ndarray, t: float, out: np.ndarray | None = None) -> np.ndarray:
     """Elementwise shrinkage sign(v) * max(|v| - t, 0), i.e. v minus its clip to [-t, t]."""
-    return v - np.minimum(np.maximum(v, -t), t)
+    return np.subtract(v, np.minimum(np.maximum(v, -t), t), out=out)
 
 
 def svt_prox(B: np.ndarray, threshold: float) -> np.ndarray:
@@ -243,12 +239,13 @@ def svt_prox(B: np.ndarray, threshold: float) -> np.ndarray:
     return (u * kept) @ vt
 
 
-def rank1_excess_prox(B: np.ndarray, threshold: float) -> np.ndarray:
+def rank1_excess_prox(B: np.ndarray, threshold: float, out: np.ndarray | None = None) -> np.ndarray:
     """Soft-threshold the smaller singular value of a two-column matrix.
 
     Proximal operator of threshold * (spectral mass beyond rank one).  The
     leading singular pair is untouched, so the dominant pattern carries no
-    shrinkage; only the deviation from rank one is penalized.
+    shrinkage; only the deviation from rank one is penalized.  ``B`` and
+    ``out`` are (n, 2), either may be a transposed view of (2, n) rows.
 
     Closed form: one Jacobi rotation of the 2x2 Gram matrix gives the right
     singular vectors; the small singular value is taken as |B v2| (not as
@@ -262,11 +259,13 @@ def rank1_excess_prox(B: np.ndarray, threshold: float) -> np.ndarray:
         raise ValueError(f"expected an (n, 2) matrix, got shape {B.shape}")
     (g00, g01), (_, g11) = (B.T @ B).tolist()
     phi = 0.5 * math.atan2(2.0 * g01, g00 - g11)
-    v2 = np.array([-math.sin(phi), math.cos(phi)])
-    bv2 = B @ v2
+    v2 = (-math.sin(phi), math.cos(phi))
+    bv2 = np.dot(v2, B.T)
     sigma2 = math.sqrt(bv2 @ bv2)
     shrink = 1.0 if sigma2 <= threshold else threshold / sigma2
-    return B - np.outer(bv2, shrink * v2)
+    # in the rows of B.T: no transposed copy, no np.outer
+    shift = np.multiply.outer((shrink * v2[0], shrink * v2[1]), bv2)
+    return np.subtract(B.T, shift, out=None if out is None else out.T).T
 
 
 def rank1_excess(B: np.ndarray) -> float:
@@ -275,12 +274,12 @@ def rank1_excess(B: np.ndarray) -> float:
     return float(sig.sum() - sig.max()) if sig.size else 0.0
 
 
-def axis_mean_replicate(v: np.ndarray) -> np.ndarray:
+def axis_mean_replicate(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Project an interleaved vector onto translation structure (per-axis means)."""
     pts = v.reshape(-1, 2)
-    out = np.empty_like(pts)
-    out[:] = pts.sum(axis=0) / len(pts)
-    return out.reshape(v.shape)
+    out = np.empty_like(v) if out is None else out
+    out.reshape(-1, 2)[...] = pts.sum(axis=0) / len(pts)
+    return out
 
 
 def init_state(P: StackedCoords, Rd: StackedCoords, cfg: SolverConfig) -> SolverState:
@@ -291,17 +290,15 @@ def init_state(P: StackedCoords, Rd: StackedCoords, cfg: SolverConfig) -> Solver
     if p.size < 4:
         raise ValueError("alignment needs at least 2 points per side")
     inputs = np.stack([p, r])
-    return SolverState(
-        inputs=inputs, CD=inputs.copy(), A_rows=inputs.copy(), E=np.zeros_like(inputs),
-        transforms=np.zeros((2, 3)), Y=np.zeros_like(inputs), Y3_rows=np.zeros_like(inputs),
-        mu=cfg.mu0,
-    )
+    state = SolverState(inputs=inputs, vector=np.zeros(6 * p.size + 6),
+                        duals=np.zeros((2, 2, p.size)), mu=cfg.mu0)
+    state.CD = state.A_rows = inputs
+    return state
 
 
 def update_coupling(state: SolverState, cfg: SolverConfig) -> SolverState:
-    """A-step: threshold the rank-1 excess of [C D] + Y3/mu at lam/mu."""
-    target = state.CD + state.Y3_rows / state.mu
-    state.A_rows = rank1_excess_prox(target.T, cfg.lam / state.mu).T
+    """A-step: threshold the rank-1 excess of [C D] + U3 at lam/mu."""
+    rank1_excess_prox((state.blocks[0] + state.duals[1]).T, cfg.lam / state.mu, out=state.A)
     return state
 
 
@@ -311,105 +308,114 @@ def update_rectified_blocks(state: SolverState) -> SolverState:
     The transform increments take no part: inside the solve loop they were
     folded at the end of the previous sweep, so they are zero here.
     """
-    mu = state.mu
-    state.CD = 0.5 * (state.W + state.E + state.Y / mu + state.A_rows - state.Y3_rows / mu)
+    cd, a_rows, e = state.blocks
+    u, u3 = state.duals
+    np.multiply(0.5, state.W + e + u + a_rows - u3, out=cd)
     return state
 
 
-def update_error_blocks(state: SolverState) -> SolverState:
+def update_error_blocks(state: SolverState) -> np.ndarray:
     """E-step: shrink the collected-side residual, average the candidate-side one.
 
     E1 gets the elementwise soft threshold at 1/mu; E2 is the projection of
     its residual onto translation structure (every x entry the mean of the
-    x residuals, likewise for y).
+    x residuals, likewise for y).  Returns what the new E leaves of the
+    residual, [C D] - W - E - U, which the increment step fits.
     """
-    e = state.CD - state.W - state.Y / state.mu
-    e[0] = soft_threshold(e[0], 1.0 / state.mu)
-    e[1] = axis_mean_replicate(e[1])
-    state.E = e
-    return state
+    cd, _, e = state.blocks
+    residual = cd - state.W
+    residual -= state.duals[0]
+    soft_threshold(residual[0], 1.0 / state.mu, out=e[0])
+    axis_mean_replicate(residual[1], out=e[1])
+    residual -= e
+    return residual
 
 
-def update_transform_increments(state: SolverState) -> np.ndarray:
+def update_transform_increments(state: SolverState, residual: np.ndarray | None = None) -> np.ndarray:
     """Increment-step: least-squares fit of each linearized warp to its residual.
 
-    Returns the (2, 3) increment block, one (d_theta, d_sx, d_sy) row per
-    side in the layout of ``state.transforms``.
+    ``residual`` is [C D] - W - E - U, as :func:`update_error_blocks`
+    returns it; without one it is computed from the state.  Returns the
+    (2, 3) increment block, one (d_theta, d_sx, d_sy) row per side in the
+    layout of ``state.transforms``.
 
     Taking each point (x, y) as the complex number x + iy, the Jacobian's
     rotation column at warped point w_i is i (w_i - s) for translation s, so
     with residual r_i each side's 3-unknown problem has the closed form
 
-        d_theta = sum cross(w_i - w_mean, r_i - r_mean) / sum |w_i - w_mean|^2
+        d_theta = sum cross(w_i - w_mean, r_i) / sum |w_i - w_mean|^2
         d_s     = r_mean - i (w_mean - s) d_theta,
 
-    with cross(a, b) = Im(conj(a) b).  The per-point sums run for both sides
-    at once.  A side is singular when its spread sum |w_i - w_mean|^2 is
-    negligible against the rotation column's squared norm sum |w_i - s|^2
-    (the spread plus M |w_mean - s|^2).
+    with cross(a, b) = Im(conj(a) b).  The warp is rigid: with z the inputs,
+    w_i - w_mean = e^(i theta) (z_i - z_mean) and w_mean - s = e^(i theta)
+    z_mean, so the spread is fixed and the sums a sweep needs, sum
+    conj(z_i - z_mean) r_i and sum r_i, are one product of the residual with
+    ``state.moments``.  A side is singular when its spread is negligible
+    against the rotation column's squared norm sum |w_i - s|^2 (the spread
+    plus M |z_mean|^2, in ``state.levers``).
 
     Raises :class:`NumericalFailureError` if a sum or an increment is not
     finite (checked first: an overflowed sum would pass for singular), and
     :class:`DegenerateGeometryError` for a singular side.
     """
-    m = state.W.shape[1] // 2
-    w = state.W.view(np.complex128)
-    r = (state.CD - state.W - state.E - state.Y / state.mu).view(np.complex128)
-    w_mean = w.sum(axis=1) / m
-    r_mean = r.sum(axis=1) / m
-    wc = w - w_mean[:, None]
-    wc_conj = wc.conj()
-    spread = (wc_conj * wc).real.sum(axis=1)
-    turn = (wc_conj * (r - r_mean[:, None])).sum(axis=1).imag
+    if residual is None:
+        residual = state.CD - state.W - state.E - state.U
+    m = residual.shape[1] // 2
+    sums = (state.moments @ residual[:, :, None]).reshape(2, 4).tolist()
     # three unknowns per side: scalar arithmetic from here on
     increments = []
-    sides = zip(state.transforms.tolist(), w_mean.tolist(), r_mean.tolist(),
-                spread.tolist(), turn.tolist())
-    for (_, s_x, s_y), w_bar, r_bar, spread_i, turn_i in sides:
-        arm = w_bar - complex(s_x, s_y)
-        lever = spread_i + m * (arm.real * arm.real + arm.imag * arm.imag)
-        if not (math.isfinite(turn_i) and math.isfinite(lever)):
+    for (theta, _, _), (z_bar, spread, lever), (cross_re, cross_im, sum_x, sum_y) in zip(
+            state.transforms.tolist(), state.levers, sums):
+        turn = complex(math.cos(theta), math.sin(theta))
+        torque = turn.real * cross_im - turn.imag * cross_re
+        if not (math.isfinite(torque) and math.isfinite(lever)):
             raise NumericalFailureError()
-        if spread_i <= 1e-10 * lever:
+        if spread <= 1e-10 * lever:
             raise DegenerateGeometryError("point set too degenerate for an increment solve")
-        d_theta = turn_i / spread_i
-        d_s = r_bar - 1j * arm * d_theta
+        d_theta = torque / spread
+        d_s = complex(sum_x, sum_y) / m - 1j * (turn * z_bar) * d_theta
         if not all(map(math.isfinite, (d_theta, d_s.real, d_s.imag))):
             raise NumericalFailureError()
         increments.append((d_theta, d_s.real, d_s.imag))
     return np.array(increments)
 
 
-def _constraint_residuals(state: SolverState) -> tuple[np.ndarray, np.ndarray]:
-    """[W1 + E1 - C; W2 + E2 - D] and [C D] - A, both in row layout."""
-    return state.W + state.E - state.CD, state.CD - state.A_rows
+def _constraint_residuals(state: SolverState) -> np.ndarray:
+    """[W1 + E1 - C; W2 + E2 - D] and [C D] - A, stacked as (2, 2, 2M) rows."""
+    cd, a_rows, e = state.blocks
+    res = np.empty_like(state.duals)
+    h, g = res
+    np.add(state.W, e, out=h)
+    h -= cd
+    np.subtract(cd, a_rows, out=g)
+    return res
 
 
 def update_multipliers(state: SolverState, cfg: SolverConfig) -> tuple[float, float]:
     """Dual ascent on all three constraints, then grow the penalty.
 
-    Returns the coupling residual |[C D] - A| and the largest of the three
-    constraint residuals, both measured before the ascent.
+    With the multipliers scaled by the penalty, Y + mu r at the next
+    penalty mu rho is U = (U + r) / rho.  Returns the coupling residual
+    |[C D] - A| and the largest of the three constraint residuals, both
+    measured before the ascent.
     """
-    h, g = _constraint_residuals(state)
-    h1, h2 = np.sqrt((h * h).sum(axis=1)).tolist()
-    coupling = math.sqrt((g * g).sum())
-    primal = max(h1, h2, coupling)
-    state.Y = state.Y + state.mu * h
-    state.Y3_rows = state.Y3_rows + state.mu * g
+    res = _constraint_residuals(state)
+    (h1, h2), (g1, g2) = (res * res).sum(axis=2).tolist()
+    coupling = math.sqrt(g1 + g2)
+    primal = max(math.sqrt(h1), math.sqrt(h2), coupling)
+    state.duals += res
+    state.duals /= cfg.rho
     state.mu = state.mu * cfg.rho
     return coupling, primal
 
 
 def lagrangian(state: SolverState, cfg: SolverConfig) -> float:
     """Augmented Lagrangian at the current state and linearization."""
-    h, g = _constraint_residuals(state)
-    mu = state.mu
+    res = _constraint_residuals(state)
     return float(
         np.abs(state.E1).sum()
         + cfg.lam * rank1_excess(state.A)
-        + np.sum(state.Y * h) + 0.5 * mu * np.sum(h * h)
-        + np.sum(state.Y3_rows * g) + 0.5 * mu * np.sum(g * g)
+        + state.mu * (np.sum(state.duals * res) + 0.5 * np.sum(res * res))
     )
 
 
@@ -421,12 +427,6 @@ def alignment_loss(state: SolverState) -> float:
         np.abs(state.E).sum()
         + math.sqrt(theta**2 + (s_x / scale) ** 2 + (s_y / scale) ** 2)
     )
-
-
-def _state_vector(state: SolverState) -> np.ndarray:
-    return np.concatenate([
-        state.CD.ravel(), state.A_rows.ravel(), state.E.ravel(), state.transforms.ravel(),
-    ])
 
 
 def sweep(state: SolverState, cfg: SolverConfig, trace: IterationTrace | None = None) -> float:
@@ -445,10 +445,10 @@ def sweep(state: SolverState, cfg: SolverConfig, trace: IterationTrace | None = 
     update_rectified_blocks(state)
     if trace is not None:
         l_cd = lagrangian(state, cfg)
-    update_error_blocks(state)
+    residual = update_error_blocks(state)
     if trace is not None:
         l_e = lagrangian(state, cfg)
-    increments = update_transform_increments(state)
+    increments = update_transform_increments(state, residual)
     if trace is not None:
         # the increment step's value before folding: the same state with each
         # warp moved along its Jacobian
@@ -487,20 +487,20 @@ def admm_solve(
         trace = IterationTrace() if collect_trace else None
 
         converged = False
-        prev_vec = _state_vector(state)
-        prev_norm = math.sqrt(prev_vec @ prev_vec)
+        vec = state.vector
+        prev_vec = vec.copy()
+        prev_norm = math.sqrt(vec @ vec)
         for iterations in range(1, cfg.max_iters + 1):
             try:
                 primal = sweep(state, cfg, trace)
             except NumericalFailureError:
                 raise NumericalFailureError(iterations) from None
-            vec = _state_vector(state)
             norm2 = vec @ vec  # not finite once any entry (or the norm itself) is not
             if not math.isfinite(norm2):
                 raise NumericalFailureError(iterations)
             step = vec - prev_vec
             rel_change = math.sqrt(step @ step) / max(1.0, prev_norm)
-            prev_vec, prev_norm = vec, math.sqrt(norm2)
+            prev_vec, prev_norm = vec.copy(), math.sqrt(norm2)
             if primal < cfg.tol_primal or rel_change < cfg.tol_change:
                 converged = True
                 break

@@ -9,16 +9,19 @@ recorded with the per-window matchers of git commit 91544aa (a distance matrix
 rebuilt for every CD and HA window, a dense WD constraint matrix) by running
 this module as a script against that checkout:
 
-    PYTHONPATH=src python tests/test_baselines_golden.py
+    PYTHONPATH=src python tests/test_baselines_golden.py OUT.json
 
-The test rectifies the same segments and requires identical indices and
-losses and transport costs within 1e-12 relative.
+(with no argument the record goes to stdout; the script never writes the
+committed file, which must not be re-recorded).  The test rectifies the same
+segments and requires identical indices and losses and transport costs within
+1e-12 relative.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -76,5 +79,8 @@ def test_baselines_match_recorded():
 
 
 if __name__ == "__main__":
-    GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(json.dumps(record(), indent=1) + "\n", encoding="utf-8")
+    text = json.dumps(record(), indent=1) + "\n"
+    if len(sys.argv) > 1:
+        Path(sys.argv[1]).write_text(text, encoding="utf-8")
+    else:
+        sys.stdout.write(text)

@@ -85,6 +85,27 @@ class TestRectifyEvaluate:
         assert run_cli(["evaluate", "--out-dir", str(tmp_path)]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [["--collected"], ["--truth"], ["--collected", "--truth"]],
+                             ids=" ".join)
+    @pytest.mark.parametrize("command", ["sample", "rectify", "evaluate", "noise", "bench", "plot"])
+    def test_dataset_files_need_segments(self, tmp_path, capsys, command, flags):
+        # no silent fallback to a synthetic corpus when --segments is missing
+        argv = [command, "--out-dir", str(tmp_path / "out")]
+        for flag in flags:
+            argv += [flag, str(tmp_path / "nonexistent.csv")]
+        assert run_cli(argv) == 1
+        assert "--segments" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_non_finite_tau_rejected(self, small_dataset, tmp_path, capsys):
+        assert run_cli([
+            "evaluate", "--segments", str(small_dataset / "segments.csv"),
+            "--collected", str(small_dataset / "truth.csv"),
+            "--truth", str(small_dataset / "truth.csv"),
+            "--tau", "nan", "--out-dir", str(tmp_path),
+        ]) == 1
+        assert "tau must be positive and finite" in capsys.readouterr().err
+
     @pytest.mark.parametrize("method, n_points, message", [
         ("cd", 10, "segment 'short': 5 candidates cannot host 10 collected points"),
         ("ha", 10, "segment 'short': 5 candidates cannot host 10 collected points"),

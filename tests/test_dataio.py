@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -292,6 +294,14 @@ class TestRunConfig:
     def test_invalid_method(self):
         with pytest.raises(ValueError):
             RunConfig(method="psychic")
+
+    @pytest.mark.parametrize("kwargs", [
+        {"tau": math.nan}, {"tau": math.inf}, {"tau": 0.0},
+        {"th": math.nan}, {"th": math.inf}, {"th": -math.inf},
+    ], ids=repr)
+    def test_non_finite_thresholds_rejected(self, kwargs):
+        with pytest.raises(ValueError, match=f"{next(iter(kwargs))} must be"):
+            RunConfig(**kwargs)
 
 
 class TestAtomicWrite:

@@ -115,7 +115,7 @@ class TestEvaluateSegments:
         with pytest.raises(ValueError, match="id count mismatch"):
             evaluate_segments(ids, pred, truth)
 
-    @pytest.mark.parametrize("tau", [0.0, -0.5])
+    @pytest.mark.parametrize("tau", [0.0, -0.5, float("nan"), float("inf")])
     def test_nonpositive_tau_rejected(self, tau):
         truth = [np.zeros((2, 2))]
         with pytest.raises(ValueError, match="tau must be positive"):

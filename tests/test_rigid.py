@@ -60,7 +60,7 @@ class TestWarp:
     def test_stacked_vectors_warp_like_single_ones(self, rng):
         ts = [random_transform(rng) for _ in range(2)]
         pts = [random_points(rng, 7) for _ in range(2)]
-        both = warp_values(*params(*ts).T, np.stack([p.values for p in pts]))
+        both = warp_values(params(*ts), np.stack([p.values for p in pts]))
         assert both.shape == (2, 14)
         for row, t, p in zip(both, ts, pts):
             assert np.allclose(row, warp(t, p).values, rtol=0.0, atol=1e-12)
@@ -83,7 +83,7 @@ class TestCompose:
             base = random_transform(rng)
             inc = rng.uniform(-0.5, 0.5, size=3)
             (fused_row,) = fold_increments(params(base), inc[None])
-            fused = warp_values(*fused_row, pts.values)
+            fused = warp_values(fused_row, pts.values)
             two_step = warp(RigidTransform2D(*inc), warp(base, pts)).values
             assert np.max(np.abs(fused - two_step)) < 1e-12 * max(1.0, np.abs(two_step).max())
 

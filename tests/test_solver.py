@@ -46,9 +46,9 @@ def random_state(rng, m=8, mu=0.7):
     state.A = rng.uniform(-40, 40, (2 * m, 2))
     state.E1 = rng.uniform(-3, 3, 2 * m)
     state.E2 = axis_mean_replicate(rng.uniform(-3, 3, 2 * m))
-    state.Y1 = rng.uniform(-1, 1, 2 * m)
-    state.Y2 = rng.uniform(-1, 1, 2 * m)
-    state.Y3 = rng.uniform(-1, 1, (2 * m, 2))
+    state.U1 = rng.uniform(-1, 1, 2 * m)
+    state.U2 = rng.uniform(-1, 1, 2 * m)
+    state.U3 = rng.uniform(-1, 1, (2 * m, 2))
     state.set_transforms([
         [rng.uniform(-0.3, 0.3), rng.uniform(-5, 5), rng.uniform(-5, 5)],
         [rng.uniform(-0.3, 0.3), rng.uniform(-5, 5), rng.uniform(-5, 5)],
@@ -163,9 +163,9 @@ class TestRectifiedBlocks:
         state, cfg = random_state(rng)
         state.E1[:] = 0.0
         state.E2[:] = 0.0
-        state.Y1[:] = 0.0
-        state.Y2[:] = 0.0
-        state.Y3[:] = 0.0
+        state.U1[:] = 0.0
+        state.U2[:] = 0.0
+        state.U3[:] = 0.0
         state.A = np.stack([state.W1, state.W2], axis=1)
         update_rectified_blocks(state)
         assert np.allclose(state.C, state.W1, atol=1e-12)
@@ -176,9 +176,9 @@ class TestRectifiedBlocks:
         # make W1 = 2 everywhere and W2 = 0 by construction
         state.set_transforms([[0.0, 0.0, 0.0], state.transforms[1]])
         state.E1 = 2.0 - state.P
-        state.Y1[:] = 0.0
+        state.U1[:] = 0.0
         state.A[:, 0] = 0.0
-        state.Y3[:, 0] = 0.0
+        state.U3[:, 0] = 0.0
         update_rectified_blocks(state)
         assert np.allclose(state.C, 1.0, atol=1e-12)
 
@@ -201,9 +201,9 @@ class TestErrorBlocks:
         state, cfg = random_state(rng, m=2)
         state.mu = 2.0  # threshold 1/mu = 0.5
         state.set_transforms(np.zeros((2, 3)))
-        state.Y1[:] = 0.0
+        state.U1[:] = 0.0
         state.C = state.P + np.array([0.3, -2.0, 0.0, 0.0])
-        state.Y2[:] = 0.0
+        state.U2[:] = 0.0
         state.D = state.Rd.copy()
         update_error_blocks(state)
         assert np.allclose(state.E1, [0.0, -1.5, 0.0, 0.0], atol=1e-12)
@@ -211,9 +211,9 @@ class TestErrorBlocks:
     def test_axis_means_example(self, rng):
         state, cfg = random_state(rng, m=2)
         state.set_transforms(np.zeros((2, 3)))
-        state.Y2[:] = 0.0
+        state.U2[:] = 0.0
         state.D = state.Rd + np.array([1.0, 3.0, 2.0, 4.0])
-        state.Y1[:] = 0.0
+        state.U1[:] = 0.0
         state.C = state.P.copy()
         update_error_blocks(state)
         assert np.allclose(state.E2, [1.5, 3.5, 1.5, 3.5], atol=1e-12)
@@ -222,7 +222,7 @@ class TestErrorBlocks:
         # E2 must beat every translation-structured vector on a refined grid
         state, cfg = random_state(rng, m=6)
         update_error_blocks(state)
-        target = state.D - state.W2 - state.Y2 / state.mu
+        target = state.D - state.W2 - state.U2
         best = float(np.sum((state.E2 - target) ** 2))
         ex, ey = state.E2[0], state.E2[1]
         for dx in np.linspace(-2, 2, 41):
@@ -242,15 +242,15 @@ class TestErrorBlocks:
 class TestTransformIncrements:
     def test_zero_residual(self, rng):
         state, cfg = random_state(rng)
-        state.C = state.W1 + state.E1 + state.Y1 / state.mu
-        state.D = state.W2 + state.E2 + state.Y2 / state.mu
+        state.C = state.W1 + state.E1 + state.U1
+        state.D = state.W2 + state.E2 + state.U2
         d1, d2 = update_transform_increments(state)
         assert np.allclose(d1, 0.0, atol=1e-9)
         assert np.allclose(d2, 0.0, atol=1e-9)
 
     def test_pure_translation_residual(self, rng):
         state, cfg = random_state(rng)
-        state.C = state.W1 + state.E1 + state.Y1 / state.mu + state.J1 @ np.array([0.0, 2.5, -1.25])
+        state.C = state.W1 + state.E1 + state.U1 + state.J1 @ np.array([0.0, 2.5, -1.25])
         d1, _ = update_transform_increments(state)
         assert d1 == pytest.approx([0.0, 2.5, -1.25], abs=1e-9)
 
@@ -259,8 +259,8 @@ class TestTransformIncrements:
             state, cfg = random_state(rng)
             d1, d2 = update_transform_increments(state)
             gradP, gradRd = state.J1, state.J2
-            r1 = state.C - state.W1 - state.E1 - state.Y1 / state.mu
-            r2 = state.D - state.W2 - state.E2 - state.Y2 / state.mu
+            r1 = state.C - state.W1 - state.E1 - state.U1
+            r2 = state.D - state.W2 - state.E2 - state.U2
             assert np.linalg.norm(gradP.T @ (gradP @ d1 - r1)) < 1e-9 * max(1, np.linalg.norm(r1))
             assert np.linalg.norm(gradRd.T @ (gradRd @ d2 - r2)) < 1e-9 * max(1, np.linalg.norm(r2))
 
@@ -278,18 +278,19 @@ class TestMultipliers:
         state.C = state.W1 + state.E1
         state.D = state.W2 + state.E2
         state.A = np.stack([state.C, state.D], axis=1)
-        y1, mu = state.Y1.copy(), state.mu
+        # the multipliers Y = mu U stay put, so U shrinks as mu grows
+        y1, mu = state.U1 * state.mu, state.mu
         update_multipliers(state, cfg)
-        assert np.array_equal(state.Y1, y1)
+        assert np.allclose(state.U1 * state.mu, y1, rtol=1e-15, atol=0.0)
         assert state.mu == pytest.approx(1.3 * mu, rel=1e-15)
 
     def test_residual_scaling(self, rng):
         state, cfg = random_state(rng)
-        state.Y1[:] = 0.0
+        state.U1[:] = 0.0
         state.mu = 2.0
         r = state.W1 + state.E1 - state.C
         update_multipliers(state, cfg)
-        assert np.allclose(state.Y1, 2.0 * r, atol=1e-12)
+        assert np.allclose(state.U1 * state.mu, 2.0 * r, atol=1e-12)
 
     def test_geometric_penalty_growth(self):
         # feasible but not instantly convergent: a small offset instance
@@ -399,7 +400,7 @@ class TestAdmmSolve:
         assert traced.loss == plain.loss  # bitwise
         assert traced.iterations == plain.iterations
         assert len(traced.trace.lagrangians) == traced.iterations
-        for name in ("C", "D", "A", "E1", "E2", "Y1", "Y2", "Y3", "W1", "W2", "J1", "J2"):
+        for name in ("C", "D", "A", "E1", "E2", "U1", "U2", "U3", "W1", "W2", "J1", "J2"):
             assert np.array_equal(getattr(traced.state, name), getattr(plain.state, name)), name
         assert (traced.state.theta1, traced.state.theta2, traced.state.mu) == (
             plain.state.theta1, plain.state.theta2, plain.state.mu)
@@ -476,3 +477,14 @@ class TestSolverConfig:
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
             SolverConfig(**kwargs)
+
+    @pytest.mark.parametrize("name", ["lam", "mu0", "rho", "tol_primal", "tol_change"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be"):
+            SolverConfig(**{name: value})
+
+    @pytest.mark.parametrize("value", [2.5, 3.0, "3"])
+    def test_non_integer_max_iters_rejected(self, value):
+        with pytest.raises(ValueError, match="max_iters must be an integer"):
+            SolverConfig(max_iters=value)

@@ -9,17 +9,19 @@ recorded with the LAPACK-based solver of git commit 7ede870 (general
 normal equations for the increments) by running this module as a script
 against that checkout:
 
-    PYTHONPATH=src python tests/test_solver_golden.py
+    PYTHONPATH=src python tests/test_solver_golden.py OUT.json
 
-The test re-solves the same windows through ``raa_rectify`` and requires
-losses within 1e-9 relative, identical sweep counts and flags, and the same
-winning window.
+(with no argument the record goes to stdout; the script never writes the
+committed file, which must not be re-recorded).  The test re-solves the same
+windows through ``raa_rectify`` and requires losses within 1e-9 relative,
+identical sweep counts and flags, and the same winning window.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 from pathlib import Path
 
 import spotalign.pipeline as pipeline
@@ -71,5 +73,8 @@ def test_window_solves_match_recorded():
 
 
 if __name__ == "__main__":
-    GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(json.dumps(record(), indent=1) + "\n", encoding="utf-8")
+    text = json.dumps(record(), indent=1) + "\n"
+    if len(sys.argv) > 1:
+        Path(sys.argv[1]).write_text(text, encoding="utf-8")
+    else:
+        sys.stdout.write(text)
