@@ -220,8 +220,8 @@ class SolverResult:
         return (np.exp(-1j * theta) * (z - complex(s_x, s_y))).view(float)
 
 
-def soft_threshold(v: np.ndarray, t: float, out: np.ndarray | None = None) -> np.ndarray:
-    """Elementwise shrinkage sign(v) * max(|v| - t, 0), i.e. v minus its clip to [-t, t]."""
+def soft_threshold(v: np.ndarray, t: float, out: np.ndarray) -> np.ndarray:
+    """Write the shrinkage sign(v) * max(|v| - t, 0), v minus its clip to [-t, t], to out."""
     return np.subtract(v, np.minimum(np.maximum(v, -t), t), out=out)
 
 
@@ -331,13 +331,12 @@ def update_error_blocks(state: SolverState) -> np.ndarray:
     return residual
 
 
-def update_transform_increments(state: SolverState, residual: np.ndarray | None = None) -> np.ndarray:
+def update_transform_increments(state: SolverState, residual: np.ndarray) -> np.ndarray:
     """Increment-step: least-squares fit of each linearized warp to its residual.
 
     ``residual`` is [C D] - W - E - U, as :func:`update_error_blocks`
-    returns it; without one it is computed from the state.  Returns the
-    (2, 3) increment block, one (d_theta, d_sx, d_sy) row per side in the
-    layout of ``state.transforms``.
+    returns it.  Returns the (2, 3) increment block, one (d_theta, d_sx,
+    d_sy) row per side in the layout of ``state.transforms``.
 
     Taking each point (x, y) as the complex number x + iy, the Jacobian's
     rotation column at warped point w_i is i (w_i - s) for translation s, so
@@ -358,8 +357,6 @@ def update_transform_increments(state: SolverState, residual: np.ndarray | None 
     finite (checked first: an overflowed sum would pass for singular), and
     :class:`DegenerateGeometryError` for a singular side.
     """
-    if residual is None:
-        residual = state.CD - state.W - state.E - state.U
     m = residual.shape[1] // 2
     sums = (state.moments @ residual[:, :, None]).reshape(2, 4).tolist()
     # three unknowns per side: scalar arithmetic from here on
