@@ -48,27 +48,20 @@ def run_method(dataset: Dataset, cfg: RunConfig) -> dict[str, RectifiedSet]:
 
 
 def evaluate_by_class(dataset: Dataset, rectified: dict[str, RectifiedSet], tau: float) -> dict[str, EvalReport]:
-    """Index-aligned evaluation against ground truth, grouped by shape class."""
-    groups: dict[str, list[str]] = {ALL_CLASSES: []}
-    for sid in sorted(rectified):
-        cset = dataset.collected[sid]
-        if cset.ground_truth is None:
-            continue
-        groups[ALL_CLASSES].append(sid)
-        groups.setdefault(dataset.segments[sid].shape_class, []).append(sid)
+    """Index-aligned evaluation against ground truth, grouped by shape class.
 
-    reports: dict[str, EvalReport] = {}
-    for cls, sids in groups.items():
-        if not sids:
+    Each segment is projected once; "all" and its shape class share the arrays.
+    """
+    groups: dict[str, list[tuple]] = {ALL_CLASSES: []}
+    for sid in sorted(rectified):
+        truth = dataset.collected[sid].ground_truth
+        if truth is None:
             continue
-        ids, preds, truths = [], [], []
-        for sid in sids:
-            frame = dataset.segments[sid].frame()
-            ids.append(sid)
-            preds.append(project_points(frame, rectified[sid].points))
-            truths.append(project_points(frame, dataset.collected[sid].ground_truth))
-        reports[cls] = evaluate_segments(ids, preds, truths, tau=tau)
-    return reports
+        frame = dataset.segments[sid].frame()
+        scored = (sid, project_points(frame, rectified[sid].points), project_points(frame, truth))
+        groups[ALL_CLASSES].append(scored)
+        groups.setdefault(dataset.segments[sid].shape_class, []).append(scored)
+    return {cls: evaluate_segments(*zip(*segs), tau=tau) for cls, segs in groups.items() if segs}
 
 
 def lambda_sweep_rows(dataset: Dataset, cfg: RunConfig) -> list[dict]:

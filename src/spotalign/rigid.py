@@ -72,17 +72,20 @@ class StackedCoords:
         return self.values.reshape(-1, 2)
 
 
-def warp_values(transforms, values: np.ndarray) -> np.ndarray:
+def warp_values(transforms, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Warp interleaved vectors ``values`` (..., 2M) by (theta, s_x, s_y) rows (..., 3).
 
     One transform row per vector (the solver warps its two sides in one
     call); with each point (x, y) taken as x + iy, the warp is e^(i theta) z + s.
+    With ``out``, a C-contiguous float array, it is warped in place there.
     """
-    rows = np.asarray(transforms, dtype=float)
+    rows = np.ascontiguousarray(transforms, dtype=float)
     turn = np.exp(1j * rows[..., :1])
-    shift = np.ascontiguousarray(rows[..., 1:]).view(np.complex128)
+    shift = rows[..., 1:].view(np.complex128)  # (s_x, s_y) is contiguous in a C-ordered row
     z = np.ascontiguousarray(values, dtype=float).view(np.complex128)
-    return (turn * z + shift).view(float)
+    w = np.multiply(turn, z, out=None if out is None else out.view(np.complex128))
+    w += shift
+    return w.view(float)
 
 
 def warp(t: RigidTransform2D, pts: StackedCoords) -> StackedCoords:
@@ -90,20 +93,22 @@ def warp(t: RigidTransform2D, pts: StackedCoords) -> StackedCoords:
     return StackedCoords(warp_values((t.theta, t.s_x, t.s_y), pts.values))
 
 
-def fold_increments(transforms: np.ndarray, increments: np.ndarray) -> np.ndarray:
+def fold_increments(transforms: np.ndarray, increments, out: np.ndarray | None = None) -> np.ndarray:
     """Fold each increment, applied after its base transform, into one transform.
 
-    Row i of ``transforms``, ``increments`` and the result is (theta, s_x, s_y);
-    warping by result row i equals warping by transform row i and then by
-    increment row i.  The angle comes back normalized to (-pi, pi].  A few
-    rows at most, so the arithmetic is scalar.
+    Row i of ``transforms`` (n, 3), ``increments`` (n rows of floats) and the
+    result is (theta, s_x, s_y); warping by result row i equals warping by
+    transform row i and then by increment row i, angle normalized to (-pi, pi].
+    A few rows at most, so the arithmetic is scalar; ``out`` may be ``transforms``.
     """
     rows = []
-    for (theta, s_x, s_y), (d_theta, d_sx, d_sy) in zip(transforms.tolist(), increments.tolist()):
+    for (theta, s_x, s_y), (d_theta, d_sx, d_sy) in zip(transforms.tolist(), increments):
         c, s = math.cos(d_theta), math.sin(d_theta)
         x, y = c * s_x - s * s_y + d_sx, s * s_x + c * s_y + d_sy
         rows.append((_normalize_angle(theta + d_theta), x, y))
-    return np.array(rows)
+    out = np.empty_like(transforms) if out is None else out
+    out[...] = rows
+    return out
 
 
 def jacobian_values(theta: float, values: np.ndarray) -> np.ndarray:

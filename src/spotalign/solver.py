@@ -22,12 +22,11 @@ the inputs re-warped.
 repeats it until convergence, and its trace mode records the same sweep.
 Every block is a (2, 2M) row pair, row 0 the collected side and row 1 the
 candidate side, so a block update is one set of numpy calls for both.  The
-blocks [C D], A and E and the (2, 3) transform rows share one flat buffer,
-so the convergence test is one subtraction; the multipliers are stored
-scaled, U = Y / mu.  A has two columns and each increment three unknowns, so
-the coupling step (:func:`rank1_excess_prox`) and the increment step
-(:func:`update_transform_increments`) are closed forms; the warp Jacobians
-J1, J2 are only computed on demand, for trace mode and tests.
+blocks and transforms share one flat buffer (see :class:`SolverState`); each
+block writes in place into buffers made once per solve, and what is scalar
+(the coupling step's 2x2 rotation, the transforms and their increments) stays
+in Python floats.  The coupling and increment steps are closed forms; the
+warp Jacobians J1, J2 are only computed for trace mode and tests.
 
 The E2 regularizer is realized purely through its translation structure (the
 per-axis-mean projection is the exact block minimizer), so the augmented
@@ -102,24 +101,20 @@ class SolverConfig:
             raise ValueError("max_iters must be an integer of at least 1")
 
 
-class _View:
+def _view(buffer: str, index, transpose: bool = False) -> property:
     """A named block of the state, read and written as a view into its buffer.
 
     ``index`` picks the block out of the buffer; with ``transpose`` a (2, 2M)
     row pair reads as the (2M, 2) matrix with one column per side (A, U3).
     """
+    def get(state):
+        view = getattr(state, buffer)[index]
+        return view.T if transpose else view
 
-    def __init__(self, buffer: str, index, transpose: bool = False) -> None:
-        self.buffer, self.index, self.transpose = buffer, index, transpose
+    def put(state, value) -> None:
+        get(state)[...] = value
 
-    def __get__(self, state, owner=None):
-        if state is None:
-            return self
-        view = getattr(state, self.buffer)[self.index]
-        return view.T if self.transpose else view
-
-    def __set__(self, state, value) -> None:
-        self.__get__(state)[...] = value
+    return property(get, put)
 
 
 @dataclass
@@ -132,12 +127,16 @@ class SolverState:
     ``transforms``, the (theta, s_x, s_y) rows of theta1 (moving P) and
     theta2 (moving Rd), theta in (-pi, pi].  ``duals`` holds the multipliers
     scaled by the penalty ``mu``, U = Y / mu: rows [U1; U2] and U3 transposed.
-    Each block is also a view under its own name (``CD``, ``E``, ``C``,
-    ``E2``, ``U1``, ``W2``, ...; ``A`` and ``U3`` are (2M, 2)); assigning to
-    one writes into its buffer.  ``theta1``/``theta2`` read a transform row
-    as a :class:`RigidTransform2D`; :meth:`set_transforms` keeps W in step.
-    ``moments`` and ``levers`` are the increment step's terms that the
-    inputs fix (see :func:`update_transform_increments`).
+    Each block is also a view under its own name (``C``, ``E2``, ``U1``,
+    ``W2``, ...; ``A`` and ``U3`` are (2M, 2)); assigning to one writes into
+    its buffer.  ``pairs`` holds [C D], A, E, U, U3 as views made once.
+    ``theta1``/``theta2`` read a transform row as a :class:`RigidTransform2D`;
+    :meth:`set_transforms` keeps W in step.  ``moments`` and ``levers`` are
+    the increment step's terms that the inputs fix (see
+    :func:`update_transform_increments`).  ``W``, the E-step ``residual``,
+    the (2, 2, 2M) ``constraints`` and the convergence test's ``prev_vector``
+    are made once per solve and written in place by every sweep; a
+    ``copy.copy`` shares every buffer, so trace mode only reads its copy.
     """
 
     inputs: np.ndarray
@@ -149,19 +148,25 @@ class SolverState:
     W: np.ndarray = field(init=False, repr=False)
     moments: np.ndarray = field(init=False, repr=False)
     levers: list[tuple[complex, float, float]] = field(init=False, repr=False)
+    residual: np.ndarray = field(init=False, repr=False)
+    constraints: np.ndarray = field(init=False, repr=False)
+    prev_vector: np.ndarray = field(init=False, repr=False)
+    pairs: tuple[np.ndarray, ...] = field(init=False, repr=False)
 
-    P, Rd = _View("inputs", 0), _View("inputs", 1)
-    CD, A_rows, E = _View("blocks", 0), _View("blocks", 1), _View("blocks", 2)
-    C, D, E1, E2 = (_View("blocks", (i, j)) for i in (0, 2) for j in (0, 1))
-    A, U3 = _View("blocks", 1, transpose=True), _View("duals", 1, transpose=True)
-    U, U1, U2 = _View("duals", 0), _View("duals", (0, 0)), _View("duals", (0, 1))
-    W1, W2 = _View("W", 0), _View("W", 1)
+    P, Rd = _view("inputs", 0), _view("inputs", 1)
+    C, D, E1, E2 = (_view("blocks", (i, j)) for i in (0, 2) for j in (0, 1))
+    A, U3 = _view("blocks", 1, transpose=True), _view("duals", 1, transpose=True)
+    U1, U2 = _view("duals", (0, 0)), _view("duals", (0, 1))
+    W1, W2 = _view("W", 0), _view("W", 1)
 
     def __post_init__(self) -> None:
         n = self.inputs.shape[1]
         self.blocks = self.vector[:6 * n].reshape(3, 2, n)
         self.transforms = self.vector[6 * n:].reshape(2, 3)
         self.W = warp_values(self.transforms, self.inputs)
+        self.residual, self.constraints = np.empty_like(self.inputs), np.empty_like(self.duals)
+        self.prev_vector = np.empty_like(self.vector)
+        self.pairs = (*self.blocks, *self.duals)
         # per side, moments @ r = (Re, Im) sum conj(z_i - z_mean) r_i, sum r_x, sum r_y
         z = self.inputs.view(np.complex128)
         z_mean = z.sum(axis=1) / (n // 2)
@@ -179,7 +184,7 @@ class SolverState:
         if transforms.shape != (2, 3):
             raise ValueError(f"expected (2, 3) transform rows, got shape {transforms.shape}")
         self.transforms[...] = transforms
-        self.W = warp_values(self.transforms, self.inputs)
+        warp_values(self.transforms, self.inputs, out=self.W)
 
     theta1 = property(lambda self: RigidTransform2D(*self.transforms[0].tolist()))
     theta2 = property(lambda self: RigidTransform2D(*self.transforms[1].tolist()))
@@ -220,11 +225,6 @@ class SolverResult:
         return (np.exp(-1j * theta) * (z - complex(s_x, s_y))).view(float)
 
 
-def soft_threshold(v: np.ndarray, t: float, out: np.ndarray) -> np.ndarray:
-    """Write the shrinkage sign(v) * max(|v| - t, 0), v minus its clip to [-t, t], to out."""
-    return np.subtract(v, np.minimum(np.maximum(v, -t), t), out=out)
-
-
 def svt_prox(B: np.ndarray, threshold: float) -> np.ndarray:
     """Singular value thresholding: soft-threshold the spectrum, keep subspaces.
 
@@ -245,27 +245,27 @@ def rank1_excess_prox(B: np.ndarray, threshold: float, out: np.ndarray | None = 
     Proximal operator of threshold * (spectral mass beyond rank one).  The
     leading singular pair is untouched, so the dominant pattern carries no
     shrinkage; only the deviation from rank one is penalized.  ``B`` and
-    ``out`` are (n, 2), either may be a transposed view of (2, n) rows.
+    ``out`` are (n, 2), possibly transposed (2, n) rows, possibly one array.
 
     Closed form: one Jacobi rotation of the 2x2 Gram matrix gives the right
     singular vectors; the small singular value is taken as |B v2| (not as
     the square root of a Gram eigenvalue, which loses it to cancellation),
-    and the result is B - (1 - max(s2 - t, 0) / s2) (B v2) v2^T.
+    and the result is B (I - k v2 v2^T), k = 1 - max(s2 - t, 0) / s2.
     """
     if threshold < 0:
         raise ValueError("threshold must be non-negative")
     B = np.asarray(B, dtype=float)
     if B.ndim != 2 or B.shape[1] != 2:
         raise ValueError(f"expected an (n, 2) matrix, got shape {B.shape}")
-    (g00, g01), (_, g11) = (B.T @ B).tolist()
+    rows = B.T  # in the rows of B.T: no transposed copy
+    (g00, g01), (_, g11) = np.dot(rows, B).tolist()
     phi = 0.5 * math.atan2(2.0 * g01, g00 - g11)
-    v2 = (-math.sin(phi), math.cos(phi))
-    bv2 = np.dot(v2, B.T)
-    sigma2 = math.sqrt(bv2 @ bv2)
+    v2x, v2y = -math.sin(phi), math.cos(phi)
+    bv2 = np.dot((v2x, v2y), rows)
+    sigma2 = math.sqrt(np.dot(bv2, bv2))
     shrink = 1.0 if sigma2 <= threshold else threshold / sigma2
-    # in the rows of B.T: no transposed copy, no np.outer
-    shift = np.multiply.outer((shrink * v2[0], shrink * v2[1]), bv2)
-    return np.subtract(B.T, shift, out=None if out is None else out.T).T
+    keep = ((1.0 - shrink * v2x * v2x, -shrink * v2x * v2y), (-shrink * v2y * v2x, 1.0 - shrink * v2y * v2y))
+    return np.matmul(keep, rows, out=None if out is None else out.T).T
 
 
 def rank1_excess(B: np.ndarray) -> float:
@@ -275,10 +275,9 @@ def rank1_excess(B: np.ndarray) -> float:
 
 
 def axis_mean_replicate(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Project an interleaved vector onto translation structure (per-axis means)."""
-    pts = v.reshape(-1, 2)
+    """Project an interleaved vector onto translation structure (per-axis means, one complex sum)."""
     out = np.empty_like(v) if out is None else out
-    out.reshape(-1, 2)[...] = pts.sum(axis=0) / len(pts)
+    out.view(np.complex128).fill(np.add.reduce(np.ascontiguousarray(v).view(np.complex128)) / (v.size // 2))
     return out
 
 
@@ -292,51 +291,55 @@ def init_state(P: StackedCoords, Rd: StackedCoords, cfg: SolverConfig) -> Solver
     inputs = np.stack([p, r])
     state = SolverState(inputs=inputs, vector=np.zeros(6 * p.size + 6),
                         duals=np.zeros((2, 2, p.size)), mu=cfg.mu0)
-    state.CD = state.A_rows = inputs
+    state.blocks[:2] = inputs
     return state
 
 
-def update_coupling(state: SolverState, cfg: SolverConfig) -> SolverState:
-    """A-step: threshold the rank-1 excess of [C D] + U3 at lam/mu."""
-    rank1_excess_prox((state.blocks[0] + state.duals[1]).T, cfg.lam / state.mu, out=state.A)
-    return state
+def update_coupling(state: SolverState, cfg: SolverConfig) -> None:
+    """A-step: threshold the rank-1 excess of [C D] + U3 at lam/mu, in A's rows."""
+    cd, a_rows, _, _, u3 = state.pairs
+    rank1_excess_prox(np.add(cd, u3, out=a_rows).T, cfg.lam / state.mu, out=a_rows.T)
 
 
-def update_rectified_blocks(state: SolverState) -> SolverState:
+def update_rectified_blocks(state: SolverState) -> None:
     """C/D-step: each block is the average of its two quadratic anchors.
 
     The transform increments take no part: inside the solve loop they were
     folded at the end of the previous sweep, so they are zero here.
     """
-    cd, a_rows, e = state.blocks
-    u, u3 = state.duals
-    np.multiply(0.5, state.W + e + u + a_rows - u3, out=cd)
-    return state
+    cd, a_rows, e, u, u3 = state.pairs
+    np.add(state.W, e, out=cd)
+    cd += u
+    cd += a_rows
+    cd -= u3
+    cd *= 0.5
 
 
 def update_error_blocks(state: SolverState) -> np.ndarray:
     """E-step: shrink the collected-side residual, average the candidate-side one.
 
-    E1 gets the elementwise soft threshold at 1/mu; E2 is the projection of
-    its residual onto translation structure (every x entry the mean of the
-    x residuals, likewise for y).  Returns what the new E leaves of the
-    residual, [C D] - W - E - U, which the increment step fits.
+    E1 is the residual minus its clip to [-t, t], t = 1/mu (soft threshold);
+    E2 projects its residual onto translation structure (every x entry the
+    mean of the x residuals, likewise for y).  Returns what the new E leaves
+    of the residual, [C D] - W - E - U, which the increment step fits.
     """
-    cd, _, e = state.blocks
-    residual = cd - state.W
-    residual -= state.duals[0]
-    soft_threshold(residual[0], 1.0 / state.mu, out=e[0])
+    cd, _, e, u, _ = state.pairs
+    residual = np.subtract(cd, state.W, out=state.residual)
+    residual -= u
+    t, r1 = 1.0 / state.mu, residual[0]
+    e1 = np.minimum(np.maximum(r1, -t, out=e[0]), t, out=e[0])
+    np.subtract(r1, e1, out=e1)
     axis_mean_replicate(residual[1], out=e[1])
     residual -= e
     return residual
 
 
-def update_transform_increments(state: SolverState, residual: np.ndarray) -> np.ndarray:
+def update_transform_increments(state: SolverState, residual: np.ndarray) -> list[tuple[float, float, float]]:
     """Increment-step: least-squares fit of each linearized warp to its residual.
 
     ``residual`` is [C D] - W - E - U, as :func:`update_error_blocks`
-    returns it.  Returns the (2, 3) increment block, one (d_theta, d_sx,
-    d_sy) row per side in the layout of ``state.transforms``.
+    returns it.  Returns the two increments as Python floats, one (d_theta,
+    d_sx, d_sy) row per side in the layout of ``state.transforms``.
 
     Taking each point (x, y) as the complex number x + iy, the Jacobian's
     rotation column at warped point w_i is i (w_i - s) for translation s, so
@@ -374,18 +377,16 @@ def update_transform_increments(state: SolverState, residual: np.ndarray) -> np.
         if not all(map(math.isfinite, (d_theta, d_s.real, d_s.imag))):
             raise NumericalFailureError()
         increments.append((d_theta, d_s.real, d_s.imag))
-    return np.array(increments)
+    return increments
 
 
-def _constraint_residuals(state: SolverState) -> np.ndarray:
-    """[W1 + E1 - C; W2 + E2 - D] and [C D] - A, stacked as (2, 2, 2M) rows."""
-    cd, a_rows, e = state.blocks
-    res = np.empty_like(state.duals)
-    h, g = res
-    np.add(state.W, e, out=h)
+def _constraint_residuals(state: SolverState, out: np.ndarray) -> np.ndarray:
+    """[W1 + E1 - C; W2 + E2 - D] and [C D] - A, stacked as (2, 2, 2M) rows, into out."""
+    cd, a_rows, e, _, _ = state.pairs
+    h = np.add(state.W, e, out=out[0])
     h -= cd
-    np.subtract(cd, a_rows, out=g)
-    return res
+    np.subtract(cd, a_rows, out=out[1])
+    return out
 
 
 def update_multipliers(state: SolverState, cfg: SolverConfig) -> tuple[float, float]:
@@ -396,8 +397,8 @@ def update_multipliers(state: SolverState, cfg: SolverConfig) -> tuple[float, fl
     |[C D] - A| and the largest of the three constraint residuals, both
     measured before the ascent.
     """
-    res = _constraint_residuals(state)
-    (h1, h2), (g1, g2) = (res * res).sum(axis=2).tolist()
+    res = _constraint_residuals(state, state.constraints)
+    h1, h2, g1, g2 = np.matmul(res.reshape(4, 1, -1), res.reshape(4, -1, 1)).reshape(4).tolist()
     coupling = math.sqrt(g1 + g2)
     primal = max(math.sqrt(h1), math.sqrt(h2), coupling)
     state.duals += res
@@ -407,8 +408,8 @@ def update_multipliers(state: SolverState, cfg: SolverConfig) -> tuple[float, fl
 
 
 def lagrangian(state: SolverState, cfg: SolverConfig) -> float:
-    """Augmented Lagrangian at the current state and linearization."""
-    res = _constraint_residuals(state)
+    """Augmented Lagrangian at the current state and linearization; writes no buffer."""
+    res = _constraint_residuals(state, np.empty_like(state.duals))
     return float(
         np.abs(state.E1).sum()
         + cfg.lam * rank1_excess(state.A)
@@ -421,7 +422,7 @@ def alignment_loss(state: SolverState) -> float:
     scale = THETA_NORM_SCALE_M
     theta, s_x, s_y = state.transforms[0].tolist()
     return float(
-        np.abs(state.E).sum()
+        np.abs(state.blocks[2]).sum()
         + math.sqrt(theta**2 + (s_x / scale) ** 2 + (s_y / scale) ** 2)
     )
 
@@ -452,7 +453,8 @@ def sweep(state: SolverState, cfg: SolverConfig, trace: IterationTrace | None = 
         moved = copy.copy(state)
         moved.W = state.W + np.stack([state.J1 @ increments[0], state.J2 @ increments[1]])
         trace.lagrangians.append((l_start, l_a, l_cd, l_e, lagrangian(moved, cfg)))
-    state.set_transforms(fold_increments(state.transforms, increments))
+    fold_increments(state.transforms, increments, out=state.transforms)
+    warp_values(state.transforms, state.inputs, out=state.W)
     coupling, primal = update_multipliers(state, cfg)
     if trace is not None:
         trace.coupling_residuals.append(coupling)
@@ -484,20 +486,20 @@ def admm_solve(
         trace = IterationTrace() if collect_trace else None
 
         converged = False
-        vec = state.vector
-        prev_vec = vec.copy()
-        prev_norm = math.sqrt(vec @ vec)
+        vec, prev_vec = state.vector, state.prev_vector
+        prev_vec[...] = vec
+        prev_norm = math.sqrt(np.dot(vec, vec))
         for iterations in range(1, cfg.max_iters + 1):
             try:
                 primal = sweep(state, cfg, trace)
             except NumericalFailureError:
                 raise NumericalFailureError(iterations) from None
-            norm2 = vec @ vec  # not finite once any entry (or the norm itself) is not
+            norm2 = np.dot(vec, vec)  # not finite once any entry (or the norm itself) is not
             if not math.isfinite(norm2):
                 raise NumericalFailureError(iterations)
-            step = vec - prev_vec
-            rel_change = math.sqrt(step @ step) / max(1.0, prev_norm)
-            prev_vec, prev_norm = vec.copy(), math.sqrt(norm2)
+            step = np.subtract(vec, prev_vec, out=prev_vec)
+            rel_change = math.sqrt(np.dot(step, step)) / max(1.0, prev_norm)
+            prev_vec[...], prev_norm = vec, math.sqrt(norm2)
             if primal < cfg.tol_primal or rel_change < cfg.tol_change:
                 converged = True
                 break

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import spotalign.bench
 from spotalign.cli import _build_parser, run_cli
 from spotalign.dataio import Dataset, RunConfig, save_dataset
 from spotalign.geo import unproject_points
@@ -61,6 +62,18 @@ class TestRectifyEvaluate:
         for row in rows:
             assert float(row["acd"]) == 0.0
             assert float(row["ar"]) == 1.0
+
+    def test_evaluate_projects_each_segment_once(self, small_dataset, tmp_path, monkeypatch):
+        # "all" and the segment's shape class share one projection of each side
+        projected = []
+        original = spotalign.bench.project_points
+        monkeypatch.setattr(spotalign.bench, "project_points",
+                            lambda frame, pts: projected.append(frame) or original(frame, pts))
+        truth = str(small_dataset / "truth.csv")
+        assert run_cli(["evaluate", "--segments", str(small_dataset / "segments.csv"),
+                        "--collected", truth, "--truth", truth, "--out-dir", str(tmp_path)]) == 0
+        segment_ids = {row["segment_id"] for row in read_csv(small_dataset / "truth.csv")}
+        assert segment_ids and len(projected) == 2 * len(segment_ids)
 
     def test_rectify_then_evaluate(self, small_dataset, tmp_path):
         assert run_cli([

@@ -62,6 +62,9 @@ class TestWarp:
         pts = [random_points(rng, 7) for _ in range(2)]
         both = warp_values(params(*ts), np.stack([p.values for p in pts]))
         assert both.shape == (2, 14)
+        in_place = np.empty_like(both)
+        warp_values(params(*ts), np.stack([p.values for p in pts]), out=in_place)
+        assert np.array_equal(in_place, both)
         for row, t, p in zip(both, ts, pts):
             assert np.allclose(row, warp(t, p).values, rtol=0.0, atol=1e-12)
 
@@ -83,6 +86,9 @@ class TestCompose:
             base = random_transform(rng)
             inc = rng.uniform(-0.5, 0.5, size=3)
             (fused_row,) = fold_increments(params(base), inc[None])
+            in_place = params(base)
+            fold_increments(in_place, inc[None].tolist(), out=in_place)
+            assert np.array_equal(in_place[0], fused_row)
             fused = warp_values(fused_row, pts.values)
             two_step = warp(RigidTransform2D(*inc), warp(base, pts)).values
             assert np.max(np.abs(fused - two_step)) < 1e-12 * max(1.0, np.abs(two_step).max())

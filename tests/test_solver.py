@@ -10,6 +10,7 @@ import spotalign.solver
 from spotalign.rigid import RigidTransform2D, StackedCoords
 from spotalign.solver import (
     DegenerateGeometryError,
+    IterationTrace,
     NumericalFailureError,
     SolverConfig,
     SolverResult,
@@ -58,7 +59,7 @@ def random_state(rng, m=8, mu=0.7):
 
 def increment_residual(state):
     """The residual [C D] - W - E - U that the increment step fits."""
-    return state.CD - state.W - state.E - state.U
+    return state.blocks[0] - state.W - state.blocks[2] - state.duals[0]
 
 
 class TestSvtProx:
@@ -409,6 +410,48 @@ class TestAdmmSolve:
             assert np.array_equal(getattr(traced.state, name), getattr(plain.state, name)), name
         assert (traced.state.theta1, traced.state.theta2, traced.state.mu) == (
             plain.state.theta1, plain.state.theta2, plain.state.mu)
+
+    def test_states_own_their_buffers(self):
+        # two states advanced in alternation end bitwise where each ends alone
+        cfg = SolverConfig()
+
+        def fresh(seed, m):
+            r = np.random.default_rng(seed)
+            return init_state(StackedCoords.from_points(r.uniform(-40, 40, (m, 2))),
+                              StackedCoords.from_points(r.uniform(-40, 40, (m, 2))), cfg)
+
+        pair = [fresh(1, 10), fresh(2, 14)]
+        for _ in range(30):
+            for state in pair:
+                sweep(state, cfg)
+        for state, (seed, m) in zip(pair, [(1, 10), (2, 14)]):
+            alone = fresh(seed, m)
+            for _ in range(30):
+                sweep(alone, cfg)
+            assert alone.mu == state.mu
+            for name in ("vector", "duals", "W", "residual", "constraints"):
+                assert getattr(alone, name).tobytes() == getattr(state, name).tobytes(), name
+
+    def test_trace_copy_writes_no_buffer_of_the_state(self, rng, monkeypatch):
+        cfg = SolverConfig()
+        state = init_state(StackedCoords.from_points(rng.uniform(-40, 40, (10, 2))),
+                           StackedCoords.from_points(rng.uniform(-40, 40, (10, 2))), cfg)
+        sweep(state, cfg)
+        buffers = {name: v for name, v in vars(state).items() if isinstance(v, np.ndarray)}
+        original, copies = spotalign.solver.lagrangian, []
+
+        def checked(s, c):
+            if s is state:
+                return original(s, c)
+            before = {name: v.tobytes() for name, v in buffers.items()}
+            value = original(s, c)
+            assert {name: v.tobytes() for name, v in buffers.items()} == before
+            copies.append(s)
+            return value
+
+        monkeypatch.setattr(spotalign.solver, "lagrangian", checked)
+        sweep(state, cfg, IterationTrace())
+        assert len(copies) == 1 and copies[0].W is not state.W
 
     def test_untraced_solve_builds_no_jacobian(self, rng, monkeypatch):
         # the closed-form increment step needs none; only trace mode does
