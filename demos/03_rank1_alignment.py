@@ -7,7 +7,7 @@ transforms is re-linearized every sweep.
 """
 import numpy as np
 
-from spotalign import SolverConfig, StackedCoords, admm_solve
+from spotalign import SolverConfig, admm_solve
 
 spots = np.stack([(np.arange(30) - 14.5) * 6.0, np.zeros(30)], axis=1)
 cfg = SolverConfig()
@@ -15,20 +15,18 @@ cfg = SolverConfig()
 
 def report(tag, result):
     state = result.state
-    t = state.theta1
+    theta, s_x, s_y = state.transforms[0]
     print(f"{tag:22s} iters={result.iterations:3d} loss={result.loss:10.4f} "
           f"|E1|_1={np.abs(state.E1).sum():8.3f} "
-          f"theta1=({np.degrees(t.theta):+6.3f} deg, {t.s_x:+7.3f} m, {t.s_y:+7.3f} m)")
+          f"theta1=({np.degrees(theta):+6.3f} deg, {s_x:+7.3f} m, {s_y:+7.3f} m)")
 
 
 # 1. already aligned: the solver certifies a fixed point with zero loss
-clean = StackedCoords.from_points(spots)
-report("clean", admm_solve(clean, clean, cfg))
+report("clean", admm_solve(spots, spots, cfg))
 
 # 2. constant offset: recovered split between the transform and the
 #    candidate-side offset block; the net correction lands back on the spots
-offset = StackedCoords.from_points(spots + np.array([4.0, -2.0]))
-res = admm_solve(offset, clean, cfg)
+res = admm_solve(spots + np.array([4.0, -2.0]), spots, cfg)
 report("offset (4, -2) m", res)
 err = np.hypot(*(res.aligned_collected().reshape(-1, 2) - spots).T)
 print(f"{'':22s} net-corrected max deviation from target: {err.max():.2e} m")
@@ -37,7 +35,7 @@ print(f"{'':22s} net-corrected max deviation from target: {err.max():.2e} m")
 noisy = spots.copy()
 for i in (4, 13, 22):
     noisy[i] += np.array([14.1, -14.1])
-res = admm_solve(StackedCoords.from_points(noisy), clean, cfg)
+res = admm_solve(noisy, spots, cfg)
 report("3 outliers at 20 m", res)
 e1 = res.state.E1.reshape(-1, 2)
 support = np.nonzero(np.abs(e1).max(axis=1) > 1.0)[0]

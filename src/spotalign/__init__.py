@@ -1,7 +1,7 @@
 """spotalign: rectify and align roadside parking-spot GPS points."""
 
 from .geo import GeoPoint, LocalFrame, LocalPoint, make_frame, to_geo, to_local
-from .rigid import RigidTransform2D, StackedCoords, jacobian, warp
+from .rigid import jacobian_values, warp_values
 from .roads import CandidateSet, EmptyCandidateError, RoadSegment, SpotType, sample_candidates, segment_arclength
 from .solver import (
     DegenerateGeometryError,
@@ -34,7 +34,7 @@ from .dataio import Dataset, DatasetError, RunConfig, load_dataset, save_dataset
 
 __all__ = [
     "GeoPoint", "LocalFrame", "LocalPoint", "make_frame", "to_geo", "to_local",
-    "RigidTransform2D", "StackedCoords", "jacobian", "warp",
+    "jacobian_values", "warp_values",
     "CandidateSet", "EmptyCandidateError", "RoadSegment", "SpotType",
     "sample_candidates", "segment_arclength",
     "DegenerateGeometryError", "NumericalFailureError",

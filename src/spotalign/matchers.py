@@ -159,8 +159,9 @@ def wd_match(collected, candidates) -> tuple[Assignment, float]:
 
     Mass 1/M per collected point against 1/K per candidate; the reported
     mapping sends each collected point to the candidate receiving its largest
-    mass share (ties: lower index).  Returns the assignment and the transport
-    cost.
+    mass share.  Exact ties are settled by float noise in the LP solver's
+    plan, often toward the higher index.  Returns the assignment and the
+    transport cost.
     """
     return _transport(_distances(collected, candidates, "wd_match"))
 

@@ -12,7 +12,6 @@ import numpy as np
 
 from .geo import GeoPoint, LocalFrame, make_frame, project_points, unproject_points
 from .matchers import BASELINE_METHODS, baseline_rectify
-from .rigid import StackedCoords
 # InsufficientCandidatesError: re-exported for the package and the CLI
 from .roads import CURVE, STRAIGHT, InsufficientCandidatesError, RoadSegment, SpotType, sample_candidates
 from .solver import SolverConfig, admm_solve
@@ -192,12 +191,7 @@ def raa_rectify(
     for i in range(n_windows):
         window = cand_xy[i:i + m]
         center = window.mean(axis=0)
-        result = admm_solve(
-            StackedCoords.from_points(pts - center),
-            StackedCoords.from_points(window - center),
-            cfg,
-        )
-        losses[i] = result.loss
+        losses[i] = admm_solve(pts - center, window - center, cfg).loss
     best = int(np.argmin(losses))
     snapped = unproject_points(frame, cand_xy[best:best + m])
     return RectifiedSet(

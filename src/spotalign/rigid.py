@@ -1,15 +1,17 @@
-"""2D rigid transform algebra: warp, increment folding, and the warp Jacobian.
+"""2D rigid transform algebra on arrays: warp, increment folding, and the warp Jacobian.
 
-Transforms are parameterized as (theta, s_x, s_y) instead of a 3x3 homogeneous
-matrix so that an increment stays a 3-vector and the solver's least-squares
-step is a 3-unknown solve; the solver keeps them as rows of an (n, 3) array.
-Point sets travel as interleaved stacked vectors (x1, y1, x2, y2, ...).
+A transform is a (theta, s_x, s_y) row: rotation by theta (radians) followed
+by translation (s_x, s_y) meters, x' = x cos(theta) - y sin(theta) + s_x and
+y' = x sin(theta) + y cos(theta) + s_y.  Rows instead of a 3x3 homogeneous
+matrix keep an increment a 3-vector, so the solver's least-squares step is a
+3-unknown solve; the solver keeps its transforms as rows of an (n, 3) array.
+Point sets travel as interleaved vectors (x1, y1, x2, y2, ...), the C-order
+flattening of an (M, 2) array of points.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,55 +23,6 @@ def _normalize_angle(theta: float) -> float:
     if t <= -math.pi:
         t += TWO_PI
     return t
-
-
-@dataclass(frozen=True)
-class RigidTransform2D:
-    """Rotation by ``theta`` (radians) followed by translation (s_x, s_y) meters."""
-
-    theta: float
-    s_x: float
-    s_y: float
-
-    def __post_init__(self) -> None:
-        if not all(map(math.isfinite, (self.theta, self.s_x, self.s_y))):
-            raise ValueError("transform parameters must be finite")
-        object.__setattr__(self, "theta", _normalize_angle(self.theta))
-
-    @classmethod
-    def identity(cls) -> "RigidTransform2D":
-        return cls(0.0, 0.0, 0.0)
-
-
-@dataclass(frozen=True)
-class StackedCoords:
-    """Column vector of interleaved point coordinates (x1, y1, x2, y2, ...)."""
-
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 1 or v.size % 2 != 0:
-            raise ValueError("stacked coordinates must be a flat vector of even length")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("stacked coordinates must be finite")
-        object.__setattr__(self, "values", v)
-
-    @property
-    def m(self) -> int:
-        return self.values.size // 2
-
-    @classmethod
-    def from_points(cls, xy: np.ndarray) -> "StackedCoords":
-        """Stack an (M, 2) array of points."""
-        xy = np.asarray(xy, dtype=float)
-        if xy.ndim != 2 or xy.shape[1] != 2:
-            raise ValueError("expected an (M, 2) array")
-        return cls(xy.reshape(-1).copy())
-
-    def as_points(self) -> np.ndarray:
-        """View the vector as an (M, 2) array."""
-        return self.values.reshape(-1, 2)
 
 
 def warp_values(transforms, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -86,11 +39,6 @@ def warp_values(transforms, values: np.ndarray, out: np.ndarray | None = None) -
     w = np.multiply(turn, z, out=None if out is None else out.view(np.complex128))
     w += shift
     return w.view(float)
-
-
-def warp(t: RigidTransform2D, pts: StackedCoords) -> StackedCoords:
-    """x' = x cos(theta) - y sin(theta) + s_x;  y' = x sin(theta) + y cos(theta) + s_y."""
-    return StackedCoords(warp_values((t.theta, t.s_x, t.s_y), pts.values))
 
 
 def fold_increments(transforms: np.ndarray, increments, out: np.ndarray | None = None) -> np.ndarray:
@@ -123,7 +71,3 @@ def jacobian_values(theta: float, values: np.ndarray) -> np.ndarray:
     jac[1::2, 2] = 1.0
     return jac
 
-
-def jacobian(t: RigidTransform2D, pts: StackedCoords) -> np.ndarray:
-    """Jacobian of warp(t, pts) w.r.t. the transform parameters, rows interleaved."""
-    return jacobian_values(t.theta, pts.values)

@@ -1,7 +1,7 @@
 """ADMM solver for the linearized rank-1 alignment of two stacked point sets.
 
-The collected points P and a candidate window Rd (both interleaved 2M-vectors
-of local-frame meters) are jointly rectified:
+The collected points P and a candidate window Rd (both (M, 2) arrays of
+local-frame meters, held as interleaved 2M-vectors) are jointly rectified:
 
     minimize  |E1|_1 + lam * excess(A)
     s.t.      warp(theta1, P)  + E1 = C
@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .rigid import RigidTransform2D, StackedCoords, fold_increments, jacobian_values, warp_values
+from .rigid import fold_increments, jacobian_values, warp_values
 
 log = logging.getLogger(__name__)
 
@@ -97,7 +97,8 @@ class SolverConfig:
                 raise ValueError(f"{name} must be positive and finite")
         if not 1 < self.rho < math.inf:
             raise ValueError("rho must be finite and exceed 1")
-        if not isinstance(self.max_iters, numbers.Integral) or self.max_iters < 1:
+        if (isinstance(self.max_iters, bool) or not isinstance(self.max_iters, numbers.Integral)
+                or self.max_iters < 1):
             raise ValueError("max_iters must be an integer of at least 1")
 
 
@@ -124,19 +125,19 @@ class SolverState:
     ``inputs`` [P; Rd] and the warped inputs ``W`` [W1; W2] are (2, 2M) row
     pairs.  ``vector``, the iterate, is one flat buffer: ``blocks``, the
     (3, 2, 2M) stack [C; D], A transposed into rows, [E1; E2], then
-    ``transforms``, the (theta, s_x, s_y) rows of theta1 (moving P) and
-    theta2 (moving Rd), theta in (-pi, pi].  ``duals`` holds the multipliers
-    scaled by the penalty ``mu``, U = Y / mu: rows [U1; U2] and U3 transposed.
-    Each block is also a view under its own name (``C``, ``E2``, ``U1``,
-    ``W2``, ...; ``A`` and ``U3`` are (2M, 2)); assigning to one writes into
-    its buffer.  ``pairs`` holds [C D], A, E, U, U3 as views made once.
-    ``theta1``/``theta2`` read a transform row as a :class:`RigidTransform2D`;
-    :meth:`set_transforms` keeps W in step.  ``moments`` and ``levers`` are
-    the increment step's terms that the inputs fix (see
-    :func:`update_transform_increments`).  ``W``, the E-step ``residual``,
-    the (2, 2, 2M) ``constraints`` and the convergence test's ``prev_vector``
-    are made once per solve and written in place by every sweep; a
-    ``copy.copy`` shares every buffer, so trace mode only reads its copy.
+    ``transforms``, the (theta, s_x, s_y) rows of theta1 (``transforms[0]``,
+    moving P) and theta2 (``transforms[1]``, moving Rd), theta in (-pi, pi].
+    ``duals`` holds the multipliers scaled by the penalty ``mu``, U = Y / mu:
+    rows [U1; U2] and U3 transposed.  Each block is also a view under its own
+    name (``C``, ``E2``, ``U1``, ``W2``, ...; ``A`` and ``U3`` are (2M, 2));
+    assigning to one writes into its buffer.  ``pairs`` holds [C D], A, E, U,
+    U3 as views made once.  :meth:`set_transforms` keeps W in step.
+    ``moments`` and ``levers`` are the increment step's terms that the inputs
+    fix (see :func:`update_transform_increments`).  ``W``, the E-step
+    ``residual``, the (2, 2, 2M) ``constraints`` and the convergence test's
+    ``prev_vector`` are made once per solve and written in place by every
+    sweep; a ``copy.copy`` shares every buffer, so trace mode only reads its
+    copy.
     """
 
     inputs: np.ndarray
@@ -186,8 +187,6 @@ class SolverState:
         self.transforms[...] = transforms
         warp_values(self.transforms, self.inputs, out=self.W)
 
-    theta1 = property(lambda self: RigidTransform2D(*self.transforms[0].tolist()))
-    theta2 = property(lambda self: RigidTransform2D(*self.transforms[1].tolist()))
     J1 = property(lambda self: jacobian_values(self.transforms[0, 0], self.P))
     J2 = property(lambda self: jacobian_values(self.transforms[1, 0], self.Rd))
 
@@ -231,7 +230,7 @@ def svt_prox(B: np.ndarray, threshold: float) -> np.ndarray:
     Proximal operator of threshold * nuclear norm at B; a threshold at or
     above the largest singular value yields the zero matrix.
     """
-    if threshold < 0:
+    if not threshold >= 0:  # NaN fails too
         raise ValueError("threshold must be non-negative")
     B = np.asarray(B, dtype=float)
     u, sig, vt = np.linalg.svd(B, full_matrices=False)
@@ -252,7 +251,7 @@ def rank1_excess_prox(B: np.ndarray, threshold: float, out: np.ndarray | None = 
     the square root of a Gram eigenvalue, which loses it to cancellation),
     and the result is B (I - k v2 v2^T), k = 1 - max(s2 - t, 0) / s2.
     """
-    if threshold < 0:
+    if not threshold >= 0:  # NaN fails too
         raise ValueError("threshold must be non-negative")
     B = np.asarray(B, dtype=float)
     if B.ndim != 2 or B.shape[1] != 2:
@@ -281,16 +280,25 @@ def axis_mean_replicate(v: np.ndarray, out: np.ndarray | None = None) -> np.ndar
     return out
 
 
-def init_state(P: StackedCoords, Rd: StackedCoords, cfg: SolverConfig) -> SolverState:
-    p = P.values
-    r = Rd.values
-    if p.size != r.size:
-        raise ValueError(f"P and Rd must stack the same point count ({p.size} vs {r.size})")
-    if p.size < 4:
+def init_state(P: np.ndarray, Rd: np.ndarray, cfg: SolverConfig) -> SolverState:
+    """The starting state for aligning the (M, 2) points P to the (M, 2) window Rd.
+
+    Raises ValueError unless P and Rd are finite (M, 2) arrays with the same
+    M of at least 2.
+    """
+    p, r = np.asarray(P, dtype=float), np.asarray(Rd, dtype=float)
+    for name, xy in (("P", p), ("Rd", r)):
+        if xy.ndim != 2 or xy.shape[1] != 2:
+            raise ValueError(f"{name} must be an (M, 2) array, got shape {xy.shape}")
+    if len(p) != len(r):
+        raise ValueError(f"P and Rd must hold the same point count ({len(p)} vs {len(r)})")
+    if len(p) < 2:
         raise ValueError("alignment needs at least 2 points per side")
-    inputs = np.stack([p, r])
-    state = SolverState(inputs=inputs, vector=np.zeros(6 * p.size + 6),
-                        duals=np.zeros((2, 2, p.size)), mu=cfg.mu0)
+    inputs = np.stack([p.reshape(-1), r.reshape(-1)])
+    if not np.isfinite(inputs).all():
+        raise ValueError("P and Rd must be finite")
+    n = inputs.shape[1]
+    state = SolverState(inputs=inputs, vector=np.zeros(6 * n + 6), duals=np.zeros((2, 2, n)), mu=cfg.mu0)
     state.blocks[:2] = inputs
     return state
 
@@ -462,19 +470,20 @@ def sweep(state: SolverState, cfg: SolverConfig, trace: IterationTrace | None = 
 
 
 def admm_solve(
-    P: StackedCoords,
-    Rd: StackedCoords,
+    P: np.ndarray,
+    Rd: np.ndarray,
     cfg: SolverConfig | None = None,
     *,
     collect_trace: bool = False,
 ) -> SolverResult:
-    """Run the full alternating solve of P against the candidate window Rd.
+    """Run the full alternating solve of the (M, 2) points P against the window Rd.
 
     Repeats :func:`sweep` until the largest constraint residual drops below
     ``tol_primal``, the relative state change drops below ``tol_change``, or
     ``max_iters`` sweeps have run.
 
-    Raises :class:`NumericalFailureError` if the state leaves the
+    Raises ValueError unless P and Rd are finite (M, 2) arrays with the same
+    M of at least 2, :class:`NumericalFailureError` if the state leaves the
     representable range, and :class:`DegenerateGeometryError` for coincident
     input points.
     """

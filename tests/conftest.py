@@ -60,17 +60,14 @@ def rng():
     return np.random.default_rng(12345)
 
 
-def fd_warp_jacobian(t, pts, h: float = 1e-6) -> np.ndarray:
-    """Central finite differences of the warp w.r.t. (theta, s_x, s_y)."""
-    from spotalign.rigid import RigidTransform2D, warp
+def fd_warp_jacobian(t, values, h: float = 1e-6) -> np.ndarray:
+    """Central finite differences of warp_values(t, values) w.r.t. (theta, s_x, s_y)."""
+    from spotalign.rigid import warp_values
 
     cols = []
     for i in range(3):
-        params = np.array([t.theta, t.s_x, t.s_y])
-        up, down = params.copy(), params.copy()
+        up, down = np.array(t, dtype=float), np.array(t, dtype=float)
         up[i] += h
         down[i] -= h
-        w_up = warp(RigidTransform2D(*up), pts).values
-        w_down = warp(RigidTransform2D(*down), pts).values
-        cols.append((w_up - w_down) / (2 * h))
+        cols.append((warp_values(up, values) - warp_values(down, values)) / (2 * h))
     return np.stack(cols, axis=1)

@@ -15,7 +15,6 @@ import numpy as np
 import spotalign.pipeline
 import spotalign.solver
 from spotalign import synth_corpus
-from spotalign.rigid import StackedCoords
 from spotalign.roads import sample_candidates
 from spotalign.solver import SolverConfig, admm_solve
 
@@ -58,7 +57,7 @@ def _counting(monkeypatch, module, attr) -> list:
 def test_untraced_solve_warps_once_per_sweep_and_once_at_setup(monkeypatch):
     rng = np.random.default_rng(3)
     calls = _counting(monkeypatch, spotalign.solver, "warp_values")
-    a, b = (StackedCoords.from_points(rng.uniform(-40, 40, (12, 2))) for _ in range(2))
+    a, b = (rng.uniform(-40, 40, (12, 2)) for _ in range(2))
     result = admm_solve(a, b, SolverConfig())
     assert result.iterations > 1
     assert len(calls) == result.iterations + 1

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spotalign.solver
-from spotalign.rigid import RigidTransform2D, StackedCoords
 from spotalign.solver import (
     DegenerateGeometryError,
     IterationTrace,
@@ -37,11 +36,7 @@ def collinear_spots(m=10, spacing=6.0):
 
 def random_state(rng, m=8, mu=0.7):
     cfg = SolverConfig(mu0=mu)
-    state = init_state(
-        StackedCoords.from_points(rng.uniform(-40, 40, (m, 2))),
-        StackedCoords.from_points(rng.uniform(-40, 40, (m, 2))),
-        cfg,
-    )
+    state = init_state(rng.uniform(-40, 40, (m, 2)), rng.uniform(-40, 40, (m, 2)), cfg)
     state.C = rng.uniform(-40, 40, 2 * m)
     state.D = rng.uniform(-40, 40, 2 * m)
     state.A = rng.uniform(-40, 40, (2 * m, 2))
@@ -103,8 +98,9 @@ class TestSvtProx:
         assert np.linalg.matrix_rank(shrunk, tol=1e-8) <= 1
 
     def test_negative_threshold_rejected(self):
-        with pytest.raises(ValueError):
-            svt_prox(np.eye(2), -0.1)
+        for threshold in (-0.1, math.nan):
+            with pytest.raises(ValueError, match="threshold"):
+                svt_prox(np.eye(2), threshold)
 
 
 class TestRank1ExcessProx:
@@ -151,6 +147,11 @@ class TestRank1ExcessProx:
             # a clear spectral gap fixes the singular vectors: same matrix
             reference = (u * [sig_in[0], max(sig_in[1] - t, 0.0)]) @ vt
             assert np.abs(out - reference).max() <= 1e-10 * sig_in[0]
+
+    def test_negative_threshold_rejected(self):
+        for threshold in (-0.1, math.nan):
+            with pytest.raises(ValueError, match="threshold"):
+                rank1_excess_prox(np.ones((6, 2)), threshold)
 
     @pytest.mark.parametrize("shape", [(6, 3), (6, 1), (6,)])
     def test_not_two_columns_rejected(self, shape):
@@ -272,7 +273,7 @@ class TestTransformIncrements:
 
     def test_coincident_points_degenerate(self):
         cfg = SolverConfig()
-        pts = StackedCoords.from_points(np.zeros((5, 2)))
+        pts = np.zeros((5, 2))
         state = init_state(pts, pts, cfg)
         with pytest.raises(DegenerateGeometryError):
             update_transform_increments(state, increment_residual(state))
@@ -302,44 +303,36 @@ class TestMultipliers:
         # feasible but not instantly convergent: a small offset instance
         gt = collinear_spots(10)
         cfg = SolverConfig(mu0=0.05, max_iters=20, tol_primal=1e-15, tol_change=1e-15)
-        res = admm_solve(
-            StackedCoords.from_points(gt + [1.0, -2.0]),
-            StackedCoords.from_points(gt),
-            cfg,
-        )
+        res = admm_solve(gt + [1.0, -2.0], gt, cfg)
         assert res.iterations == 20
         assert res.state.mu == pytest.approx(0.05 * 1.3**20, rel=1e-12)
 
 
 class TestAdmmSolve:
     def test_clean_fixed_point(self):
-        pts = StackedCoords.from_points(collinear_spots(10))
+        pts = collinear_spots(10)
         res = admm_solve(pts, pts, SolverConfig(tol_primal=1e-9, tol_change=1e-12))
         assert res.converged
         assert np.abs(res.state.E1).sum() < 1e-6
-        assert abs(res.state.theta1.theta) < 1e-6
-        assert math.hypot(res.state.theta1.s_x, res.state.theta1.s_y) < 1e-3
+        assert abs(res.state.transforms[0, 0]) < 1e-6
+        assert math.hypot(*res.state.transforms[0, 1:]) < 1e-3
         assert res.loss < 1e-3
 
     def test_constant_offset_recovery(self):
         gt = collinear_spots(30)
-        res = admm_solve(
-            StackedCoords.from_points(gt + np.array([4.0, -2.0])),
-            StackedCoords.from_points(gt),
-            SolverConfig(),
-        )
+        res = admm_solve(gt + np.array([4.0, -2.0]), gt, SolverConfig())
         aligned = res.aligned_collected().reshape(-1, 2)
         assert np.hypot(*(aligned - gt).T).max() < 1e-2
 
     def test_aligned_collected_inverse_round_trip(self, rng):
         # with theta1 == theta2 and E2 = 0 the net correction is the identity
         for _ in range(20):
-            pts = StackedCoords.from_points(rng.uniform(-100, 100, (6, 2)))
+            pts = rng.uniform(-100, 100, (6, 2))
             state = init_state(pts, pts, SolverConfig())
             t = [rng.uniform(-math.pi, math.pi), rng.uniform(-50, 50), rng.uniform(-50, 50)]
             state.set_transforms([t, t])
             back = SolverResult(state, loss=0.0, iterations=0, converged=False).aligned_collected()
-            assert np.max(np.abs(back - pts.values)) < 1e-9
+            assert np.max(np.abs(back - pts.reshape(-1))) < 1e-9
 
     def test_planted_outlier_support(self, rng):
         gt = collinear_spots(30)
@@ -347,7 +340,7 @@ class TestAdmmSolve:
         planted = [4, 13, 22]
         for i in planted:
             noisy[i] += np.array([14.1, -14.1])
-        res = admm_solve(StackedCoords.from_points(noisy), StackedCoords.from_points(gt), SolverConfig())
+        res = admm_solve(noisy, gt, SolverConfig())
         e1 = res.state.E1.reshape(-1, 2)
         support = np.nonzero(np.abs(e1).max(axis=1) > 1.0)[0].tolist()
         assert support == planted
@@ -355,8 +348,8 @@ class TestAdmmSolve:
     def test_block_descent(self, rng):
         for _ in range(10):
             res = admm_solve(
-                StackedCoords.from_points(rng.uniform(-40, 40, (10, 2))),
-                StackedCoords.from_points(rng.uniform(-40, 40, (10, 2))),
+                rng.uniform(-40, 40, (10, 2)),
+                rng.uniform(-40, 40, (10, 2)),
                 SolverConfig(),
                 collect_trace=True,
             )
@@ -369,21 +362,14 @@ class TestAdmmSolve:
     def test_feasibility_trend(self, rng):
         gt = collinear_spots(20)
         noisy = gt + rng.normal(0, 1.5, gt.shape)
-        res = admm_solve(
-            StackedCoords.from_points(noisy), StackedCoords.from_points(gt),
-            SolverConfig(), collect_trace=True,
-        )
+        res = admm_solve(noisy, gt, SolverConfig(), collect_trace=True)
         tail = res.trace.coupling_residuals[-10:]
         assert all(b <= a + 1e-12 for a, b in zip(tail, tail[1:]))
         assert tail[-1] < SolverConfig().tol_primal
 
     def test_e2_structure_every_iteration(self, rng):
         gt = collinear_spots(12)
-        state = init_state(
-            StackedCoords.from_points(gt + rng.normal(0, 2, gt.shape)),
-            StackedCoords.from_points(gt),
-            SolverConfig(),
-        )
+        state = init_state(gt + rng.normal(0, 2, gt.shape), gt, SolverConfig())
         cfg = SolverConfig()
         for _ in range(40):
             sweep(state, cfg)
@@ -399,8 +385,8 @@ class TestAdmmSolve:
         assert alignment_loss(state) == 0.0
 
     def test_trace_leaves_solve_unchanged(self, rng):
-        a = StackedCoords.from_points(rng.uniform(-40, 40, (10, 2)))
-        b = StackedCoords.from_points(rng.uniform(-40, 40, (10, 2)))
+        a = rng.uniform(-40, 40, (10, 2))
+        b = rng.uniform(-40, 40, (10, 2))
         plain = admm_solve(a, b, SolverConfig())
         traced = admm_solve(a, b, SolverConfig(), collect_trace=True)
         assert traced.loss == plain.loss  # bitwise
@@ -408,8 +394,8 @@ class TestAdmmSolve:
         assert len(traced.trace.lagrangians) == traced.iterations
         for name in ("C", "D", "A", "E1", "E2", "U1", "U2", "U3", "W1", "W2", "J1", "J2"):
             assert np.array_equal(getattr(traced.state, name), getattr(plain.state, name)), name
-        assert (traced.state.theta1, traced.state.theta2, traced.state.mu) == (
-            plain.state.theta1, plain.state.theta2, plain.state.mu)
+        assert np.array_equal(traced.state.transforms, plain.state.transforms)
+        assert traced.state.mu == plain.state.mu
 
     def test_states_own_their_buffers(self):
         # two states advanced in alternation end bitwise where each ends alone
@@ -417,8 +403,7 @@ class TestAdmmSolve:
 
         def fresh(seed, m):
             r = np.random.default_rng(seed)
-            return init_state(StackedCoords.from_points(r.uniform(-40, 40, (m, 2))),
-                              StackedCoords.from_points(r.uniform(-40, 40, (m, 2))), cfg)
+            return init_state(r.uniform(-40, 40, (m, 2)), r.uniform(-40, 40, (m, 2)), cfg)
 
         pair = [fresh(1, 10), fresh(2, 14)]
         for _ in range(30):
@@ -434,8 +419,7 @@ class TestAdmmSolve:
 
     def test_trace_copy_writes_no_buffer_of_the_state(self, rng, monkeypatch):
         cfg = SolverConfig()
-        state = init_state(StackedCoords.from_points(rng.uniform(-40, 40, (10, 2))),
-                           StackedCoords.from_points(rng.uniform(-40, 40, (10, 2))), cfg)
+        state = init_state(rng.uniform(-40, 40, (10, 2)), rng.uniform(-40, 40, (10, 2)), cfg)
         sweep(state, cfg)
         buffers = {name: v for name, v in vars(state).items() if isinstance(v, np.ndarray)}
         original, copies = spotalign.solver.lagrangian, []
@@ -459,18 +443,8 @@ class TestAdmmSolve:
             raise AssertionError("jacobian_values called")
 
         monkeypatch.setattr(spotalign.solver, "jacobian_values", forbidden)
-        a = StackedCoords.from_points(rng.uniform(-40, 40, (10, 2)))
-        b = StackedCoords.from_points(rng.uniform(-40, 40, (10, 2)))
-        assert admm_solve(a, b, SolverConfig()).iterations > 1
-
-    def test_untraced_solve_builds_no_transform_object(self, rng, monkeypatch):
-        # the transforms travel as one (2, 3) block through every sweep
-        def forbidden(self):
-            raise AssertionError("RigidTransform2D constructed")
-
-        monkeypatch.setattr(RigidTransform2D, "__post_init__", forbidden)
-        a = StackedCoords.from_points(rng.uniform(-40, 40, (10, 2)))
-        b = StackedCoords.from_points(rng.uniform(-40, 40, (10, 2)))
+        a = rng.uniform(-40, 40, (10, 2))
+        b = rng.uniform(-40, 40, (10, 2))
         assert admm_solve(a, b, SolverConfig()).iterations > 1
 
     def test_set_transforms_rejects_wrong_shape(self, rng):
@@ -479,39 +453,49 @@ class TestAdmmSolve:
             state.set_transforms(np.zeros(3))
 
     def test_deterministic(self, rng):
-        a = StackedCoords.from_points(rng.uniform(-40, 40, (10, 2)))
-        b = StackedCoords.from_points(rng.uniform(-40, 40, (10, 2)))
+        a = rng.uniform(-40, 40, (10, 2))
+        b = rng.uniform(-40, 40, (10, 2))
         r1 = admm_solve(a, b, SolverConfig())
         r2 = admm_solve(a, b, SolverConfig())
         assert r1.iterations == r2.iterations
         assert r1.loss == r2.loss  # bitwise
 
     def test_size_mismatch_rejected(self, rng):
-        with pytest.raises(ValueError):
-            admm_solve(
-                StackedCoords.from_points(rng.uniform(-1, 1, (4, 2))),
-                StackedCoords.from_points(rng.uniform(-1, 1, (5, 2))),
-                SolverConfig(),
-            )
+        with pytest.raises(ValueError, match="same point count"):
+            admm_solve(rng.uniform(-1, 1, (4, 2)), rng.uniform(-1, 1, (5, 2)), SolverConfig())
 
     def test_overflow_raises_numerical_failure(self, rng):
-        a = StackedCoords.from_points(rng.uniform(-1, 1, (6, 2)) * 1e160)
-        b = StackedCoords.from_points(rng.uniform(-1, 1, (6, 2)) * 1e160)
+        a = rng.uniform(-1, 1, (6, 2)) * 1e160
+        b = rng.uniform(-1, 1, (6, 2)) * 1e160
         with pytest.raises(NumericalFailureError):
             admm_solve(a, b, SolverConfig())
 
     def test_overflow_raises_no_warning(self, rng):
-        a = StackedCoords.from_points(rng.uniform(-1, 1, (6, 2)) * 1e160)
-        b = StackedCoords.from_points(rng.uniform(-1, 1, (6, 2)) * 1e160)
+        a = rng.uniform(-1, 1, (6, 2)) * 1e160
+        b = rng.uniform(-1, 1, (6, 2)) * 1e160
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericalFailureError):
                 admm_solve(a, b, SolverConfig())
 
     def test_single_point_rejected(self):
-        pts = StackedCoords.from_points([[1.0, 2.0]])
-        with pytest.raises(ValueError):
+        pts = np.array([[1.0, 2.0]])
+        with pytest.raises(ValueError, match="at least 2 points"):
             admm_solve(pts, pts, SolverConfig())
+
+    @pytest.mark.parametrize("side", [0, 1])
+    @pytest.mark.parametrize("bad, match", [
+        (np.ones((6, 3)), "shape"), (np.ones(12), "shape"), (np.ones((2, 6, 2)), "shape"),
+        (np.array([[0.0, 1.0], [np.nan, 2.0], [3.0, 4.0]]), "finite"),
+        (np.array([[0.0, 1.0], [2.0, np.inf], [3.0, 4.0]]), "finite"),
+        (np.array([[0.0, 1.0], [2.0, 3.0], [-np.inf, 4.0]]), "finite"),
+    ], ids=["3-columns", "flat", "3-d", "nan", "inf", "-inf"])
+    def test_malformed_points_rejected(self, bad, match, side):
+        good = np.arange(bad.size, dtype=float).reshape(-1, 2)
+        args = [good, good]
+        args[side] = bad
+        with pytest.raises(ValueError, match=match):
+            admm_solve(*args, SolverConfig())
 
 
 class TestSolverConfig:
@@ -532,7 +516,7 @@ class TestSolverConfig:
         with pytest.raises(ValueError, match=f"{name} must be"):
             SolverConfig(**{name: value})
 
-    @pytest.mark.parametrize("value", [2.5, 3.0, "3"])
+    @pytest.mark.parametrize("value", [2.5, 3.0, "3", True])
     def test_non_integer_max_iters_rejected(self, value):
         with pytest.raises(ValueError, match="max_iters must be an integer"):
             SolverConfig(max_iters=value)

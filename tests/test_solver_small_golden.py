@@ -28,7 +28,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spotalign.rigid import StackedCoords
 from spotalign.solver import DegenerateGeometryError, NumericalFailureError, SolverConfig, admm_solve
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "solver_small_golden.json"
@@ -65,8 +64,7 @@ CASES = [(f"m{m}-{kind}", case_points, (m, kind)) for m in SIZES for kind in KIN
 def solve(build, args) -> dict:
     pts, window = build(*args)
     try:
-        result = admm_solve(StackedCoords.from_points(pts), StackedCoords.from_points(window),
-                            SolverConfig())
+        result = admm_solve(pts, window, SolverConfig())
     except (DegenerateGeometryError, NumericalFailureError) as exc:
         return {"error": type(exc).__name__, "iteration": getattr(exc, "iteration", None)}
     return {"loss": result.loss.hex(), "iterations": result.iterations,
