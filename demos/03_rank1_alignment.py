@@ -17,7 +17,7 @@ def report(tag, result):
     state = result.state
     theta, s_x, s_y = state.transforms[0]
     print(f"{tag:22s} iters={result.iterations:3d} loss={result.loss:10.4f} "
-          f"|E1|_1={np.abs(state.E1).sum():8.3f} "
+          f"|E1|_1={np.abs(state.blocks[2, 0]).sum():8.3f} "
           f"theta1=({np.degrees(theta):+6.3f} deg, {s_x:+7.3f} m, {s_y:+7.3f} m)")
 
 
@@ -37,6 +37,6 @@ for i in (4, 13, 22):
     noisy[i] += np.array([14.1, -14.1])
 res = admm_solve(noisy, spots, cfg)
 report("3 outliers at 20 m", res)
-e1 = res.state.E1.reshape(-1, 2)
+e1 = res.state.blocks[2, 0].reshape(-1, 2)
 support = np.nonzero(np.abs(e1).max(axis=1) > 1.0)[0]
 print(f"{'':22s} outlier support found: {support.tolist()} (planted: [4, 13, 22])")

@@ -3,7 +3,7 @@
 Each command takes only the flags it reads (one table in :func:`_build_parser`)
 and writes fixed-name CSVs (and SVGs for ``plot``) under ``--out-dir``; each
 file starts with a metadata comment carrying the config hash, and all writes
-are atomic.  Set ``RAA_LOG=debug`` (or info/warning) for progress logging.
+are atomic.  ``RAA_LOG`` sets the log level: debug, info, warning, error or critical.
 """
 
 from __future__ import annotations
@@ -46,6 +46,8 @@ from .roads import EmptyCandidateError, sample_candidates
 from .solver import DegenerateGeometryError, NumericalFailureError
 
 log = logging.getLogger(__name__)
+
+LOG_LEVELS = {name: getattr(logging, name) for name in ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL")}
 
 SVG_WIDTH, SVG_HEIGHT, SVG_MARGIN = 800.0, 600.0, 40.0
 PLOT_STYLE = {
@@ -353,9 +355,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def run_cli(argv: list[str] | None = None) -> int:
     """Entry point; returns a process exit status."""
-    level = os.environ.get("RAA_LOG", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING),
-                        format="%(levelname)s %(name)s: %(message)s")
+    level = os.environ.get("RAA_LOG") or "WARNING"  # unset or empty: the default
+    if level.upper() not in LOG_LEVELS:
+        print(f"error: RAA_LOG must be debug, info, warning, error or critical, got {level!r}", file=sys.stderr)
+        return 2
+    logging.basicConfig(level=LOG_LEVELS[level.upper()], format="%(levelname)s %(name)s: %(message)s")
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -364,7 +368,7 @@ def run_cli(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (DatasetError, EmptyCandidateError, InsufficientCandidatesError,
-            DegenerateGeometryError, NumericalFailureError, ValueError) as exc:
+            DegenerateGeometryError, NumericalFailureError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

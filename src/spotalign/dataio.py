@@ -182,18 +182,29 @@ def _read_rows(path: Path, expected: list[str]) -> Iterator[tuple[int, tuple[str
     ignored; a row too short to hold an expected column is rejected.
     """
     path = Path(path)
-    if not path.exists():
-        raise DatasetError(f"missing file: {path}")
+    if not path.is_file():
+        raise DatasetError(f"{'not a file' if path.exists() else 'missing file'}: {path}")
     with path.open(newline="", encoding="utf-8") as fh:
         comments = 0
 
         def data_lines():
             nonlocal comments
-            for text in fh:
-                if text.startswith("#"):
-                    comments += 1
-                else:
-                    yield text
+            try:
+                for text in fh:
+                    if text.startswith("#"):
+                        comments += 1
+                    else:
+                        yield text
+            except UnicodeDecodeError:
+                # the reader decodes ahead of the lines it yields: find the bad byte in the raw file
+                raw = path.read_bytes()
+                try:
+                    raw.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    line = raw.count(b"\n", 0, exc.start) + 1
+                    raise DatasetError(f"{path} line {line}: not UTF-8 text "
+                                       f"(byte 0x{raw[exc.start]:02x}: {exc.reason})") from None
+                raise
 
         reader = csv.reader(data_lines())
         header = next(reader, None)

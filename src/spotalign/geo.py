@@ -111,12 +111,3 @@ def unproject_points(frame: LocalFrame, xy: np.ndarray) -> list[GeoPoint]:
     lon = frame.origin.lon + xy[:, 0] / frame.meters_per_deg_lon
     return [GeoPoint(a, b) for a, b in zip(lat.tolist(), lon.tolist())]
 
-
-def centroid(points: list[GeoPoint] | tuple[GeoPoint, ...]) -> GeoPoint:
-    """Vertex-average of a sequence of GeoPoints."""
-    if not points:
-        raise ValueError("cannot take the centroid of no points")
-    return GeoPoint(
-        lat=sum(p.lat for p in points) / len(points),
-        lon=sum(p.lon for p in points) / len(points),
-    )

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geo import GeoPoint, LocalFrame, centroid, make_frame, project_points
+from .geo import GeoPoint, LocalFrame, make_frame, project_points
 
 INTERSECTION_CLEARANCE_M = 50.0
 
@@ -94,8 +94,9 @@ class RoadSegment:
             raise ValueError(f"segment {self.id!r}: intersection indices {bad} out of range")
 
     def frame(self) -> LocalFrame:
-        """Local metric frame anchored at the polyline centroid."""
-        return make_frame(centroid(self.polyline))
+        """Local metric frame anchored at the polyline's vertex average."""
+        vertices, n = self.polyline, len(self.polyline)
+        return make_frame(GeoPoint(sum(p.lat for p in vertices) / n, sum(p.lon for p in vertices) / n))
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,25 +139,19 @@ def segment_arclength(segment: RoadSegment) -> float:
 
 
 def _admissible_intervals(total: float, exclusion_centers: list[float]) -> list[tuple[float, float]]:
-    """Sub-intervals of [0, total] at least 50 m in arclength from every center."""
-    intervals = [(0.0, total)]
+    """Sub-intervals of [0, total] at least 50 m in arclength from every center.
+
+    ``exclusion_centers`` is sorted; the clearance itself is allowed, so an
+    interval may be a single point.
+    """
+    intervals, start = [], 0.0
     for c in exclusion_centers:
-        lo, hi = c - INTERSECTION_CLEARANCE_M, c + INTERSECTION_CLEARANCE_M
-        rebuilt: list[tuple[float, float]] = []
-        for a, b in intervals:
-            # keep [a, min(b, lo)] and [max(a, hi), b]; the clearance itself is allowed
-            if lo >= a:
-                rebuilt.append((a, min(b, lo)))
-            if hi <= b:
-                rebuilt.append((max(a, hi), b))
-        intervals = [(a, b) for a, b in rebuilt if b >= a]
-    merged: list[tuple[float, float]] = []
-    for a, b in sorted(intervals):
-        if merged and a <= merged[-1][1]:
-            merged[-1] = (merged[-1][0], max(b, merged[-1][1]))
-        else:
-            merged.append((a, b))
-    return merged
+        if c - INTERSECTION_CLEARANCE_M >= start:
+            intervals.append((start, c - INTERSECTION_CLEARANCE_M))
+        start = max(start, c + INTERSECTION_CLEARANCE_M)
+    if total >= start:
+        intervals.append((start, total))
+    return intervals
 
 
 def sample_candidates(segment: RoadSegment) -> CandidateSet:

@@ -22,11 +22,18 @@ the inputs re-warped.
 repeats it until convergence, and its trace mode records the same sweep.
 Every block is a (2, 2M) row pair, row 0 the collected side and row 1 the
 candidate side, so a block update is one set of numpy calls for both.  The
-blocks and transforms share one flat buffer (see :class:`SolverState`); each
-block writes in place into buffers made once per solve, and what is scalar
-(the coupling step's 2x2 rotation, the transforms and their increments) stays
-in Python floats.  The coupling and increment steps are closed forms; the
-warp Jacobians J1, J2 are only computed for trace mode and tests.
+state API is the buffers of :class:`SolverState`; each symbol above is an
+index into one of them (U = Y / mu are the multipliers scaled by mu):
+
+    P, Rd     inputs[0], inputs[1]        U1, U2    duals[0, 0], duals[0, 1]
+    C, D      blocks[0, 0], blocks[0, 1]  U3        duals[1].T, (2M, 2)
+    A         blocks[1].T, (2M, 2)        W1, W2    W[0], W[1]: warped P, Rd
+    E1, E2    blocks[2, 0], blocks[2, 1]  theta1/2  transforms[0], transforms[1]
+
+Each block writes in place into buffers made once per solve, and what is
+scalar (the coupling step's 2x2 rotation, the transforms and their
+increments) stays in Python floats.  The coupling and increment steps are
+closed forms; the warp Jacobians are only computed for trace mode.
 
 The E2 regularizer is realized purely through its translation structure (the
 per-axis-mean projection is the exact block minimizer), so the augmented
@@ -102,71 +109,54 @@ class SolverConfig:
             raise ValueError("max_iters must be an integer of at least 1")
 
 
-def _view(buffer: str, index, transpose: bool = False) -> property:
-    """A named block of the state, read and written as a view into its buffer.
-
-    ``index`` picks the block out of the buffer; with ``transpose`` a (2, 2M)
-    row pair reads as the (2M, 2) matrix with one column per side (A, U3).
-    """
-    def get(state):
-        view = getattr(state, buffer)[index]
-        return view.T if transpose else view
-
-    def put(state, value) -> None:
-        get(state)[...] = value
-
-    return property(get, put)
-
-
-@dataclass
 class SolverState:
     """All ADMM blocks for one alignment problem, both sides stacked.
 
-    ``inputs`` [P; Rd] and the warped inputs ``W`` [W1; W2] are (2, 2M) row
-    pairs.  ``vector``, the iterate, is one flat buffer: ``blocks``, the
-    (3, 2, 2M) stack [C; D], A transposed into rows, [E1; E2], then
-    ``transforms``, the (theta, s_x, s_y) rows of theta1 (``transforms[0]``,
-    moving P) and theta2 (``transforms[1]``, moving Rd), theta in (-pi, pi].
-    ``duals`` holds the multipliers scaled by the penalty ``mu``, U = Y / mu:
-    rows [U1; U2] and U3 transposed.  Each block is also a view under its own
-    name (``C``, ``E2``, ``U1``, ``W2``, ...; ``A`` and ``U3`` are (2M, 2));
-    assigning to one writes into its buffer.  ``pairs`` holds [C D], A, E, U,
-    U3 as views made once.  :meth:`set_transforms` keeps W in step.
-    ``moments`` and ``levers`` are the increment step's terms that the inputs
-    fix (see :func:`update_transform_increments`).  ``W``, the E-step
-    ``residual``, the (2, 2, 2M) ``constraints`` and the convergence test's
-    ``prev_vector`` are made once per solve and written in place by every
-    sweep; a ``copy.copy`` shares every buffer, so trace mode only reads its
-    copy.
+    Built from the (M, 2) points P, the (M, 2) window Rd and the starting
+    penalty ``mu``; raises ValueError unless P and Rd are finite (M, 2)
+    arrays with the same M of at least 2.  The state is its buffers:
+
+        ==========  ===========  ==========================================
+        buffer      shape        holds
+        ==========  ===========  ==========================================
+        inputs      (2, 2M)      [P; Rd]
+        blocks      (3, 2, 2M)   [C; D], A transposed into rows, [E1; E2]
+        transforms  (2, 3)       theta1 (moves P), theta2 (moves Rd)
+        duals       (2, 2, 2M)   [U1; U2], U3 transposed into rows
+        W           (2, 2M)      [W1; W2], the inputs warped by transforms
+        ==========  ===========  ==========================================
+
+    ``blocks`` then ``transforms`` (rows (theta, s_x, s_y), theta in
+    (-pi, pi]) are views into ``vector``, the iterate; [C; D] and A start
+    as the inputs, the rest at zero.  ``pairs`` holds [C D], A, E, U, U3 as
+    views made once; :meth:`set_transforms` is the one writer that keeps W
+    in step.  ``moments`` and ``levers`` are the increment step's terms the
+    inputs fix.  W, the E-step ``residual`` and the (2, 2, 2M)
+    ``constraints`` are written in place by every sweep; a ``copy.copy``
+    shares every buffer, so trace mode only reads its copy.
     """
 
-    inputs: np.ndarray
-    vector: np.ndarray
-    duals: np.ndarray
-    mu: float
-    blocks: np.ndarray = field(init=False, repr=False)
-    transforms: np.ndarray = field(init=False, repr=False)
-    W: np.ndarray = field(init=False, repr=False)
-    moments: np.ndarray = field(init=False, repr=False)
-    levers: list[tuple[complex, float, float]] = field(init=False, repr=False)
-    residual: np.ndarray = field(init=False, repr=False)
-    constraints: np.ndarray = field(init=False, repr=False)
-    prev_vector: np.ndarray = field(init=False, repr=False)
-    pairs: tuple[np.ndarray, ...] = field(init=False, repr=False)
-
-    P, Rd = _view("inputs", 0), _view("inputs", 1)
-    C, D, E1, E2 = (_view("blocks", (i, j)) for i in (0, 2) for j in (0, 1))
-    A, U3 = _view("blocks", 1, transpose=True), _view("duals", 1, transpose=True)
-    U1, U2 = _view("duals", (0, 0)), _view("duals", (0, 1))
-    W1, W2 = _view("W", 0), _view("W", 1)
-
-    def __post_init__(self) -> None:
+    def __init__(self, P: np.ndarray, Rd: np.ndarray, mu: float) -> None:
+        p, r = np.asarray(P, dtype=float), np.asarray(Rd, dtype=float)
+        for name, xy in (("P", p), ("Rd", r)):
+            if xy.ndim != 2 or xy.shape[1] != 2:
+                raise ValueError(f"{name} must be an (M, 2) array, got shape {xy.shape}")
+        if len(p) != len(r):
+            raise ValueError(f"P and Rd must hold the same point count ({len(p)} vs {len(r)})")
+        if len(p) < 2:
+            raise ValueError("alignment needs at least 2 points per side")
+        self.inputs = np.stack([p.reshape(-1), r.reshape(-1)])
+        if not np.isfinite(self.inputs).all():
+            raise ValueError("P and Rd must be finite")
         n = self.inputs.shape[1]
+        self.mu = mu
+        self.vector = np.zeros(6 * n + 6)
         self.blocks = self.vector[:6 * n].reshape(3, 2, n)
         self.transforms = self.vector[6 * n:].reshape(2, 3)
+        self.blocks[:2] = self.inputs
+        self.duals = np.zeros((2, 2, n))
         self.W = warp_values(self.transforms, self.inputs)
         self.residual, self.constraints = np.empty_like(self.inputs), np.empty_like(self.duals)
-        self.prev_vector = np.empty_like(self.vector)
         self.pairs = (*self.blocks, *self.duals)
         # per side, moments @ r = (Re, Im) sum conj(z_i - z_mean) r_i, sum r_x, sum r_y
         z = self.inputs.view(np.complex128)
@@ -186,9 +176,6 @@ class SolverState:
             raise ValueError(f"expected (2, 3) transform rows, got shape {transforms.shape}")
         self.transforms[...] = transforms
         warp_values(self.transforms, self.inputs, out=self.W)
-
-    J1 = property(lambda self: jacobian_values(self.transforms[0, 0], self.P))
-    J2 = property(lambda self: jacobian_values(self.transforms[1, 0], self.Rd))
 
 
 @dataclass
@@ -220,7 +207,7 @@ class SolverResult:
         """
         s = self.state
         theta, s_x, s_y = s.transforms[1].tolist()
-        z = (s.W1 - s.E2).view(np.complex128)
+        z = (s.W[0] - s.blocks[2, 1]).view(np.complex128)
         return (np.exp(-1j * theta) * (z - complex(s_x, s_y))).view(float)
 
 
@@ -278,29 +265,6 @@ def axis_mean_replicate(v: np.ndarray, out: np.ndarray | None = None) -> np.ndar
     out = np.empty_like(v) if out is None else out
     out.view(np.complex128).fill(np.add.reduce(np.ascontiguousarray(v).view(np.complex128)) / (v.size // 2))
     return out
-
-
-def init_state(P: np.ndarray, Rd: np.ndarray, cfg: SolverConfig) -> SolverState:
-    """The starting state for aligning the (M, 2) points P to the (M, 2) window Rd.
-
-    Raises ValueError unless P and Rd are finite (M, 2) arrays with the same
-    M of at least 2.
-    """
-    p, r = np.asarray(P, dtype=float), np.asarray(Rd, dtype=float)
-    for name, xy in (("P", p), ("Rd", r)):
-        if xy.ndim != 2 or xy.shape[1] != 2:
-            raise ValueError(f"{name} must be an (M, 2) array, got shape {xy.shape}")
-    if len(p) != len(r):
-        raise ValueError(f"P and Rd must hold the same point count ({len(p)} vs {len(r)})")
-    if len(p) < 2:
-        raise ValueError("alignment needs at least 2 points per side")
-    inputs = np.stack([p.reshape(-1), r.reshape(-1)])
-    if not np.isfinite(inputs).all():
-        raise ValueError("P and Rd must be finite")
-    n = inputs.shape[1]
-    state = SolverState(inputs=inputs, vector=np.zeros(6 * n + 6), duals=np.zeros((2, 2, n)), mu=cfg.mu0)
-    state.blocks[:2] = inputs
-    return state
 
 
 def update_coupling(state: SolverState, cfg: SolverConfig) -> None:
@@ -419,8 +383,8 @@ def lagrangian(state: SolverState, cfg: SolverConfig) -> float:
     """Augmented Lagrangian at the current state and linearization; writes no buffer."""
     res = _constraint_residuals(state, np.empty_like(state.duals))
     return float(
-        np.abs(state.E1).sum()
-        + cfg.lam * rank1_excess(state.A)
+        np.abs(state.blocks[2, 0]).sum()
+        + cfg.lam * rank1_excess(state.blocks[1].T)
         + state.mu * (np.sum(state.duals * res) + 0.5 * np.sum(res * res))
     )
 
@@ -459,7 +423,8 @@ def sweep(state: SolverState, cfg: SolverConfig, trace: IterationTrace | None = 
         # the increment step's value before folding: the same state with each
         # warp moved along its Jacobian
         moved = copy.copy(state)
-        moved.W = state.W + np.stack([state.J1 @ increments[0], state.J2 @ increments[1]])
+        moved.W = state.W + np.stack([jacobian_values(state.transforms[k, 0], state.inputs[k]) @ increments[k]
+                                      for k in (0, 1)])
         trace.lagrangians.append((l_start, l_a, l_cd, l_e, lagrangian(moved, cfg)))
     fold_increments(state.transforms, increments, out=state.transforms)
     warp_values(state.transforms, state.inputs, out=state.W)
@@ -491,12 +456,11 @@ def admm_solve(
     # overflow shows as a non-finite state, which the checks below turn into
     # NumericalFailureError; numpy warnings would only add noise before it
     with np.errstate(over="ignore", invalid="ignore"):
-        state = init_state(P, Rd, cfg)
+        state = SolverState(P, Rd, cfg.mu0)
         trace = IterationTrace() if collect_trace else None
 
         converged = False
-        vec, prev_vec = state.vector, state.prev_vector
-        prev_vec[...] = vec
+        vec, prev_vec = state.vector, state.vector.copy()
         prev_norm = math.sqrt(np.dot(vec, vec))
         for iterations in range(1, cfg.max_iters + 1):
             try:

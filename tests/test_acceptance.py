@@ -104,7 +104,7 @@ def test_criterion_03_clean_data_fixed_point():
         t_instance = time.perf_counter()
         res = admm_solve(xy, xy, cfg)
         assert res.iterations <= 300
-        assert np.abs(res.state.E1).sum() < 1e-6
+        assert np.abs(res.state.blocks[2, 0]).sum() < 1e-6
         assert abs(res.state.transforms[0, 0]) < 1e-6
         assert math.hypot(*res.state.transforms[0, 1:]) < 1e-3
         assert res.loss < 1e-3

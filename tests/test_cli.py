@@ -98,6 +98,28 @@ class TestRectifyEvaluate:
         assert run_cli(["evaluate", "--out-dir", str(tmp_path)]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_directory_input_fails_cleanly(self, small_dataset, tmp_path, capsys):
+        assert run_cli(["rectify", "--segments", str(tmp_path), "--collected",
+                        str(small_dataset / "collected.csv"), "--out-dir", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: not a file: {tmp_path}\n"
+
+    def test_out_dir_below_a_file_fails_cleanly(self, tmp_path, capsys):
+        blocker = tmp_path / "segments.csv"
+        blocker.write_text("")
+        assert run_cli(["synth", "--n-straight", "1", "--n-curve", "0",
+                        "--out-dir", str(blocker / "x")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Not a directory" in err and "Traceback" not in err
+
+    def test_non_utf8_input_names_file_and_line(self, small_dataset, tmp_path, capsys):
+        collected = tmp_path / "collected.csv"
+        lines = (small_dataset / "collected.csv").read_bytes().splitlines(keepends=True)
+        lines[2] = lines[2].replace(b",", b"\xe9,", 1)  # a Latin-1 e-acute in a segment id
+        collected.write_bytes(b"".join(lines))
+        assert run_cli(["rectify", "--segments", str(small_dataset / "segments.csv"),
+                        "--collected", str(collected), "--out-dir", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {collected} line 3: not UTF-8 text (byte 0xe9")
+
     @pytest.mark.parametrize("flags", [["--collected"], ["--truth"], ["--collected", "--truth"]],
                              ids=" ".join)
     @pytest.mark.parametrize("command", ["sample", "rectify", "evaluate", "noise", "bench", "plot"])
@@ -216,6 +238,20 @@ class TestPlot:
             got = [(cx, cy) for cx, cy in circle_coords]
             want = [(r["svg_x"], r["svg_y"]) for r in rows]
             assert got == want
+
+
+class TestLogLevel:
+    @pytest.mark.parametrize("value", ["bogus", "basic_format", "warn"])
+    def test_unknown_level_rejected(self, tmp_path, capsys, monkeypatch, value):
+        monkeypatch.setenv("RAA_LOG", value)
+        assert run_cli(["synth", "--n-straight", "1", "--n-curve", "0", "--out-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: RAA_LOG ")
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("value", ["debug", "Info", "WARNING", "error", "critical", ""])
+    def test_standard_levels_accepted_in_any_case(self, tmp_path, monkeypatch, value):
+        monkeypatch.setenv("RAA_LOG", value)
+        assert run_cli(["synth", "--n-straight", "1", "--n-curve", "0", "--out-dir", str(tmp_path)]) == 0
 
 
 class TestDeterminism:

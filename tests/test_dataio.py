@@ -261,6 +261,20 @@ class TestSaveLoad:
         with pytest.raises(DatasetError, match="missing"):
             load_dataset(tmp_path / "nope.csv", tmp_path / "nope2.csv")
 
+    def test_directory_rejected(self, tmp_path):
+        with pytest.raises(DatasetError, match="not a file"):
+            load_segments(tmp_path)
+
+    @pytest.mark.parametrize("bad_line", [3, 2000])
+    def test_non_utf8_reports_line(self, tmp_path, bad_line):
+        # the line is exact even when it lies beyond the text reader's read-ahead
+        rows = [f"r1,{i},0.0,{i * 1e-5:.5f},0,parallel,straight\n".encode() for i in range(bad_line)]
+        rows[bad_line - 2] = rows[bad_line - 2].replace(b"r1", b"r\xe9", 1)
+        seg = tmp_path / "segments.csv"
+        seg.write_bytes(b"segment_id,point_index,lat,lon,is_intersection,spot_type,shape_class\n" + b"".join(rows))
+        with pytest.raises(DatasetError, match=rf"segments\.csv line {bad_line}: not UTF-8 text \(byte 0xe9"):
+            load_segments(seg)
+
     def test_comment_lines_skipped(self, tmp_path):
         ds = corpus_dataset(1, 0)
         paths = save_dataset(ds, tmp_path)

@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from spotalign.roads import EmptyCandidateError, SpotType, sample_candidates, segment_arclength
+from spotalign.roads import (
+    INTERSECTION_CLEARANCE_M,
+    EmptyCandidateError,
+    SpotType,
+    _admissible_intervals,
+    sample_candidates,
+    segment_arclength,
+)
 
 from conftest import polyline_segment, straight_segment
 
@@ -107,6 +116,26 @@ class TestSampleCandidates:
                 t = np.clip(np.dot([p[0], p[1]] - a, ab) / np.dot(ab, ab), 0.0, 1.0)
                 dists.append(np.hypot(*([p[0], p[1]] - a - t * ab)))
             assert min(dists) < 1e-6
+
+
+class TestAdmissibleIntervals:
+    @given(data=st.data(), total=st.one_of(st.floats(0.0, 1000.0), st.integers(0, 1000).map(float)))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_brute_force(self, data, total):
+        # centers in [0, total] as sample_candidates passes them: coincident,
+        # on the ends, and on a 50 m grid so clearances meet exactly
+        center = st.one_of(st.sampled_from([0.0, total]), st.floats(0.0, total),
+                           st.integers(0, int(total) // 50).map(lambda k: 50.0 * k))
+        centers = sorted(data.draw(st.lists(center, max_size=6)))
+        intervals = _admissible_intervals(total, centers)
+        flat = [x for pair in intervals for x in pair]
+        assert flat == sorted(flat) and all(0.0 <= x <= total for x in flat)
+        clear = INTERSECTION_CLEARANCE_M
+        probes = [*np.linspace(0.0, total, 257).tolist(), 0.0, total,
+                  *(c + d for c in centers for d in (-clear, clear))]
+        for x in (p for p in probes if 0.0 <= p <= total):
+            admissible = all(x <= c - clear or x >= c + clear for c in centers)
+            assert any(a <= x <= b for a, b in intervals) == admissible, x
 
 
 class TestArclength:

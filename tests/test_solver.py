@@ -7,16 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spotalign.solver
+from spotalign.rigid import jacobian_values
 from spotalign.solver import (
     DegenerateGeometryError,
     IterationTrace,
     NumericalFailureError,
     SolverConfig,
     SolverResult,
+    SolverState,
     admm_solve,
     alignment_loss,
     axis_mean_replicate,
-    init_state,
     lagrangian,
     rank1_excess,
     rank1_excess_prox,
@@ -36,15 +37,15 @@ def collinear_spots(m=10, spacing=6.0):
 
 def random_state(rng, m=8, mu=0.7):
     cfg = SolverConfig(mu0=mu)
-    state = init_state(rng.uniform(-40, 40, (m, 2)), rng.uniform(-40, 40, (m, 2)), cfg)
-    state.C = rng.uniform(-40, 40, 2 * m)
-    state.D = rng.uniform(-40, 40, 2 * m)
-    state.A = rng.uniform(-40, 40, (2 * m, 2))
-    state.E1 = rng.uniform(-3, 3, 2 * m)
-    state.E2 = axis_mean_replicate(rng.uniform(-3, 3, 2 * m))
-    state.U1 = rng.uniform(-1, 1, 2 * m)
-    state.U2 = rng.uniform(-1, 1, 2 * m)
-    state.U3 = rng.uniform(-1, 1, (2 * m, 2))
+    state = SolverState(rng.uniform(-40, 40, (m, 2)), rng.uniform(-40, 40, (m, 2)), mu)
+    state.blocks[0, 0] = rng.uniform(-40, 40, 2 * m)
+    state.blocks[0, 1] = rng.uniform(-40, 40, 2 * m)
+    state.blocks[1] = rng.uniform(-40, 40, (2 * m, 2)).T
+    state.blocks[2, 0] = rng.uniform(-3, 3, 2 * m)
+    state.blocks[2, 1] = axis_mean_replicate(rng.uniform(-3, 3, 2 * m))
+    state.duals[0, 0] = rng.uniform(-1, 1, 2 * m)
+    state.duals[0, 1] = rng.uniform(-1, 1, 2 * m)
+    state.duals[1] = rng.uniform(-1, 1, (2 * m, 2)).T
     state.set_transforms([
         [rng.uniform(-0.3, 0.3), rng.uniform(-5, 5), rng.uniform(-5, 5)],
         [rng.uniform(-0.3, 0.3), rng.uniform(-5, 5), rng.uniform(-5, 5)],
@@ -55,6 +56,57 @@ def random_state(rng, m=8, mu=0.7):
 def increment_residual(state):
     """The residual [C D] - W - E - U that the increment step fits."""
     return state.blocks[0] - state.W - state.blocks[2] - state.duals[0]
+
+
+def jacobians(state):
+    """The warp Jacobians J1, J2 at the state's transforms."""
+    return [jacobian_values(state.transforms[k, 0], state.inputs[k]) for k in (0, 1)]
+
+
+# one side of a point pair that every entry point must reject, and the message
+MALFORMED = [
+    (np.ones((6, 3)), "shape"), (np.ones(12), "shape"), (np.ones((2, 6, 2)), "shape"),
+    (np.array([[0.0, 1.0], [np.nan, 2.0], [3.0, 4.0]]), "finite"),
+    (np.array([[0.0, 1.0], [2.0, np.inf], [3.0, 4.0]]), "finite"),
+    (np.array([[0.0, 1.0], [2.0, 3.0], [-np.inf, 4.0]]), "finite"),
+]
+MALFORMED_IDS = ["3-columns", "flat", "3-d", "nan", "inf", "-inf"]
+
+
+def malformed_pair(bad, side):
+    good = np.arange(bad.size, dtype=float).reshape(-1, 2)
+    pair = [good, good]
+    pair[side] = bad
+    return pair
+
+
+class TestSolverState:
+    def test_start(self, rng):
+        p, rd = rng.uniform(-40, 40, (5, 2)), rng.uniform(-40, 40, (5, 2))
+        state = SolverState(p, rd, 0.25)
+        inputs = np.stack([p.reshape(-1), rd.reshape(-1)])
+        assert state.mu == 0.25
+        assert np.array_equal(state.inputs, inputs)
+        assert np.array_equal(state.blocks[0], inputs) and np.array_equal(state.blocks[1], inputs)
+        assert not state.blocks[2].any() and not state.transforms.any() and not state.duals.any()
+        assert np.array_equal(state.W, inputs)
+        # blocks and transforms are views into the one iterate buffer
+        assert state.blocks.base is state.vector and state.transforms.base is state.vector
+
+    @pytest.mark.parametrize("side", [0, 1])
+    @pytest.mark.parametrize("bad, match", MALFORMED, ids=MALFORMED_IDS)
+    def test_malformed_points_rejected(self, bad, match, side):
+        with pytest.raises(ValueError, match=match):
+            SolverState(*malformed_pair(bad, side), 0.1)
+
+    def test_size_mismatch_rejected(self, rng):
+        with pytest.raises(ValueError, match="same point count"):
+            SolverState(rng.uniform(-1, 1, (4, 2)), rng.uniform(-1, 1, (5, 2)), 0.1)
+
+    def test_single_point_rejected(self):
+        pts = np.array([[1.0, 2.0]])
+        with pytest.raises(ValueError, match="at least 2 points"):
+            SolverState(pts, pts, 0.1)
 
 
 class TestSvtProx:
@@ -168,38 +220,35 @@ class TestRank1ExcessProx:
 class TestRectifiedBlocks:
     def test_fixed_point(self, rng):
         state, cfg = random_state(rng)
-        state.E1[:] = 0.0
-        state.E2[:] = 0.0
-        state.U1[:] = 0.0
-        state.U2[:] = 0.0
-        state.U3[:] = 0.0
-        state.A = np.stack([state.W1, state.W2], axis=1)
+        state.blocks[2] = 0.0
+        state.duals[:] = 0.0
+        state.blocks[1] = state.W
         update_rectified_blocks(state)
-        assert np.allclose(state.C, state.W1, atol=1e-12)
-        assert np.allclose(state.D, state.W2, atol=1e-12)
+        assert np.allclose(state.blocks[0, 0], state.W[0], atol=1e-12)
+        assert np.allclose(state.blocks[0, 1], state.W[1], atol=1e-12)
 
     def test_averages_anchors(self, rng):
         state, cfg = random_state(rng)
         # make W1 = 2 everywhere and W2 = 0 by construction
         state.set_transforms([[0.0, 0.0, 0.0], state.transforms[1]])
-        state.E1 = 2.0 - state.P
-        state.U1[:] = 0.0
-        state.A[:, 0] = 0.0
-        state.U3[:, 0] = 0.0
+        state.blocks[2, 0] = 2.0 - state.inputs[0]
+        state.duals[0, 0] = 0.0
+        state.blocks[1, 0] = 0.0
+        state.duals[1, 0] = 0.0
         update_rectified_blocks(state)
-        assert np.allclose(state.C, 1.0, atol=1e-12)
+        assert np.allclose(state.blocks[0, 0], 1.0, atol=1e-12)
 
     def test_stationary_in_c(self, rng):
         state, cfg = random_state(rng)
         update_rectified_blocks(state)
         h = 1e-3
-        for idx in range(0, state.C.size, 5):
-            base = state.C[idx]
-            state.C[idx] = base + h
+        for idx in range(0, state.blocks[0, 0].size, 5):
+            base = state.blocks[0, 0, idx]
+            state.blocks[0, 0, idx] = base + h
             up = lagrangian(state, cfg)
-            state.C[idx] = base - h
+            state.blocks[0, 0, idx] = base - h
             down = lagrangian(state, cfg)
-            state.C[idx] = base
+            state.blocks[0, 0, idx] = base
             assert abs(up - down) / (2 * h) < 1e-8
 
 
@@ -208,30 +257,30 @@ class TestErrorBlocks:
         state, cfg = random_state(rng, m=2)
         state.mu = 2.0  # threshold 1/mu = 0.5
         state.set_transforms(np.zeros((2, 3)))
-        state.U1[:] = 0.0
-        state.C = state.P + np.array([0.3, -2.0, 0.0, 0.0])
-        state.U2[:] = 0.0
-        state.D = state.Rd.copy()
+        state.duals[0, 0] = 0.0
+        state.blocks[0, 0] = state.inputs[0] + np.array([0.3, -2.0, 0.0, 0.0])
+        state.duals[0, 1] = 0.0
+        state.blocks[0, 1] = state.inputs[1].copy()
         update_error_blocks(state)
-        assert np.allclose(state.E1, [0.0, -1.5, 0.0, 0.0], atol=1e-12)
+        assert np.allclose(state.blocks[2, 0], [0.0, -1.5, 0.0, 0.0], atol=1e-12)
 
     def test_axis_means_example(self, rng):
         state, cfg = random_state(rng, m=2)
         state.set_transforms(np.zeros((2, 3)))
-        state.U2[:] = 0.0
-        state.D = state.Rd + np.array([1.0, 3.0, 2.0, 4.0])
-        state.U1[:] = 0.0
-        state.C = state.P.copy()
+        state.duals[0, 1] = 0.0
+        state.blocks[0, 1] = state.inputs[1] + np.array([1.0, 3.0, 2.0, 4.0])
+        state.duals[0, 0] = 0.0
+        state.blocks[0, 0] = state.inputs[0].copy()
         update_error_blocks(state)
-        assert np.allclose(state.E2, [1.5, 3.5, 1.5, 3.5], atol=1e-12)
+        assert np.allclose(state.blocks[2, 1], [1.5, 3.5, 1.5, 3.5], atol=1e-12)
 
     def test_e2_least_squares_oracle(self, rng):
         # E2 must beat every translation-structured vector on a refined grid
         state, cfg = random_state(rng, m=6)
         update_error_blocks(state)
-        target = state.D - state.W2 - state.U2
-        best = float(np.sum((state.E2 - target) ** 2))
-        ex, ey = state.E2[0], state.E2[1]
+        target = state.blocks[0, 1] - state.W[1] - state.duals[0, 1]
+        best = float(np.sum((state.blocks[2, 1] - target) ** 2))
+        ex, ey = state.blocks[2, 1, :2]
         for dx in np.linspace(-2, 2, 41):
             for dy in np.linspace(-2, 2, 41):
                 cand = np.empty_like(target)
@@ -242,22 +291,23 @@ class TestErrorBlocks:
     def test_e2_structure(self, rng):
         state, cfg = random_state(rng)
         update_error_blocks(state)
-        assert np.ptp(state.E2[0::2]) == 0.0
-        assert np.ptp(state.E2[1::2]) == 0.0
+        assert np.ptp(state.blocks[2, 1, 0::2]) == 0.0
+        assert np.ptp(state.blocks[2, 1, 1::2]) == 0.0
 
 
 class TestTransformIncrements:
     def test_zero_residual(self, rng):
         state, cfg = random_state(rng)
-        state.C = state.W1 + state.E1 + state.U1
-        state.D = state.W2 + state.E2 + state.U2
+        state.blocks[0, 0] = state.W[0] + state.blocks[2, 0] + state.duals[0, 0]
+        state.blocks[0, 1] = state.W[1] + state.blocks[2, 1] + state.duals[0, 1]
         d1, d2 = update_transform_increments(state, increment_residual(state))
         assert np.allclose(d1, 0.0, atol=1e-9)
         assert np.allclose(d2, 0.0, atol=1e-9)
 
     def test_pure_translation_residual(self, rng):
         state, cfg = random_state(rng)
-        state.C = state.W1 + state.E1 + state.U1 + state.J1 @ np.array([0.0, 2.5, -1.25])
+        j1, _ = jacobians(state)
+        state.blocks[0, 0] = state.W[0] + state.blocks[2, 0] + state.duals[0, 0] + j1 @ np.array([0.0, 2.5, -1.25])
         d1, _ = update_transform_increments(state, increment_residual(state))
         assert d1 == pytest.approx([0.0, 2.5, -1.25], abs=1e-9)
 
@@ -265,16 +315,16 @@ class TestTransformIncrements:
         for _ in range(20):
             state, cfg = random_state(rng)
             d1, d2 = update_transform_increments(state, increment_residual(state))
-            gradP, gradRd = state.J1, state.J2
-            r1 = state.C - state.W1 - state.E1 - state.U1
-            r2 = state.D - state.W2 - state.E2 - state.U2
+            gradP, gradRd = jacobians(state)
+            r1 = state.blocks[0, 0] - state.W[0] - state.blocks[2, 0] - state.duals[0, 0]
+            r2 = state.blocks[0, 1] - state.W[1] - state.blocks[2, 1] - state.duals[0, 1]
             assert np.linalg.norm(gradP.T @ (gradP @ d1 - r1)) < 1e-9 * max(1, np.linalg.norm(r1))
             assert np.linalg.norm(gradRd.T @ (gradRd @ d2 - r2)) < 1e-9 * max(1, np.linalg.norm(r2))
 
     def test_coincident_points_degenerate(self):
         cfg = SolverConfig()
         pts = np.zeros((5, 2))
-        state = init_state(pts, pts, cfg)
+        state = SolverState(pts, pts, cfg.mu0)
         with pytest.raises(DegenerateGeometryError):
             update_transform_increments(state, increment_residual(state))
 
@@ -282,22 +332,22 @@ class TestTransformIncrements:
 class TestMultipliers:
     def test_zero_residuals_leave_duals(self, rng):
         state, cfg = random_state(rng)
-        state.C = state.W1 + state.E1
-        state.D = state.W2 + state.E2
-        state.A = np.stack([state.C, state.D], axis=1)
+        state.blocks[0, 0] = state.W[0] + state.blocks[2, 0]
+        state.blocks[0, 1] = state.W[1] + state.blocks[2, 1]
+        state.blocks[1] = state.blocks[0]
         # the multipliers Y = mu U stay put, so U shrinks as mu grows
-        u1, mu = state.U1.copy(), state.mu
+        u1, mu = state.duals[0, 0].copy(), state.mu
         update_multipliers(state, cfg)
-        assert np.array_equal(state.U1, u1 / cfg.rho)
+        assert np.array_equal(state.duals[0, 0], u1 / cfg.rho)
         assert state.mu == pytest.approx(1.3 * mu, rel=1e-15)
 
     def test_residual_scaling(self, rng):
         state, cfg = random_state(rng)
-        state.U1[:] = 0.0
+        state.duals[0, 0] = 0.0
         state.mu = 2.0
-        r = state.W1 + state.E1 - state.C
+        r = state.W[0] + state.blocks[2, 0] - state.blocks[0, 0]
         update_multipliers(state, cfg)
-        assert np.allclose(state.U1 * state.mu, 2.0 * r, atol=1e-12)
+        assert np.allclose(state.duals[0, 0] * state.mu, 2.0 * r, atol=1e-12)
 
     def test_geometric_penalty_growth(self):
         # feasible but not instantly convergent: a small offset instance
@@ -313,7 +363,7 @@ class TestAdmmSolve:
         pts = collinear_spots(10)
         res = admm_solve(pts, pts, SolverConfig(tol_primal=1e-9, tol_change=1e-12))
         assert res.converged
-        assert np.abs(res.state.E1).sum() < 1e-6
+        assert np.abs(res.state.blocks[2, 0]).sum() < 1e-6
         assert abs(res.state.transforms[0, 0]) < 1e-6
         assert math.hypot(*res.state.transforms[0, 1:]) < 1e-3
         assert res.loss < 1e-3
@@ -328,7 +378,7 @@ class TestAdmmSolve:
         # with theta1 == theta2 and E2 = 0 the net correction is the identity
         for _ in range(20):
             pts = rng.uniform(-100, 100, (6, 2))
-            state = init_state(pts, pts, SolverConfig())
+            state = SolverState(pts, pts, SolverConfig().mu0)
             t = [rng.uniform(-math.pi, math.pi), rng.uniform(-50, 50), rng.uniform(-50, 50)]
             state.set_transforms([t, t])
             back = SolverResult(state, loss=0.0, iterations=0, converged=False).aligned_collected()
@@ -341,7 +391,7 @@ class TestAdmmSolve:
         for i in planted:
             noisy[i] += np.array([14.1, -14.1])
         res = admm_solve(noisy, gt, SolverConfig())
-        e1 = res.state.E1.reshape(-1, 2)
+        e1 = res.state.blocks[2, 0].reshape(-1, 2)
         support = np.nonzero(np.abs(e1).max(axis=1) > 1.0)[0].tolist()
         assert support == planted
 
@@ -369,18 +419,17 @@ class TestAdmmSolve:
 
     def test_e2_structure_every_iteration(self, rng):
         gt = collinear_spots(12)
-        state = init_state(gt + rng.normal(0, 2, gt.shape), gt, SolverConfig())
+        state = SolverState(gt + rng.normal(0, 2, gt.shape), gt, SolverConfig().mu0)
         cfg = SolverConfig()
         for _ in range(40):
             sweep(state, cfg)
-            assert np.ptp(state.E2[0::2]) == 0.0
-            assert np.ptp(state.E2[1::2]) == 0.0
+            assert np.ptp(state.blocks[2, 1, 0::2]) == 0.0
+            assert np.ptp(state.blocks[2, 1, 1::2]) == 0.0
 
     def test_loss_nonnegative_and_zero_case(self, rng):
         state, _ = random_state(rng)
         assert alignment_loss(state) >= 0.0
-        state.E1[:] = 0.0
-        state.E2[:] = 0.0
+        state.blocks[2] = 0.0
         state.set_transforms([[0.0, 0.0, 0.0], state.transforms[1]])
         assert alignment_loss(state) == 0.0
 
@@ -392,9 +441,8 @@ class TestAdmmSolve:
         assert traced.loss == plain.loss  # bitwise
         assert traced.iterations == plain.iterations
         assert len(traced.trace.lagrangians) == traced.iterations
-        for name in ("C", "D", "A", "E1", "E2", "U1", "U2", "U3", "W1", "W2", "J1", "J2"):
+        for name in ("blocks", "transforms", "duals", "W"):
             assert np.array_equal(getattr(traced.state, name), getattr(plain.state, name)), name
-        assert np.array_equal(traced.state.transforms, plain.state.transforms)
         assert traced.state.mu == plain.state.mu
 
     def test_states_own_their_buffers(self):
@@ -403,7 +451,7 @@ class TestAdmmSolve:
 
         def fresh(seed, m):
             r = np.random.default_rng(seed)
-            return init_state(r.uniform(-40, 40, (m, 2)), r.uniform(-40, 40, (m, 2)), cfg)
+            return SolverState(r.uniform(-40, 40, (m, 2)), r.uniform(-40, 40, (m, 2)), cfg.mu0)
 
         pair = [fresh(1, 10), fresh(2, 14)]
         for _ in range(30):
@@ -419,7 +467,7 @@ class TestAdmmSolve:
 
     def test_trace_copy_writes_no_buffer_of_the_state(self, rng, monkeypatch):
         cfg = SolverConfig()
-        state = init_state(rng.uniform(-40, 40, (10, 2)), rng.uniform(-40, 40, (10, 2)), cfg)
+        state = SolverState(rng.uniform(-40, 40, (10, 2)), rng.uniform(-40, 40, (10, 2)), cfg.mu0)
         sweep(state, cfg)
         buffers = {name: v for name, v in vars(state).items() if isinstance(v, np.ndarray)}
         original, copies = spotalign.solver.lagrangian, []
@@ -446,6 +494,21 @@ class TestAdmmSolve:
         a = rng.uniform(-40, 40, (10, 2))
         b = rng.uniform(-40, 40, (10, 2))
         assert admm_solve(a, b, SolverConfig()).iterations > 1
+
+    def test_traced_sweep_builds_two_jacobians(self, rng, monkeypatch):
+        # one per side, looked up as a module global of the solver
+        calls = []
+
+        def counted(theta, values):
+            calls.append(values)
+            return jacobian_values(theta, values)
+
+        monkeypatch.setattr(spotalign.solver, "jacobian_values", counted)
+        res = admm_solve(rng.uniform(-40, 40, (10, 2)), rng.uniform(-40, 40, (10, 2)), SolverConfig(),
+                         collect_trace=True)
+        assert res.iterations > 1
+        assert len(calls) == 2 * res.iterations
+        assert all(np.array_equal(v, res.state.inputs[k % 2]) for k, v in enumerate(calls))
 
     def test_set_transforms_rejects_wrong_shape(self, rng):
         state, _ = random_state(rng)
@@ -484,18 +547,10 @@ class TestAdmmSolve:
             admm_solve(pts, pts, SolverConfig())
 
     @pytest.mark.parametrize("side", [0, 1])
-    @pytest.mark.parametrize("bad, match", [
-        (np.ones((6, 3)), "shape"), (np.ones(12), "shape"), (np.ones((2, 6, 2)), "shape"),
-        (np.array([[0.0, 1.0], [np.nan, 2.0], [3.0, 4.0]]), "finite"),
-        (np.array([[0.0, 1.0], [2.0, np.inf], [3.0, 4.0]]), "finite"),
-        (np.array([[0.0, 1.0], [2.0, 3.0], [-np.inf, 4.0]]), "finite"),
-    ], ids=["3-columns", "flat", "3-d", "nan", "inf", "-inf"])
+    @pytest.mark.parametrize("bad, match", MALFORMED, ids=MALFORMED_IDS)
     def test_malformed_points_rejected(self, bad, match, side):
-        good = np.arange(bad.size, dtype=float).reshape(-1, 2)
-        args = [good, good]
-        args[side] = bad
         with pytest.raises(ValueError, match=match):
-            admm_solve(*args, SolverConfig())
+            admm_solve(*malformed_pair(bad, side), SolverConfig())
 
 
 class TestSolverConfig:
