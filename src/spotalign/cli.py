@@ -45,8 +45,6 @@ from .pipeline import (
 from .roads import EmptyCandidateError, sample_candidates
 from .solver import DegenerateGeometryError, NumericalFailureError
 
-log = logging.getLogger(__name__)
-
 LOG_LEVELS = {name: getattr(logging, name) for name in ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL")}
 
 SVG_WIDTH, SVG_HEIGHT, SVG_MARGIN = 800.0, 600.0, 40.0
@@ -57,23 +55,10 @@ PLOT_STYLE = {
 }
 
 
-def _corpus_to_dataset(pairs) -> Dataset:
-    return Dataset(
-        segments={seg.id: seg for seg, _ in pairs},
-        collected={seg.id: cset for seg, cset in pairs},
-        metadata={"source": "synth"},
-    )
-
-
-def _load_or_synth(args) -> Dataset:
-    if args.segments:
-        if not args.collected:
-            raise DatasetError("--collected is required when --segments is given")
-        return load_dataset(args.segments, args.collected, args.truth)
-    if args.collected or args.truth:
-        raise DatasetError("--collected and --truth need --segments")
-    log.info("no dataset given; generating a synthetic corpus (seed=%d)", args.seed)
-    return _corpus_to_dataset(synth_corpus(args.n_straight, args.n_curve, seed=args.seed))
+def _load(args) -> Dataset:
+    if not (args.segments and args.collected):
+        raise DatasetError(f"{args.command} needs --segments and --collected (spotalign synth makes a corpus)")
+    return load_dataset(args.segments, args.collected, args.truth)
 
 
 def _run_config(args) -> RunConfig:
@@ -100,7 +85,7 @@ def _noise_spec(args) -> NoiseSpec:
 # ---------------------------------------------------------------------------
 
 def _cmd_sample(args) -> int:
-    dataset = _load_or_synth(args)
+    dataset = _load(args)
     rows = bench_mod.candidate_rows(dataset)
     out = Path(args.out_dir) / "candidates.csv"
     atomic_write_text(out, render_csv(
@@ -123,7 +108,7 @@ def _rectify_rows(dataset: Dataset, cfg: RunConfig) -> list[list]:
 
 
 def _cmd_rectify(args) -> int:
-    dataset = _load_or_synth(args)
+    dataset = _load(args)
     cfg = _run_config(args)
     rows = _rectify_rows(dataset, cfg)
     out = Path(args.out_dir) / "rectified.csv"
@@ -161,7 +146,7 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_noise(args) -> int:
-    dataset = _load_or_synth(args)
+    dataset = _load(args)
     spec = _noise_spec(args)
     corrupted: dict[str, CollectedSet] = {}
     for sid in dataset.segment_ids():
@@ -182,14 +167,16 @@ def _cmd_noise(args) -> int:
 
 def _cmd_synth(args) -> int:
     pairs = synth_corpus(args.n_straight, args.n_curve, seed=args.seed)
-    out_paths = save_dataset(_corpus_to_dataset(pairs), Path(args.out_dir))
+    dataset = Dataset(segments={seg.id: seg for seg, _ in pairs},
+                      collected={seg.id: cset for seg, cset in pairs}, metadata={"source": "synth"})
+    out_paths = save_dataset(dataset, Path(args.out_dir))
     print(f"wrote synthetic corpus ({len(pairs)} segments): "
           f"{', '.join(str(p) for p in out_paths.values())}")
     return 0
 
 
 def _cmd_bench(args) -> int:
-    dataset = _load_or_synth(args)
+    dataset = _load(args)
     cfg = _run_config(args)
     bench_rows, robustness_rows = bench_mod.bench_matrix(dataset, cfg)
     out_dir = Path(args.out_dir)
@@ -231,7 +218,7 @@ def _svg_transform(xy_all: np.ndarray):
 
 
 def _cmd_plot(args) -> int:
-    dataset = _load_or_synth(args)
+    dataset = _load(args)
     cfg = _run_config(args)
     rectified = bench_mod.run_method(dataset, cfg)
     plots_dir = Path(args.out_dir) / "plots"
@@ -313,9 +300,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--th": dict(type=float, default=defaults.th,
                      help="mean-distance threshold accepting points as already correct"),
         "--tau": dict(type=float, default=defaults.tau, help="recall tolerance in meters"),
-        "--mu0": dict(type=float, default=defaults.mu0),
-        "--rho": dict(type=float, default=defaults.rho),
-        "--max-iters": dict(type=int, default=defaults.max_iters),
         "--seed": dict(type=int, default=defaults.seed),
         "--n-straight": dict(type=int, default=6, help="synthetic straight segments"),
         "--n-curve": dict(type=int, default=6, help="synthetic curved segments"),
@@ -328,9 +312,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--noise-angle": dict(type=float, default=0.0, help="rotation in degrees"),
         "--out-dir": dict(type=Path, default=Path("out")),
     }
-    # a dataset from CSVs, or a synthetic corpus when none is given
-    data = "--segments --collected --truth --seed --n-straight --n-curve"
-    solver = "--lambda --th --mu0 --rho --max-iters"
+    data = "--segments --collected --truth"
+    solver = "--lambda --th"
     for name, fn, doc, takes in (
         ("sample", _cmd_sample, "emit candidate locations for every segment", data),
         ("rectify", _cmd_rectify, "rectify collected points with the chosen method",
@@ -338,10 +321,10 @@ def _build_parser() -> argparse.ArgumentParser:
         ("evaluate", _cmd_evaluate, "score predictions (in --collected) against --truth",
          "--segments --collected --truth --method --tau"),
         ("noise", _cmd_noise, "emit a noise-corrupted copy of the dataset",
-         f"{data} --noise-kind --noise-bound --noise-fraction --noise-dx --noise-dy --noise-angle"),
+         f"{data} --seed --noise-kind --noise-bound --noise-fraction --noise-dx --noise-dy --noise-angle"),
         ("synth", _cmd_synth, "emit a synthetic corpus", "--seed --n-straight --n-curve"),
         ("bench", _cmd_bench, "full method/noise matrix plus coupling-weight sweep",
-         f"{data} {solver} --tau"),
+         f"{data} {solver} --tau --seed"),
         ("plot", _cmd_plot, "emit per-segment SVG + CSV scatter plots", f"{data} --method {solver}"),
     ):
         p = sub.add_parser(name, help=doc)
@@ -359,7 +342,10 @@ def run_cli(argv: list[str] | None = None) -> int:
     if level.upper() not in LOG_LEVELS:
         print(f"error: RAA_LOG must be debug, info, warning, error or critical, got {level!r}", file=sys.stderr)
         return 2
-    logging.basicConfig(level=LOG_LEVELS[level.upper()], format="%(levelname)s %(name)s: %(message)s")
+    # basicConfig only adds a handler when the root logger has none; the level
+    # goes on the package logger, so every call applies its own RAA_LOG
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
+    logging.getLogger("spotalign").setLevel(LOG_LEVELS[level.upper()])
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

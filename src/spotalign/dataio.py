@@ -62,9 +62,6 @@ class RunConfig:
     lam: float = SolverConfig.lam
     th: float = DEFAULT_CORRECTNESS_THRESHOLD_M
     tau: float = DEFAULT_RECALL_TOLERANCE_M
-    mu0: float = SolverConfig.mu0
-    rho: float = SolverConfig.rho
-    max_iters: int = SolverConfig.max_iters
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -76,7 +73,8 @@ class RunConfig:
             raise ValueError("th must be finite")
 
     def solver_config(self) -> SolverConfig:
-        return SolverConfig(lam=self.lam, mu0=self.mu0, rho=self.rho, max_iters=self.max_iters)
+        """``lam`` from this run; the penalty schedule and iteration cap keep their defaults."""
+        return SolverConfig(lam=self.lam)
 
     def config_hash(self) -> str:
         digest = hashlib.sha256(repr(self).encode("utf-8")).hexdigest()
@@ -184,7 +182,7 @@ def _read_rows(path: Path, expected: list[str]) -> Iterator[tuple[int, tuple[str
     path = Path(path)
     if not path.is_file():
         raise DatasetError(f"{'not a file' if path.exists() else 'missing file'}: {path}")
-    with path.open(newline="", encoding="utf-8") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:  # -sig: drop a leading BOM
         comments = 0
 
         def data_lines():

@@ -68,10 +68,19 @@ class Translational:
     dx: float
     dy: float
 
+    def __post_init__(self) -> None:
+        for name in ("dx", "dy"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"translational noise {name} must be finite")
+
 
 @dataclass(frozen=True)
 class Rotational:
     angle: float
+
+    def __post_init__(self) -> None:
+        if not math.isfinite(self.angle):
+            raise ValueError("rotational noise angle must be finite")
 
 
 @dataclass(frozen=True)
@@ -80,8 +89,8 @@ class RandomNoise:
     fraction: float
 
     def __post_init__(self) -> None:
-        if self.bound < 0:
-            raise ValueError("noise bound must be non-negative")
+        if not 0 <= self.bound < math.inf:
+            raise ValueError("noise bound must be non-negative and finite")
         if not 0.0 <= self.fraction <= 1.0:
             raise ValueError("noise fraction must lie in [0, 1]")
 

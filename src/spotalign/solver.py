@@ -114,7 +114,8 @@ class SolverState:
 
     Built from the (M, 2) points P, the (M, 2) window Rd and the starting
     penalty ``mu``; raises ValueError unless P and Rd are finite (M, 2)
-    arrays with the same M of at least 2.  The state is its buffers:
+    arrays with the same M of at least 2 and ``0 < mu < inf``.  The state is
+    its buffers:
 
         ==========  ===========  ==========================================
         buffer      shape        holds
@@ -129,11 +130,13 @@ class SolverState:
     ``blocks`` then ``transforms`` (rows (theta, s_x, s_y), theta in
     (-pi, pi]) are views into ``vector``, the iterate; [C; D] and A start
     as the inputs, the rest at zero.  ``pairs`` holds [C D], A, E, U, U3 as
-    views made once; :meth:`set_transforms` is the one writer that keeps W
-    in step.  ``moments`` and ``levers`` are the increment step's terms the
-    inputs fix.  W, the E-step ``residual`` and the (2, 2, 2M)
-    ``constraints`` are written in place by every sweep; a ``copy.copy``
-    shares every buffer, so trace mode only reads its copy.
+    views made once.  W follows ``transforms``: :func:`sweep` folds its
+    increments into them in place and re-warps W itself, and
+    :meth:`set_transforms` does both for a caller outside a sweep.
+    ``moments`` and ``levers`` are the increment step's terms the inputs
+    fix.  W, the E-step ``residual`` and the (2, 2, 2M) ``constraints`` are
+    written in place by every sweep; a ``copy.copy`` shares every buffer,
+    so trace mode only reads its copy.
     """
 
     def __init__(self, P: np.ndarray, Rd: np.ndarray, mu: float) -> None:
@@ -148,6 +151,8 @@ class SolverState:
         self.inputs = np.stack([p.reshape(-1), r.reshape(-1)])
         if not np.isfinite(self.inputs).all():
             raise ValueError("P and Rd must be finite")
+        if not 0 < mu < math.inf:  # NaN fails too
+            raise ValueError(f"mu must be positive and finite, got {mu!r}")
         n = self.inputs.shape[1]
         self.mu = mu
         self.vector = np.zeros(6 * n + 6)

@@ -1,4 +1,5 @@
 import csv
+import logging
 import re
 import shlex
 from pathlib import Path
@@ -120,11 +121,11 @@ class TestRectifyEvaluate:
                         "--collected", str(collected), "--out-dir", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err.startswith(f"error: {collected} line 3: not UTF-8 text (byte 0xe9")
 
-    @pytest.mark.parametrize("flags", [["--collected"], ["--truth"], ["--collected", "--truth"]],
-                             ids=" ".join)
+    @pytest.mark.parametrize("flags", [[], ["--collected"], ["--truth"], ["--collected", "--truth"]],
+                             ids=lambda flags: " ".join(flags) or "none")
     @pytest.mark.parametrize("command", ["sample", "rectify", "evaluate", "noise", "bench", "plot"])
     def test_dataset_files_need_segments(self, tmp_path, capsys, command, flags):
-        # no silent fallback to a synthetic corpus when --segments is missing
+        # no fallback to a synthetic corpus: spotalign synth makes one
         argv = [command, "--out-dir", str(tmp_path / "out")]
         for flag in flags:
             argv += [flag, str(tmp_path / "nonexistent.csv")]
@@ -219,6 +220,24 @@ class TestNoise:
         ])
         assert code == 2  # argparse rejects the choice
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--noise-bound", "nan"], "noise bound must be non-negative and finite"),
+        (["--noise-bound", "inf"], "noise bound must be non-negative and finite"),
+        (["--noise-kind", "translational", "--noise-dx", "inf"], "translational noise dx must be finite"),
+        (["--noise-kind", "translational", "--noise-dy", "nan"], "translational noise dy must be finite"),
+        (["--noise-kind", "rotational", "--noise-angle=-inf"], "rotational noise angle must be finite"),
+        (["--noise-kind", "mixed", "--noise-angle", "nan"], "rotational noise angle must be finite"),
+    ], ids=lambda v: v if isinstance(v, str) else " ".join(v))
+    def test_non_finite_parameters_rejected(self, small_dataset, tmp_path, capsys, flags, message):
+        code = run_cli([
+            "noise", "--segments", str(small_dataset / "segments.csv"),
+            "--collected", str(small_dataset / "collected.csv"),
+            *flags, "--out-dir", str(tmp_path / "out"),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
 
 class TestPlot:
     def test_svg_matches_csv_coordinates(self, small_dataset, tmp_path):
@@ -254,12 +273,25 @@ class TestLogLevel:
         assert run_cli(["synth", "--n-straight", "1", "--n-curve", "0", "--out-dir", str(tmp_path)]) == 0
 
 
+    def test_each_call_applies_its_own_level(self, tmp_path, monkeypatch):
+        logger = logging.getLogger("spotalign")
+        before = logger.level
+        argv = ["synth", "--n-straight", "1", "--n-curve", "0", "--out-dir", str(tmp_path)]
+        try:
+            for value, level in (("error", logging.ERROR), ("debug", logging.DEBUG)):
+                monkeypatch.setenv("RAA_LOG", value)
+                assert run_cli(argv) == 0
+                assert logger.getEffectiveLevel() == level
+        finally:
+            logger.setLevel(before)
+
+
 class TestDeterminism:
     def test_repeated_runs_byte_identical(self, small_dataset, tmp_path):
         args = [
             "rectify", "--segments", str(small_dataset / "segments.csv"),
             "--collected", str(small_dataset / "collected.csv"),
-            "--method", "raa", "--th", "1", "--seed", "4",
+            "--method", "raa", "--th", "1",
         ]
         assert run_cli(args + ["--out-dir", str(tmp_path / "one")]) == 0
         assert run_cli(args + ["--out-dir", str(tmp_path / "two")]) == 0
@@ -268,16 +300,16 @@ class TestDeterminism:
         assert a == b
 
 
-DATA = {"--segments", "--collected", "--truth", "--seed", "--n-straight", "--n-curve", "--out-dir"}
-SOLVER = {"--method", "--lambda", "--th", "--mu0", "--rho", "--max-iters"}
+DATA = {"--segments", "--collected", "--truth", "--out-dir"}
+SOLVER = {"--method", "--lambda", "--th"}
 NOISE = {"--noise-kind", "--noise-bound", "--noise-fraction", "--noise-dx", "--noise-dy", "--noise-angle"}
 TAKES = {
     "synth": {"--seed", "--n-straight", "--n-curve", "--out-dir"},
     "sample": DATA,
-    "evaluate": {"--segments", "--collected", "--truth", "--method", "--tau", "--out-dir"},
+    "evaluate": DATA | {"--method", "--tau"},
     "rectify": DATA | SOLVER,
-    "noise": DATA | NOISE,
-    "bench": DATA | (SOLVER - {"--method"}) | {"--tau"},
+    "noise": DATA | NOISE | {"--seed"},
+    "bench": DATA | (SOLVER - {"--method"}) | {"--tau", "--seed"},
     "plot": DATA | SOLVER,
 }
 
@@ -290,7 +322,7 @@ class TestFlags:
             for name, p in subparsers.choices.items()
         }
         assert takes == TAKES
-        assert sum(map(len, takes.values())) == 69
+        assert sum(map(len, takes.values())) == 47
 
     @pytest.mark.parametrize("command, flag", [
         ("synth", ["--method", "raa"]),
@@ -308,11 +340,11 @@ class TestFlags:
     def test_config_header_hashes_defaults_for_flags_not_taken(self, small_dataset, tmp_path):
         data = ["--segments", str(small_dataset / "segments.csv"), "--truth", str(small_dataset / "truth.csv")]
         assert run_cli(["sample", *data, "--collected", str(small_dataset / "collected.csv"),
-                        "--seed", "3", "--out-dir", str(tmp_path)]) == 0
+                        "--out-dir", str(tmp_path)]) == 0
         assert run_cli(["evaluate", *data, "--collected", str(small_dataset / "truth.csv"),
                         "--method", "ed", "--tau", "2", "--out-dir", str(tmp_path)]) == 0
         header = (tmp_path / "candidates.csv").read_text().splitlines()[0]
-        assert header == f"# spotalign candidates config={RunConfig(seed=3).config_hash()}"
+        assert header == f"# spotalign candidates config={RunConfig().config_hash()}"
         header = (tmp_path / "eval.csv").read_text().splitlines()[0]
         cfg = RunConfig(method="ed", tau=2.0)
         assert header == f"# spotalign eval tau=2.0 correspondence=index config={cfg.config_hash()}"

@@ -275,6 +275,24 @@ class TestSaveLoad:
         with pytest.raises(DatasetError, match=rf"segments\.csv line {bad_line}: not UTF-8 text \(byte 0xe9"):
             load_segments(seg)
 
+    def test_utf8_bom_ignored(self, tmp_path):
+        # spreadsheet exports start files with a byte order mark
+        paths = save_dataset(corpus_dataset(), tmp_path / "plain")
+        bom = {}
+        for name, path in paths.items():
+            bom[name] = tmp_path / path.name
+            bom[name].write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert bom["segments"].read_text(encoding="utf-8").startswith("\ufeff# spotalign segments")
+        plain = load_dataset(paths["segments"], paths["collected"], paths["truth"])
+        loaded = load_dataset(bom["segments"], bom["collected"], bom["truth"])
+        assert loaded.segments == plain.segments and loaded.collected == plain.collected
+        # line numbers still count the comment line
+        lines = bom["collected"].read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[3] = lines[3].replace(",", ",x", 2)
+        bom["collected"].write_text("".join(lines), encoding="utf-8")
+        with pytest.raises(DatasetError, match="collected.csv line 4: "):
+            load_dataset(bom["segments"], bom["collected"])
+
     def test_comment_lines_skipped(self, tmp_path):
         ds = corpus_dataset(1, 0)
         paths = save_dataset(ds, tmp_path)

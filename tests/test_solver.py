@@ -108,6 +108,12 @@ class TestSolverState:
         with pytest.raises(ValueError, match="at least 2 points"):
             SolverState(pts, pts, 0.1)
 
+    @pytest.mark.parametrize("mu", [0.0, -1.0, math.nan, math.inf], ids=repr)
+    def test_bad_mu_rejected(self, mu):
+        pts = np.array([[0.0, 0.0], [1.0, 2.0]])
+        with pytest.raises(ValueError, match="mu must be positive and finite"):
+            SolverState(pts, pts, mu)
+
 
 class TestSvtProx:
     def test_diagonal_action(self, rng):
