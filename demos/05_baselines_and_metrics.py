@@ -15,14 +15,13 @@ print(f"{len(pairs)} synthetic segments, mixed corruption "
 
 print(f"{'method':8s} {'ACD (m)':>10s} {'AR':>8s}")
 for method in ("raa", "ed", "cd", "ha", "wd"):
-    ids, preds, truths = [], [], []
+    preds, truths = [], []
     for segment, collected in pairs:
         out = rectify(collected, segment, method, th=1.0)
         frame = segment.frame()
-        ids.append(segment.id)
         preds.append(project_points(frame, out.points))
         truths.append(project_points(frame, collected.ground_truth))
-    report = evaluate_segments(ids, preds, truths)
+    report = evaluate_segments(preds, truths)
     print(f"{method:8s} {report.acd:10.3f} {report.ar:8.3f}")
 
 print("\nper-point matchers (ed, wd) have no window prior, so outliers land on")

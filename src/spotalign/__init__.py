@@ -29,7 +29,7 @@ from .pipeline import (
     rectify,
     synth_corpus,
 )
-from .metrics import EvalReport, acd, ar, evaluate_segments, robustness_index
+from .metrics import EvalReport, evaluate_segments, robustness_index
 from .dataio import Dataset, DatasetError, RunConfig, load_dataset, save_dataset
 
 __all__ = [
@@ -44,7 +44,7 @@ __all__ = [
     "CollectedSet", "InsufficientCandidatesError", "Mixed", "NoiseSpec", "RandomNoise",
     "RectifiedSet", "Rotational", "Translational",
     "inject_noise", "raa_rectify", "rectify", "synth_corpus",
-    "EvalReport", "acd", "ar", "evaluate_segments", "robustness_index",
+    "EvalReport", "evaluate_segments", "robustness_index",
     "Dataset", "DatasetError", "RunConfig", "load_dataset", "save_dataset",
 ]
 

@@ -1,5 +1,6 @@
 """Benchmark matrix: methods x noise arms x segment classes, the coupling
-weight sweep, and the robustness table derived from the clean/noisy pairs."""
+weight sweep, and the robustness table derived from the clean/noisy pairs;
+also the one seeded corruption that the noise arm and ``spotalign noise`` use."""
 
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ from dataclasses import replace
 from .dataio import Dataset, RunConfig
 from .geo import project_points, unproject_points
 from .metrics import HIGHER_BETTER, LOWER_BETTER, EvalReport, evaluate_segments, robustness_index
-from .pipeline import ALL_METHODS, RandomNoise, NoiseSpec, RectifiedSet, inject_noise, rectify
+from .pipeline import ALL_METHODS, NoiseKind, NoiseSpec, RandomNoise, RectifiedSet, inject_noise, rectify
 from .roads import sample_candidates
 
 log = logging.getLogger(__name__)
@@ -22,29 +23,33 @@ CLEAN = "clean"
 NOISY = "noisy"
 
 
-def apply_noise_arm(dataset: Dataset, seed: int) -> Dataset:
-    """Corrupt every collected point with uniform random noise in [0, NOISE_ARM_BOUND_M]."""
+def apply_noise(dataset: Dataset, kind: NoiseKind, seed: int) -> Dataset:
+    """Corrupt every collected segment with ``kind``; ground truth is kept.
+
+    Each segment draws from ``seed`` plus a tag hashed from its id, so
+    segments of equal size move differently and a segment's draw does not
+    depend on which others the dataset holds.
+    """
     corrupted = {}
-    for sid in dataset.segment_ids():
-        cset = dataset.collected.get(sid)
-        if cset is None:
-            continue
-        frame = dataset.segments[sid].frame()
+    for sid, cset in sorted(dataset.collected.items()):
         sid_tag = int(hashlib.sha256(sid.encode("utf-8")).hexdigest()[:8], 16)
-        spec = NoiseSpec(RandomNoise(bound=NOISE_ARM_BOUND_M, fraction=1.0), seed=seed + sid_tag % 100_000)
+        spec = NoiseSpec(kind, seed=seed + sid_tag % 100_000)
+        frame = dataset.segments[sid].frame()
         corrupted[sid] = replace(cset, points=tuple(inject_noise(cset.points, spec, frame)))
     return Dataset(segments=dataset.segments, collected=corrupted, metadata=dict(dataset.metadata))
 
 
+def apply_noise_arm(dataset: Dataset, seed: int) -> Dataset:
+    """The benchmark's noise arm: every collected point moved uniformly up to NOISE_ARM_BOUND_M."""
+    return apply_noise(dataset, RandomNoise(bound=NOISE_ARM_BOUND_M, fraction=1.0), seed)
+
+
 def run_method(dataset: Dataset, cfg: RunConfig) -> dict[str, RectifiedSet]:
     """Rectify every collected segment with the configured method."""
-    out: dict[str, RectifiedSet] = {}
-    for sid in dataset.segment_ids():
-        cset = dataset.collected.get(sid)
-        if cset is None:
-            continue
-        out[sid] = rectify(cset, dataset.segments[sid], cfg.method, th=cfg.th, cfg=cfg.solver_config())
-    return out
+    return {
+        sid: rectify(cset, dataset.segments[sid], cfg.method, th=cfg.th, cfg=cfg.solver_config())
+        for sid, cset in sorted(dataset.collected.items())
+    }
 
 
 def evaluate_by_class(dataset: Dataset, rectified: dict[str, RectifiedSet], tau: float) -> dict[str, EvalReport]:
@@ -58,7 +63,7 @@ def evaluate_by_class(dataset: Dataset, rectified: dict[str, RectifiedSet], tau:
         if truth is None:
             continue
         frame = dataset.segments[sid].frame()
-        scored = (sid, project_points(frame, rectified[sid].points), project_points(frame, truth))
+        scored = (project_points(frame, rectified[sid].points), project_points(frame, truth))
         groups[ALL_CLASSES].append(scored)
         groups.setdefault(dataset.segments[sid].shape_class, []).append(scored)
     return {cls: evaluate_segments(*zip(*segs), tau=tau) for cls, segs in groups.items() if segs}

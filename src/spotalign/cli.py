@@ -13,7 +13,7 @@ import logging
 import math
 import os
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -31,15 +31,12 @@ from .dataio import (
 from .geo import project_points, unproject_points
 from .pipeline import (
     ALL_METHODS,
-    CollectedSet,
     InsufficientCandidatesError,
     Mixed,
-    NoiseSpec,
     RandomNoise,
     RectifiedSet,
     Rotational,
     Translational,
-    inject_noise,
     synth_corpus,
 )
 from .roads import EmptyCandidateError, sample_candidates
@@ -58,7 +55,15 @@ PLOT_STYLE = {
 def _load(args) -> Dataset:
     if not (args.segments and args.collected):
         raise DatasetError(f"{args.command} needs --segments and --collected (spotalign synth makes a corpus)")
-    return load_dataset(args.segments, args.collected, args.truth)
+    return load_dataset(args.segments, args.collected, getattr(args, "truth", None))
+
+
+def _load_scored(args) -> Dataset:
+    """The dataset of a command that scores against ground truth, checked before any work."""
+    dataset = _load(args)
+    if all(cset.ground_truth is None for cset in dataset.collected.values()):
+        raise DatasetError(f"{args.command} needs --truth with rows for the collected segments")
+    return dataset
 
 
 def _run_config(args) -> RunConfig:
@@ -74,10 +79,6 @@ NOISE_KINDS = {
         NOISE_KINDS[kind](args) for kind in ("translational", "rotational", "random")
     )),
 }
-
-
-def _noise_spec(args) -> NoiseSpec:
-    return NoiseSpec(NOISE_KINDS[args.noise_kind](args), seed=args.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -122,9 +123,7 @@ def _cmd_rectify(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    if not (args.segments and args.collected and args.truth):
-        raise DatasetError("evaluate needs --segments, --collected (predictions) and --truth")
-    dataset = load_dataset(args.segments, args.collected, args.truth)
+    dataset = _load_scored(args)
     cfg = _run_config(args)
     # the collected file holds the predictions to score
     rectified = {
@@ -147,20 +146,12 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_noise(args) -> int:
     dataset = _load(args)
-    spec = _noise_spec(args)
-    corrupted: dict[str, CollectedSet] = {}
-    for sid in dataset.segment_ids():
-        cset = dataset.collected.get(sid)
-        if cset is None:
-            continue
-        frame = dataset.segments[sid].frame()
-        noisy = tuple(inject_noise(cset.points, spec, frame))
-        truth = cset.ground_truth if cset.ground_truth is not None else cset.points
-        corrupted[sid] = CollectedSet(segment_id=sid, points=noisy, ground_truth=truth)
-    out_paths = save_dataset(
-        Dataset(segments=dataset.segments, collected=corrupted, metadata=dataset.metadata),
-        Path(args.out_dir),
-    )
+    kind = NOISE_KINDS[args.noise_kind](args)
+    # where a segment has no ground truth, its clean points become the truth
+    clean = {sid: cset if cset.ground_truth is not None else replace(cset, ground_truth=cset.points)
+             for sid, cset in dataset.collected.items()}
+    noisy = bench_mod.apply_noise(replace(dataset, collected=clean), kind, args.seed)
+    out_paths = save_dataset(noisy, Path(args.out_dir))
     print(f"wrote corrupted dataset: {', '.join(str(p) for p in out_paths.values())}")
     return 0
 
@@ -176,7 +167,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    dataset = _load(args)
+    dataset = _load_scored(args)
     cfg = _run_config(args)
     bench_rows, robustness_rows = bench_mod.bench_matrix(dataset, cfg)
     out_dir = Path(args.out_dir)
@@ -219,20 +210,19 @@ def _svg_transform(xy_all: np.ndarray):
 
 def _cmd_plot(args) -> int:
     dataset = _load(args)
+    for sid in dataset.collected:
+        if "/" in sid or "\\" in sid:
+            raise DatasetError(f"plot: segment id {sid!r} contains a path separator and cannot name a file")
     cfg = _run_config(args)
     rectified = bench_mod.run_method(dataset, cfg)
     plots_dir = Path(args.out_dir) / "plots"
-    count = 0
-    for sid in dataset.segment_ids():
-        if sid not in rectified:
-            continue
-        seg = dataset.segments[sid]
-        cands = sample_candidates(seg)
+    for sid, rset in rectified.items():
+        cands = sample_candidates(dataset.segments[sid])
         frame = cands.frame
         geo = {
             "collected": dataset.collected[sid].points,
             "candidate": unproject_points(frame, cands.points),
-            "rectified": rectified[sid].points,
+            "rectified": rset.points,
         }
         layers = {
             "collected": project_points(frame, geo["collected"]),
@@ -273,8 +263,7 @@ def _cmd_plot(args) -> int:
             + legend + "\n" + "\n".join(circles) + "\n</svg>\n"
         )
         atomic_write_text(plots_dir / f"{sid}.svg", svg)
-        count += 1
-    print(f"wrote {count} plot pairs under {plots_dir}")
+    print(f"wrote {len(rectified)} plot pairs under {plots_dir}")
     return 0
 
 
@@ -325,7 +314,8 @@ def _build_parser() -> argparse.ArgumentParser:
         ("synth", _cmd_synth, "emit a synthetic corpus", "--seed --n-straight --n-curve"),
         ("bench", _cmd_bench, "full method/noise matrix plus coupling-weight sweep",
          f"{data} {solver} --tau --seed"),
-        ("plot", _cmd_plot, "emit per-segment SVG + CSV scatter plots", f"{data} --method {solver}"),
+        ("plot", _cmd_plot, "emit per-segment SVG + CSV scatter plots",
+         f"--segments --collected --method {solver}"),
     ):
         p = sub.add_parser(name, help=doc)
         takes = {*takes.split(), "--out-dir"}

@@ -15,7 +15,6 @@ DEFAULT_RECALL_TOLERANCE_M = 0.5
 
 @dataclass(frozen=True)
 class SegmentScore:
-    segment_id: str
     acd: float
     ar: float
 
@@ -32,15 +31,23 @@ class EvalReport:
     acd: float
     ar: float
     per_segment: tuple[SegmentScore, ...]
-    tau: float = DEFAULT_RECALL_TOLERANCE_M
 
 
-def _deviations(pred, truth) -> list[np.ndarray]:
+def evaluate_segments(pred, truth, tau: float = DEFAULT_RECALL_TOLERANCE_M) -> EvalReport:
+    """Per-segment scores plus point-pooled ACD (meters) and segment-averaged AR.
+
+    ``pred`` and ``truth`` are sequences of (M_i, 2) arrays of local-frame
+    meters, index-aligned within each segment; ``per_segment`` follows their
+    order.  A point counts toward recall when it lies strictly within ``tau``
+    meters of its truth.
+    """
+    if not 0 < tau < np.inf:
+        raise ValueError("tau must be positive and finite")
     if len(pred) != len(truth):
         raise ValueError(f"segment count mismatch: {len(pred)} vs {len(truth)}")
     if len(pred) == 0:
         raise ValueError("no segments to evaluate")
-    out = []
+    devs = []
     for i, (p, t) in enumerate(zip(pred, truth)):
         p = np.asarray(p, dtype=float)
         t = np.asarray(t, dtype=float)
@@ -48,42 +55,11 @@ def _deviations(pred, truth) -> list[np.ndarray]:
             raise ValueError(f"segment {i}: point arrays must share an (M, 2) shape")
         if p.shape[0] == 0:
             raise ValueError(f"segment {i}: empty point list")
-        out.append(np.hypot(*(p - t).T))
-    return out
-
-
-def acd(pred, truth) -> float:
-    """Average point coordinate deviation in meters, pooled over all points.
-
-    ``pred`` and ``truth`` are sequences of (M_i, 2) arrays of local-frame
-    meters, index-aligned within each segment.
-    """
-    return evaluate_segments(range(len(pred)), pred, truth).acd
-
-
-def ar(pred, truth, tau: float = DEFAULT_RECALL_TOLERANCE_M) -> float:
-    """Average recall: per-segment fraction of points within ``tau`` meters,
-    averaged over segments without size weighting."""
-    return evaluate_segments(range(len(pred)), pred, truth, tau).ar
-
-
-def evaluate_segments(ids, pred, truth, tau: float = DEFAULT_RECALL_TOLERANCE_M) -> EvalReport:
-    """Per-segment scores plus point-pooled ACD and segment-averaged AR.
-
-    ``ids`` names the segments of ``pred`` and ``truth``, one id each.
-    """
-    if not 0 < tau < np.inf:
-        raise ValueError("tau must be positive and finite")
-    devs = _deviations(pred, truth)
-    if len(ids) != len(devs):
-        raise ValueError(f"id count mismatch: {len(ids)} ids for {len(devs)} segments")
-    per = tuple(
-        SegmentScore(segment_id=str(sid), acd=float(d.mean()), ar=float((d < tau).mean()))
-        for sid, d in zip(ids, devs)
-    )
+        devs.append(np.hypot(*(p - t).T))
+    per = tuple(SegmentScore(acd=float(d.mean()), ar=float((d < tau).mean())) for d in devs)
     pooled_acd = float(sum(d.sum() for d in devs) / sum(d.size for d in devs))
     mean_ar = float(np.mean([s.ar for s in per]))
-    return EvalReport(acd=pooled_acd, ar=mean_ar, per_segment=per, tau=tau)
+    return EvalReport(acd=pooled_acd, ar=mean_ar, per_segment=per)
 
 
 def robustness_index(r_noisy: float, r_clean: float, direction: str) -> float:

@@ -9,7 +9,7 @@ import pytest
 
 import spotalign.bench
 from spotalign.cli import _build_parser, run_cli
-from spotalign.dataio import Dataset, RunConfig, save_dataset
+from spotalign.dataio import Dataset, RunConfig, load_dataset, save_dataset
 from spotalign.geo import unproject_points
 from spotalign.pipeline import CollectedSet
 from spotalign.roads import sample_candidates
@@ -121,9 +121,12 @@ class TestRectifyEvaluate:
                         "--collected", str(collected), "--out-dir", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err.startswith(f"error: {collected} line 3: not UTF-8 text (byte 0xe9")
 
-    @pytest.mark.parametrize("flags", [[], ["--collected"], ["--truth"], ["--collected", "--truth"]],
-                             ids=lambda flags: " ".join(flags) or "none")
-    @pytest.mark.parametrize("command", ["sample", "rectify", "evaluate", "noise", "bench", "plot"])
+    @pytest.mark.parametrize("command, flags", [
+        pytest.param(command, flags, id=f"{command}-{' '.join(flags) or 'none'}")
+        for command in ("sample", "rectify", "evaluate", "noise", "bench", "plot")
+        for flags in ([], ["--collected"], ["--truth"], ["--collected", "--truth"])
+        if command != "plot" or "--truth" not in flags  # plot takes no --truth
+    ])
     def test_dataset_files_need_segments(self, tmp_path, capsys, command, flags):
         # no fallback to a synthetic corpus: spotalign synth makes one
         argv = [command, "--out-dir", str(tmp_path / "out")]
@@ -131,6 +134,23 @@ class TestRectifyEvaluate:
             argv += [flag, str(tmp_path / "nonexistent.csv")]
         assert run_cli(argv) == 1
         assert "--segments" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_bench_without_truth_fails_before_rectifying(self, small_dataset, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(spotalign.bench, "run_method", lambda *a: pytest.fail("bench rectified"))
+        assert run_cli(["bench", "--segments", str(small_dataset / "segments.csv"),
+                        "--collected", str(small_dataset / "collected.csv"),
+                        "--out-dir", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == "error: bench needs --truth with rows for the collected segments\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_evaluate_with_empty_truth_fails(self, small_dataset, tmp_path, capsys):
+        truth = tmp_path / "truth.csv"
+        truth.write_text("segment_id,spot_index,lat,lon\n")
+        assert run_cli(["evaluate", "--segments", str(small_dataset / "segments.csv"),
+                        "--collected", str(small_dataset / "truth.csv"), "--truth", str(truth),
+                        "--out-dir", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == "error: evaluate needs --truth with rows for the collected segments\n"
         assert not (tmp_path / "out").exists()
 
     def test_non_finite_tau_rejected(self, small_dataset, tmp_path, capsys):
@@ -212,6 +232,35 @@ class TestNoise:
         truth_rows = read_csv(tmp_path / "truth.csv")
         assert [(r["lat"], r["lon"]) for r in truth_rows] == [(r["lat"], r["lon"]) for r in original]
 
+    def test_equal_size_segments_move_differently(self, tmp_path):
+        # two copies of one segment under different ids: the same --seed must
+        # still give each its own displacements
+        segments = {sid: straight_segment(120.0, seg_id=sid) for sid in ("a", "b")}
+        xy = np.column_stack([np.arange(10) * 6.0 + 3.0, np.full(10, 4.0)])
+        points = tuple(unproject_points(sample_candidates(segments["a"]).frame, xy))
+        save_dataset(Dataset(segments, {sid: CollectedSet(sid, points) for sid in segments}), tmp_path)
+        assert run_cli(["noise", "--segments", str(tmp_path / "segments.csv"),
+                        "--collected", str(tmp_path / "collected.csv"),
+                        "--noise-kind", "random", "--noise-bound", "20", "--noise-fraction", "1",
+                        "--seed", "4", "--out-dir", str(tmp_path / "noisy")]) == 0
+        moved = {sid: [] for sid in segments}
+        for row in read_csv(tmp_path / "noisy" / "collected.csv"):
+            moved[row["segment_id"]].append((row["lat"], row["lon"]))
+        assert len(moved["a"]) == len(moved["b"]) == 10
+        assert moved["a"] != moved["b"]
+
+    def test_random_noise_is_the_bench_noise_arm(self, small_dataset, tmp_path):
+        data = [str(small_dataset / "segments.csv"), str(small_dataset / "collected.csv")]
+        assert run_cli(["noise", "--segments", data[0], "--collected", data[1],
+                        "--noise-kind", "random", "--noise-bound", "20", "--noise-fraction", "1",
+                        "--seed", "11", "--out-dir", str(tmp_path)]) == 0
+        arm = spotalign.bench.apply_noise_arm(load_dataset(*data), 11)
+        want = [(sid, i, p.lat, p.lon) for sid, cset in sorted(arm.collected.items())
+                for i, p in enumerate(cset.points)]
+        got = [(r["segment_id"], int(r["spot_index"]), float(r["lat"]), float(r["lon"]))
+               for r in read_csv(tmp_path / "collected.csv")]
+        assert got == want
+
     def test_unknown_kind_rejected(self, small_dataset, tmp_path, capsys):
         code = run_cli([
             "noise", "--segments", str(small_dataset / "segments.csv"),
@@ -257,6 +306,20 @@ class TestPlot:
             got = [(cx, cy) for cx, cy in circle_coords]
             want = [(r["svg_x"], r["svg_y"]) for r in rows]
             assert got == want
+
+    @pytest.mark.parametrize("sid", ["../../escaped", "a/b", "a\\b"])
+    def test_segment_id_with_path_separator_rejected(self, tmp_path, capsys, sid):
+        seg = straight_segment(120.0, seg_id=sid)
+        xy = np.column_stack([np.arange(10) * 6.0 + 3.0, np.zeros(10)])
+        points = tuple(unproject_points(sample_candidates(seg).frame, xy))
+        save_dataset(Dataset({sid: seg}, {sid: CollectedSet(sid, points)}), tmp_path / "ds")
+        assert run_cli(["plot", "--segments", str(tmp_path / "ds" / "segments.csv"),
+                        "--collected", str(tmp_path / "ds" / "collected.csv"),
+                        "--method", "ed", "--out-dir", str(tmp_path / "out" / "run")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: plot: segment id {sid!r} contains a path separator and cannot name a file\n")
+        assert not (tmp_path / "out").exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ds"]
 
 
 class TestLogLevel:
@@ -310,7 +373,7 @@ TAKES = {
     "rectify": DATA | SOLVER,
     "noise": DATA | NOISE | {"--seed"},
     "bench": DATA | (SOLVER - {"--method"}) | {"--tau", "--seed"},
-    "plot": DATA | SOLVER,
+    "plot": DATA - {"--truth"} | SOLVER,
 }
 
 
@@ -322,7 +385,7 @@ class TestFlags:
             for name, p in subparsers.choices.items()
         }
         assert takes == TAKES
-        assert sum(map(len, takes.values())) == 47
+        assert sum(map(len, takes.values())) == 46
 
     @pytest.mark.parametrize("command, flag", [
         ("synth", ["--method", "raa"]),
@@ -332,6 +395,7 @@ class TestFlags:
         ("noise", ["--th", "1"]),
         ("bench", ["--method", "ed"]),
         ("plot", ["--tau", "1"]),
+        ("plot", ["--truth", "truth.csv"]),
     ], ids=lambda v: v if isinstance(v, str) else v[0])
     def test_flag_not_taken_rejected(self, tmp_path, capsys, command, flag):
         assert run_cli([command, *flag, "--out-dir", str(tmp_path)]) == 2

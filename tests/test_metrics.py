@@ -5,8 +5,6 @@ from spotalign.geo import GeoPoint, make_frame, project_points
 from spotalign.metrics import (
     HIGHER_BETTER,
     LOWER_BETTER,
-    acd,
-    ar,
     evaluate_segments,
     robustness_index,
 )
@@ -15,26 +13,26 @@ from spotalign.metrics import (
 class TestAcd:
     def test_zero_for_equal(self, rng):
         seg = [rng.uniform(-5, 5, (4, 2))]
-        assert acd(seg, [seg[0].copy()]) == 0.0
+        assert evaluate_segments(seg, [seg[0].copy()]).acd == 0.0
 
     def test_three_four_five(self):
         truth = [np.array([[0.0, 0.0]])]
         pred = [np.array([[3.0, 4.0]])]
-        assert acd(pred, truth) == pytest.approx(5.0)
+        assert evaluate_segments(pred, truth).acd == pytest.approx(5.0)
 
     def test_pooled_over_points(self):
         truth = [np.zeros((2, 2)), np.zeros((1, 2))]
         pred = [np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([[0.0, 4.0]])]
-        assert acd(pred, truth) == pytest.approx((1 + 1 + 4) / 3)
+        assert evaluate_segments(pred, truth).acd == pytest.approx((1 + 1 + 4) / 3)
 
     def test_positive_unless_equal(self, rng):
         truth = [rng.uniform(-5, 5, (6, 2))]
         pred = [truth[0] + 1e-9]
-        assert acd(pred, truth) > 0.0
+        assert evaluate_segments(pred, truth).acd > 0.0
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            acd([np.zeros((2, 2))], [np.zeros((3, 2))])
+            evaluate_segments([np.zeros((2, 2))], [np.zeros((3, 2))])
 
     def test_frame_origin_invariance(self, rng):
         # longitude-shifted frames share the latitude-dependent scale, so the
@@ -45,37 +43,37 @@ class TestAcd:
         vals = []
         for dlon in (0.0, 0.01, -0.02):
             frame = make_frame(GeoPoint(base.lat, base.lon + dlon))
-            vals.append(acd([project_points(frame, pred_geo)], [project_points(frame, truth_geo)]))
+            vals.append(evaluate_segments([project_points(frame, pred_geo)], [project_points(frame, truth_geo)]).acd)
         assert max(vals) - min(vals) < 1e-9
 
 
 class TestAr:
     def test_perfect(self, rng):
         seg = [rng.uniform(-5, 5, (4, 2))]
-        assert ar(seg, [seg[0].copy()]) == 1.0
+        assert evaluate_segments(seg, [seg[0].copy()]).ar == 1.0
 
     def test_all_beyond_tolerance(self):
         truth = [np.zeros((3, 2))]
         pred = [truth[0] + [10.0, 0.0]]
-        assert ar(pred, truth, tau=0.5) == 0.0
+        assert evaluate_segments(pred, truth, tau=0.5).ar == 0.0
 
     def test_unweighted_segment_mean(self):
         truth = [np.zeros((4, 2)), np.zeros((100, 2))]
         pred = [truth[0].copy(), truth[1].copy()]
         pred[1][:50] += [5.0, 0.0]  # second segment recall 0.5
-        assert ar(pred, truth) == pytest.approx(0.75)
+        assert evaluate_segments(pred, truth).ar == pytest.approx(0.75)
 
     def test_monotone_in_tau(self, rng):
         truth = [rng.uniform(-5, 5, (30, 2))]
         pred = [truth[0] + rng.normal(0, 1.0, (30, 2))]
         taus = np.linspace(0.05, 5.0, 25)
-        vals = [ar(pred, truth, tau=t) for t in taus]
+        vals = [evaluate_segments(pred, truth, tau=t).ar for t in taus]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
 
     def test_strict_inequality_at_tau(self):
         truth = [np.zeros((1, 2))]
         pred = [np.array([[0.5, 0.0]])]
-        assert ar(pred, truth, tau=0.5) == 0.0  # deviation must be strictly below tau
+        assert evaluate_segments(pred, truth, tau=0.5).ar == 0.0  # deviation must be strictly below tau
 
 
 class TestRobustnessIndex:
@@ -101,22 +99,15 @@ class TestEvaluateSegments:
     def test_per_segment_breakdown(self):
         truth = [np.zeros((2, 2)), np.zeros((2, 2))]
         pred = [truth[0] + [0.1, 0.0], truth[1] + [3.0, 4.0]]
-        report = evaluate_segments(["a", "b"], pred, truth)
+        report = evaluate_segments(pred, truth)
         assert len(report.per_segment) == 2
         assert report.per_segment[0].ar == 1.0
         assert report.per_segment[1].acd == pytest.approx(5.0)
         assert report.acd == pytest.approx((0.2 + 10.0) / 4)
         assert report.ar == pytest.approx(0.5)
 
-    @pytest.mark.parametrize("ids", [["a"], ["a", "b", "c"]])
-    def test_id_count_mismatch_rejected(self, ids):
-        truth = [np.zeros((2, 2)), np.zeros((2, 2))]
-        pred = [truth[0], truth[1] + [3.0, 4.0]]
-        with pytest.raises(ValueError, match="id count mismatch"):
-            evaluate_segments(ids, pred, truth)
-
     @pytest.mark.parametrize("tau", [0.0, -0.5, float("nan"), float("inf")])
     def test_nonpositive_tau_rejected(self, tau):
         truth = [np.zeros((2, 2))]
         with pytest.raises(ValueError, match="tau must be positive"):
-            evaluate_segments(["a"], truth, truth, tau=tau)
+            evaluate_segments(truth, truth, tau=tau)
