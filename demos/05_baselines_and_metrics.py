@@ -24,8 +24,9 @@ for method in ("raa", "ed", "cd", "ha", "wd"):
     report = evaluate_segments(preds, truths)
     print(f"{method:8s} {report.acd:10.3f} {report.ar:8.3f}")
 
-print("\nper-point matchers (ed, wd) have no window prior, so outliers land on")
-print("whatever candidate is nearest; chamfer scoring is brittle against the")
-print("jitter.  The Hungarian window matcher keeps up on small clean corpora;")
-print("the benchmark demo shows how the methods separate once uniform noise")
-print("is injected.")
+print("\nED snaps each point to its nearest candidate, so outliers land on")
+print("whatever candidate is nearest; WD assigns the points to distinct")
+print("candidates, which keeps two points off one spot but still has no window")
+print("prior.  Chamfer scoring is brittle against the jitter.  The Hungarian")
+print("window matcher keeps up on small clean corpora; the benchmark demo shows")
+print("how the methods separate once uniform noise is injected.")

@@ -4,13 +4,16 @@ Four classics: nearest-candidate euclidean matching (ED), chamfer distance
 (CD), the Hungarian assignment (HA), and exact discrete optimal transport
 (WD).  ED and WD match against the full candidate set; CD and HA score
 sliding windows of candidates, mirroring the window search of the main
-method, and snap to the best window.
+method, and snap to the best window.  WD snaps by capacity-1 transport,
+which is one rectangular assignment; :func:`wd_match` keeps the balanced
+transport LP and its W1 cost.
 """
 
 from __future__ import annotations
 
 import functools
 import importlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -166,16 +169,47 @@ def wd_match(collected, candidates) -> tuple[Assignment, float]:
     return _transport(_distances(collected, candidates, "wd_match"))
 
 
+def _best_window(dist: np.ndarray) -> int:
+    """Start of the window with the smallest Hungarian optimum (ties: smaller start).
+
+    Every window gets a lower bound first: the larger of the sums, over its
+    columns, of the row minima and of the column minima.  Windows are solved
+    in order of increasing bound until a bound exceeds the best optimum so
+    far.  Each bound, like each optimum, is a sum of M non-negative terms, so
+    its rounding error is relative to the window's own cost and the 1e-9
+    margin covers it: every window that could win or tie is solved.  (A
+    prefix-sum difference would err relative to the whole row of columns,
+    which the margin does not cover when the best cost is near 0.)
+    """
+    m = dist.shape[0]
+    windows = np.lib.stride_tricks.sliding_window_view
+    bound = np.maximum(
+        windows(dist, m, axis=1).min(axis=2).sum(axis=0),
+        windows(dist.min(axis=0), m).sum(axis=1),
+    )
+    best, best_score = 0, math.inf
+    for i in np.argsort(bound, kind="stable"):
+        if bound[i] > best_score * (1 + 1e-9):
+            break
+        score = _optimum(dist[:, i:i + m])
+        if score < best_score or (score == best_score and i < best):
+            best, best_score = int(i), score
+    return best
+
+
 def baseline_rectify(collected, candidate_set: CandidateSet, method: str) -> tuple[np.ndarray, int]:
     """Snap collected points to candidates using one of the four baselines.
 
-    ED and WD pick per-point candidates from the full set.  CD and HA slide an
-    M-wide window over the candidates (stride 1), score each window with the
-    chamfer distance or the Hungarian optimum, and return the best window's
-    candidates in order (ties: smaller start index).  Returns the snapped
-    points as an (M, 2) array of candidate rows and the window start index
-    (0 for the full-set methods).  All four work from one point-to-candidate
-    distance matrix; a window's scores use its column slice.  CD and HA raise
+    ED and WD pick per-point candidates from the full set: ED the nearest
+    one, WD the minimum-total-distance assignment of the points to distinct
+    candidates.  CD and HA slide an M-wide window over the candidates
+    (stride 1), score each window with the chamfer distance or the Hungarian
+    optimum, and return the best window's candidates in order (ties: smaller
+    start index); HA solves only the windows whose lower bound does not rule
+    them out.  Returns the snapped points as an (M, 2) array of candidate
+    rows and the window start index (0 for the full-set methods).  All four
+    work from one point-to-candidate distance matrix; a window's scores use
+    its column slice.  CD, HA and WD raise
     :class:`InsufficientCandidatesError` when K < M.
     """
     pts = _as_xy(collected)
@@ -189,16 +223,13 @@ def baseline_rectify(collected, candidate_set: CandidateSet, method: str) -> tup
 
     if method == ED:
         return cand[[j for _, j in _nearest(dist).pairs]], 0
-    if method == WD:
-        return cand[[j for _, j in _transport(dist)[0].pairs]], 0
-
-    n_windows = candidate_set.window_count(m)
-    if method == CD:
-        score = _chamfer
-    elif method == HA:
-        score = _optimum
-    else:
+    if method not in BASELINE_METHODS:
         raise ValueError(f"unknown baseline method {method!r}")
-    scores = [score(dist[:, i:i + m]) for i in range(n_windows)]
-    best = int(np.argmin(scores))  # argmin keeps the smaller index on ties
+    n_windows = candidate_set.window_count(m)  # InsufficientCandidatesError when K < M
+    if method == WD:
+        return cand[linear_sum_assignment(dist)[1]], 0
+    if method == HA:
+        best = _best_window(dist)
+    else:
+        best = int(np.argmin([_chamfer(dist[:, i:i + m]) for i in range(n_windows)]))  # ties: smaller index
     return cand[best:best + m], best

@@ -17,7 +17,9 @@ from spotalign.matchers import (
     hungarian_assign,
     wd_match,
 )
-from spotalign.roads import SpotType, sample_candidates
+from spotalign.geo import GeoPoint, make_frame, project_points, unproject_points
+from spotalign.pipeline import CollectedSet, rectify
+from spotalign.roads import CandidateSet, SpotType, sample_candidates
 
 from conftest import straight_segment
 
@@ -191,21 +193,61 @@ class TestBaselineRectify:
     def test_clean_points_fixed_by_all_methods(self):
         cands = self.make_candidates()
         window = cands.xy()[4:12]
-        for method in ("ed", "cd", "ha"):
+        for method in ("ed", "cd", "ha", "wd"):
             snapped, _ = baseline_rectify(window, cands, method)
             got = np.array([(p[0], p[1]) for p in snapped])
             assert np.allclose(got, window, atol=1e-9), method
 
     def test_clean_points_fixed_by_wd_at_equal_sizes(self):
-        # with more candidates than points, the two-marginal transport must
-        # push mass onto every candidate, so WD's exact fixed point only
-        # exists when the sets have equal sizes
         seg = straight_segment(7 * 6.0, SpotType.PARALLEL)
         cands = sample_candidates(seg)
         window = cands.xy()
         snapped, _ = baseline_rectify(window, cands, "wd")
         got = np.array([(p[0], p[1]) for p in snapped])
         assert np.allclose(got, window, atol=1e-9)
+
+    def test_wd_snaps_by_cheapest_injective_map(self, rng):
+        # oracle: the smallest total distance over every injective map of the
+        # collected points into the candidates
+        for _ in range(40):
+            k = int(rng.integers(2, 7))
+            m = int(rng.integers(1, min(4, k) + 1))
+            seg = straight_segment((k - 1) * 6.0, SpotType.PARALLEL)
+            cands = sample_candidates(seg)
+            assert len(cands) == k
+            xy = np.column_stack([rng.uniform(-5, k * 6.0, m), rng.uniform(-8, 8, m)])
+            collected = CollectedSet(seg.id, tuple(unproject_points(cands.frame, xy)))
+            pts = project_points(cands.frame, collected.points)
+            dist = np.hypot(*(pts[:, None] - cands.xy()[None, :]).transpose(2, 0, 1))
+            oracle = min(sum(dist[i, j] for i, j in enumerate(cols))
+                         for cols in itertools.permutations(range(k), m))
+            out = rectify(collected, seg, "wd")
+            assert out.loss == pytest.approx(oracle, rel=1e-12, abs=1e-9)
+            snapped = project_points(cands.frame, out.points)
+            to_cand = np.hypot(*(snapped[:, None] - cands.xy()[None, :]).transpose(2, 0, 1))
+            assert to_cand.min(axis=1).max() < 1e-6
+            assert len(set(np.argmin(to_cand, axis=1).tolist())) == m
+
+    def test_ha_pruning_matches_exhaustive_search(self):
+        # integer grids make many windows tie on their Hungarian optimum and
+        # on their lower bound; the smaller start index must still win
+        rng = np.random.default_rng(7)
+        frame = make_frame(GeoPoint(0.0, 0.0))
+        tied = 0
+        for _ in range(600):
+            k = int(rng.integers(3, 13))
+            m = int(rng.integers(1, k))
+            cand = rng.integers(0, 3, (k, 2)).astype(float)
+            pts = rng.integers(0, 3, (m, 2)).astype(float)
+            cands = CandidateSet("grid", cand, np.arange(k, dtype=float), frame)
+            dist = np.hypot(*(pts[:, None] - cand[None, :]).transpose(2, 0, 1))
+            scores = [spotalign.matchers._optimum(dist[:, i:i + m]) for i in range(k - m + 1)]
+            want = int(np.argmin(scores))
+            tied += scores.count(scores[want]) > 1
+            snapped, start = baseline_rectify(pts, cands, "ha")
+            assert start == want
+            assert np.array_equal(snapped, cand[want:want + m])
+        assert tied >= 150
 
     def test_ha_recovers_shifted_window(self, rng):
         cands = self.make_candidates()
@@ -285,6 +327,7 @@ class TestColdPath:
         hungarian_assign(np.eye(3))
         baseline_rectify(window, cands, "ha")
         wd_match(window, cands.xy())
-        # hungarian_assign: the optimum plus 4 refinement solves; HA: 5 windows
-        assert calls.count("linear_sum_assignment") == 1 + 4 + 5
+        # hungarian_assign: the optimum plus 4 refinement solves; HA: of the 5
+        # windows, only the exact one (bound 0) is solved
+        assert calls.count("linear_sum_assignment") == 1 + 4 + 1
         assert calls.count("linprog") == 1

@@ -164,7 +164,7 @@ class TestRaaRectify:
         with pytest.raises(InsufficientCandidatesError):
             raa_rectify(CollectedSet("x", pts), seg, th=0.1)
 
-    @pytest.mark.parametrize("method", ["raa", "cd", "ha"])
+    @pytest.mark.parametrize("method", ["raa", "cd", "ha", "wd"])
     def test_insufficient_candidates_name_the_segment(self, method):
         seg = straight_segment(4 * 6.0, SpotType.PARALLEL, seg_id="short")
         frame = sample_candidates(seg).frame
