@@ -5,6 +5,7 @@ planted ground-truth windows)."""
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
@@ -15,6 +16,8 @@ from .matchers import BASELINE_METHODS, baseline_rectify
 # InsufficientCandidatesError: re-exported for the package and the CLI
 from .roads import CURVE, STRAIGHT, InsufficientCandidatesError, RoadSegment, SpotType, sample_candidates
 from .solver import SolverConfig, admm_solve
+
+log = logging.getLogger(__name__)
 
 RAA = "raa"
 ALL_METHODS = (RAA,) + BASELINE_METHODS
@@ -167,7 +170,10 @@ def raa_rectify(
     wins (ties: smaller start index).  Each window solve runs in coordinates
     centered on that window, so the transform-norm part of the loss measures
     displacement relative to the window itself.  The output snaps to the
-    winning window's candidates.
+    winning window's candidates.  At DEBUG level, ``spotalign.pipeline``
+    logs one line per searched segment: the windows solved, how many of them
+    stopped at ``max_iters`` without converging, the winning loss and its
+    margin over the runner-up (nan for a single window).
 
     Raises :class:`InsufficientCandidatesError` when the candidate set is
     smaller than the collected set, and ``ValueError`` when a single
@@ -197,11 +203,18 @@ def raa_rectify(
     if m < 2:
         raise ValueError(f"segment {segment.id!r}: RAA needs at least 2 collected points, got {m}")
     losses = np.empty(n_windows)
+    capped = 0
     for i in range(n_windows):
         window = cand_xy[i:i + m]
         center = window.mean(axis=0)
-        losses[i] = admm_solve(pts - center, window - center, cfg).loss
+        solved = admm_solve(pts - center, window - center, cfg)
+        losses[i] = solved.loss
+        capped += not solved.converged
     best = int(np.argmin(losses))
+    if log.isEnabledFor(logging.DEBUG):
+        margin = float(np.partition(losses, 1)[1] - losses[best]) if n_windows > 1 else math.nan
+        log.debug("raa_rectify %s: %d windows solved, %d stopped at max_iters, loss %.6f, margin %.6f",
+                  segment.id, n_windows, capped, losses[best], margin)
     snapped = unproject_points(frame, cand_xy[best:best + m])
     return RectifiedSet(
         segment_id=collected.segment_id,

@@ -11,6 +11,7 @@ flattening of an (M, 2) array of points.
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -26,19 +27,23 @@ def _normalize_angle(theta: float) -> float:
 
 
 def warp_values(transforms, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Warp interleaved vectors ``values`` (..., 2M) by (theta, s_x, s_y) rows (..., 3).
+    """Warp interleaved vectors ``values`` (2M,) or (k, 2M) by (theta, s_x, s_y) rows (3,) or (k, 3).
 
     One transform row per vector (the solver warps its two sides in one
     call); with each point (x, y) taken as x + iy, the warp is e^(i theta) z + s.
     With ``out``, a C-contiguous float array, it is warped in place there.
     """
-    rows = np.ascontiguousarray(transforms, dtype=float)
-    turn = np.exp(1j * rows[..., :1])
-    shift = rows[..., 1:].view(np.complex128)  # (s_x, s_y) is contiguous in a C-ordered row
+    rows = np.asarray(transforms, dtype=float)
     z = np.ascontiguousarray(values, dtype=float).view(np.complex128)
-    w = np.multiply(turn, z, out=None if out is None else out.view(np.complex128))
-    w += shift
-    return w.view(float)
+    if z.ndim > 2 or rows.shape != z.shape[:-1] + (3,):
+        raise ValueError(f"expected one transform row per vector, got {rows.shape} rows for {np.shape(values)}")
+    w = np.empty_like(z) if out is None else out.view(np.complex128)
+    # a Python scalar per vector: an (n, 1) operand would send numpy through
+    # its slower broadcasting loop, which allocates buffers as long as a vector
+    for z_k, w_k, (theta, s_x, s_y) in zip(z, w, rows.tolist()) if z.ndim == 2 else [(z, w, rows.tolist())]:
+        np.multiply(z_k, cmath.rect(1.0, theta), out=w_k)
+        w_k += complex(s_x, s_y)
+    return w.view(float) if out is None else out
 
 
 def fold_increments(transforms: np.ndarray, increments, out: np.ndarray | None = None) -> np.ndarray:

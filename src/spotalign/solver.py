@@ -30,10 +30,16 @@ index into one of them (U = Y / mu are the multipliers scaled by mu):
     A         blocks[1].T, (2M, 2)        W1, W2    W[0], W[1]: warped P, Rd
     E1, E2    blocks[2, 0], blocks[2, 1]  theta1/2  transforms[0], transforms[1]
 
-Each block writes in place into buffers made once per solve, and what is
-scalar (the coupling step's 2x2 rotation, the transforms and their
+Each block writes in place into buffers made once per solve, its outputs
+and its scratch alike, so a sweep allocates nothing the size of a block; what
+is scalar (the coupling step's 2x2 rotation, the transforms and their
 increments) stays in Python floats.  The coupling and increment steps are
-closed forms; the warp Jacobians are only computed for trace mode.
+closed forms; the warp Jacobians are only computed for trace mode.  A sweep
+is some forty numpy calls on arrays of a few hundred entries, so the cost of
+a call, not the arithmetic, sets its time: fixed linear combinations of
+blocks are one product (the C/D-step is one over ``SolverState.terms``), and
+no call takes a broadcast (n, 1) operand, which numpy runs through a slower
+loop that allocates buffers as long as the block.
 
 The E2 regularizer is realized purely through its translation structure (the
 per-axis-mean projection is the exact block minimizer), so the augmented
@@ -48,6 +54,7 @@ fixed meters-per-radian-equivalent scale :data:`THETA_NORM_SCALE_M`.
 
 from __future__ import annotations
 
+import cmath
 import copy
 import logging
 import math
@@ -62,6 +69,10 @@ log = logging.getLogger(__name__)
 
 # translation (meters) that weighs like one radian in the alignment loss
 THETA_NORM_SCALE_M = 10.0
+
+# the C/D-step's weights of the rows A, E, W, U, U3 of SolverState.terms
+_CD_WEIGHTS = np.array([0.5, 0.5, 0.5, 0.5, -0.5])
+_CD_WEIGHTS.flags.writeable = False
 
 
 class DegenerateGeometryError(Exception):
@@ -117,26 +128,36 @@ class SolverState:
     arrays with the same M of at least 2 and ``0 < mu < inf``.  The state is
     its buffers:
 
-        ==========  ===========  ==========================================
-        buffer      shape        holds
-        ==========  ===========  ==========================================
-        inputs      (2, 2M)      [P; Rd]
-        blocks      (3, 2, 2M)   [C; D], A transposed into rows, [E1; E2]
-        transforms  (2, 3)       theta1 (moves P), theta2 (moves Rd)
-        duals       (2, 2, 2M)   [U1; U2], U3 transposed into rows
-        W           (2, 2M)      [W1; W2], the inputs warped by transforms
-        ==========  ===========  ==========================================
+        ===========  ===========  =========================================
+        buffer       shape        holds
+        ===========  ===========  =========================================
+        inputs       (2, 2M)      [P; Rd]
+        transforms   (2, 3)       theta1 (moves P), theta2 (moves Rd)
+        blocks       (3, 2, 2M)   [C; D], A transposed into rows, [E1; E2]
+        W            (2, 2M)      [W1; W2], the inputs warped by transforms
+        duals        (2, 2, 2M)   [U1; U2], U3 transposed into rows
+        terms        (6, 4M)      blocks, W, duals: one flat row per pair
+        --- scratch, rewritten by every sweep ---------------------------
+        coupled      (2, 2M)      A-step: [C D] + U3, before the shrink
+        v2, bv2      (2,), (2M,)  A-step: smaller right singular vector, B v2
+        keep         (2, 2)       A-step: I - k v2 v2^T
+        residual     (2, 2M)      E-step: [C D] - W - E - U
+        sums         (8,)         increment step: ``moments`` @ residual
+        constraints  (2, 2, 2M)   multiplier step: the constraint residuals
+        norms        (4, 1, 1)    multiplier step: their squared row norms
+        ===========  ===========  =========================================
 
-    ``blocks`` then ``transforms`` (rows (theta, s_x, s_y), theta in
-    (-pi, pi]) are views into ``vector``, the iterate; [C; D] and A start
-    as the inputs, the rest at zero.  ``pairs`` holds [C D], A, E, U, U3 as
-    views made once.  W follows ``transforms``: :func:`sweep` folds its
-    increments into them in place and re-warps W itself, and
-    :meth:`set_transforms` does both for a caller outside a sweep.
-    ``moments`` and ``levers`` are the increment step's terms the inputs
-    fix.  W, the E-step ``residual`` and the (2, 2, 2M) ``constraints`` are
-    written in place by every sweep; a ``copy.copy`` shares every buffer,
-    so trace mode only reads its copy.
+    One buffer holds, in order, ``transforms`` (rows (theta, s_x, s_y),
+    theta in (-pi, pi]), ``blocks``, W and ``duals``; its first part,
+    ``transforms`` and ``blocks``, is ``vector``, the iterate.  [C; D] and A
+    start as the inputs, the rest at zero.  ``pairs`` holds [C D], A, E, U,
+    U3, ``e_rows`` the E-step's rows (its complex views for E2) and
+    ``norm_rows`` the multiplier step's operands, all views made once.  W
+    follows ``transforms``: :func:`sweep` folds its increments into them in
+    place and re-warps W itself, and :meth:`set_transforms` does both for a
+    caller outside a sweep.  ``moments`` (both sides' block-diagonally) and
+    ``levers`` are the increment step's terms the inputs fix.  A
+    ``copy.copy`` shares every buffer, so trace mode only reads its copy.
     """
 
     def __init__(self, P: np.ndarray, Rd: np.ndarray, mu: float) -> None:
@@ -148,29 +169,39 @@ class SolverState:
             raise ValueError(f"P and Rd must hold the same point count ({len(p)} vs {len(r)})")
         if len(p) < 2:
             raise ValueError("alignment needs at least 2 points per side")
-        self.inputs = np.stack([p.reshape(-1), r.reshape(-1)])
+        self.inputs = np.concatenate((p, r)).reshape(2, -1)
         if not np.isfinite(self.inputs).all():
             raise ValueError("P and Rd must be finite")
         if not 0 < mu < math.inf:  # NaN fails too
             raise ValueError(f"mu must be positive and finite, got {mu!r}")
         n = self.inputs.shape[1]
         self.mu = mu
-        self.vector = np.zeros(6 * n + 6)
-        self.blocks = self.vector[:6 * n].reshape(3, 2, n)
-        self.transforms = self.vector[6 * n:].reshape(2, 3)
+        buffer = np.zeros(12 * n + 6)
+        self.vector, self.transforms = buffer[:6 * n + 6], buffer[:6].reshape(2, 3)
+        self.terms = buffer[6:].reshape(6, 2 * n)
+        self.blocks = self.terms[:3].reshape(3, 2, n)
+        self.W, self.duals = self.terms[3].reshape(2, n), self.terms[4:].reshape(2, 2, n)
         self.blocks[:2] = self.inputs
-        self.duals = np.zeros((2, 2, n))
-        self.W = warp_values(self.transforms, self.inputs)
-        self.residual, self.constraints = np.empty_like(self.inputs), np.empty_like(self.duals)
+        warp_values(self.transforms, self.inputs, out=self.W)
         self.pairs = (*self.blocks, *self.duals)
-        # per side, moments @ r = (Re, Im) sum conj(z_i - z_mean) r_i, sum r_x, sum r_y
+        self.residual, self.constraints = np.empty_like(self.inputs), np.empty_like(self.duals)
+        self.coupled, self.keep = np.empty_like(self.inputs), np.empty((2, 2))
+        self.v2, self.bv2 = np.empty(2), np.empty(n)
+        self.sums, self.norms = np.empty(8), np.empty((4, 1, 1))
+        r, e, c = self.residual, self.blocks[2], self.constraints.reshape(4, n)
+        self.e_rows = (r[0], e[0], r[1].view(np.complex128), e[1].view(np.complex128))
+        self.norm_rows = (c[:, None], c[:, :, None])
+        # per side, side_moments @ r = (Re, Im) sum conj(z_i - z_mean) r_i, sum r_x, sum r_y;
+        # moments holds them block-diagonally, so one product serves both sides
         z = self.inputs.view(np.complex128)
         z_mean = z.sum(axis=1) / (n // 2)
         zc = z - z_mean[:, None]
         spread = (zc.conj() * zc).real.sum(axis=1)
-        self.moments = np.zeros((2, 4, n))
-        self.moments[:, 0], self.moments[:, 1] = zc.view(float), (1j * zc).view(float)
-        self.moments[:, 2, 0::2] = self.moments[:, 3, 1::2] = 1.0
+        side_moments = np.zeros((2, 4, n))
+        side_moments[:, 0], side_moments[:, 1] = zc.view(float), (1j * zc).view(float)
+        side_moments[:, 2, 0::2] = side_moments[:, 3, 1::2] = 1.0
+        self.moments = np.zeros((8, 2 * n))
+        self.moments[:4, :n], self.moments[4:, n:] = side_moments
         self.levers = [(c, s, s + n // 2 * (c.real * c.real + c.imag * c.imag))
                        for c, s in zip(z_mean.tolist(), spread.tolist())]
 
@@ -248,15 +279,33 @@ def rank1_excess_prox(B: np.ndarray, threshold: float, out: np.ndarray | None = 
     B = np.asarray(B, dtype=float)
     if B.ndim != 2 or B.shape[1] != 2:
         raise ValueError(f"expected an (n, 2) matrix, got shape {B.shape}")
-    rows = B.T  # in the rows of B.T: no transposed copy
-    (g00, g01), (_, g11) = np.dot(rows, B).tolist()
+    n = len(B)
+    shrunk = np.empty((2, n))  # apart from B, so out may be B itself
+    _shrink_excess(B.T, threshold, shrunk, np.empty(2), np.empty(n), np.empty((2, 2)))
+    if out is None:
+        return shrunk.T
+    out[...] = shrunk.T
+    return out
+
+
+def _shrink_excess(rows: np.ndarray, threshold: float, out: np.ndarray, v2: np.ndarray, bv2: np.ndarray,
+                   keep: np.ndarray) -> None:
+    """:func:`rank1_excess_prox` of the (2, n) ``rows`` of B, written to the rows ``out``.
+
+    ``out`` is C-contiguous and apart from ``rows``; ``v2`` (2,), ``bv2``
+    (n,) and ``keep`` (2, 2) are scratch.  The shrink is one 2x2 product,
+    keep @ rows, not the rank-1 update rows - (k v2)(B v2)^T, whose outer
+    product would broadcast.
+    """
+    (g00, g01), (_, g11) = np.dot(rows, rows.T).tolist()
     phi = 0.5 * math.atan2(2.0 * g01, g00 - g11)
     v2x, v2y = -math.sin(phi), math.cos(phi)
-    bv2 = np.dot((v2x, v2y), rows)
-    sigma2 = math.sqrt(np.dot(bv2, bv2))
+    v2[0], v2[1] = v2x, v2y
+    sigma2 = math.sqrt(np.dot(np.dot(v2, rows, out=bv2), bv2))
     shrink = 1.0 if sigma2 <= threshold else threshold / sigma2
-    keep = ((1.0 - shrink * v2x * v2x, -shrink * v2x * v2y), (-shrink * v2y * v2x, 1.0 - shrink * v2y * v2y))
-    return np.matmul(keep, rows, out=None if out is None else out.T).T
+    kx, ky = shrink * v2x, shrink * v2y
+    keep[0, 0], keep[0, 1], keep[1, 0], keep[1, 1] = 1.0 - kx * v2x, -kx * v2y, -ky * v2x, 1.0 - ky * v2y
+    np.dot(keep, rows, out=out)
 
 
 def rank1_excess(B: np.ndarray) -> float:
@@ -265,31 +314,22 @@ def rank1_excess(B: np.ndarray) -> float:
     return float(sig.sum() - sig.max()) if sig.size else 0.0
 
 
-def axis_mean_replicate(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Project an interleaved vector onto translation structure (per-axis means, one complex sum)."""
-    out = np.empty_like(v) if out is None else out
-    out.view(np.complex128).fill(np.add.reduce(np.ascontiguousarray(v).view(np.complex128)) / (v.size // 2))
-    return out
-
-
 def update_coupling(state: SolverState, cfg: SolverConfig) -> None:
     """A-step: threshold the rank-1 excess of [C D] + U3 at lam/mu, in A's rows."""
     cd, a_rows, _, _, u3 = state.pairs
-    rank1_excess_prox(np.add(cd, u3, out=a_rows).T, cfg.lam / state.mu, out=a_rows.T)
+    coupled = np.add(cd, u3, out=state.coupled)
+    _shrink_excess(coupled, cfg.lam / state.mu, a_rows, state.v2, state.bv2, state.keep)
 
 
 def update_rectified_blocks(state: SolverState) -> None:
     """C/D-step: each block is the average of its two quadratic anchors.
 
-    The transform increments take no part: inside the solve loop they were
-    folded at the end of the previous sweep, so they are zero here.
+    [C D] = (A + E + W + U - U3) / 2, one product with the rows of
+    ``state.terms`` that follow [C D].  The transform increments take no
+    part: inside the solve loop they were folded at the end of the previous
+    sweep, so they are zero here.
     """
-    cd, a_rows, e, u, u3 = state.pairs
-    np.add(state.W, e, out=cd)
-    cd += u
-    cd += a_rows
-    cd -= u3
-    cd *= 0.5
+    np.dot(_CD_WEIGHTS, state.terms[1:], out=state.terms[0])
 
 
 def update_error_blocks(state: SolverState) -> np.ndarray:
@@ -301,12 +341,13 @@ def update_error_blocks(state: SolverState) -> np.ndarray:
     of the residual, [C D] - W - E - U, which the increment step fits.
     """
     cd, _, e, u, _ = state.pairs
+    r1, e1, r2, e2 = state.e_rows
     residual = np.subtract(cd, state.W, out=state.residual)
     residual -= u
-    t, r1 = 1.0 / state.mu, residual[0]
-    e1 = np.minimum(np.maximum(r1, -t, out=e[0]), t, out=e[0])
+    t = 1.0 / state.mu
+    np.minimum(np.maximum(r1, -t, out=e1), t, out=e1)
     np.subtract(r1, e1, out=e1)
-    axis_mean_replicate(residual[1], out=e[1])
+    e2.fill(np.add.reduce(r2) / len(r2))  # both axis means as one complex mean
     residual -= e
     return residual
 
@@ -338,12 +379,12 @@ def update_transform_increments(state: SolverState, residual: np.ndarray) -> lis
     :class:`DegenerateGeometryError` for a singular side.
     """
     m = residual.shape[1] // 2
-    sums = (state.moments @ residual[:, :, None]).reshape(2, 4).tolist()
+    sums = np.dot(state.moments, residual.ravel(), out=state.sums).tolist()
     # three unknowns per side: scalar arithmetic from here on
     increments = []
     for (theta, _, _), (z_bar, spread, lever), (cross_re, cross_im, sum_x, sum_y) in zip(
-            state.transforms.tolist(), state.levers, sums):
-        turn = complex(math.cos(theta), math.sin(theta))
+            state.transforms.tolist(), state.levers, (sums[:4], sums[4:])):
+        turn = cmath.rect(1.0, theta)
         torque = turn.real * cross_im - turn.imag * cross_re
         if not (math.isfinite(torque) and math.isfinite(lever)):
             raise NumericalFailureError()
@@ -351,7 +392,7 @@ def update_transform_increments(state: SolverState, residual: np.ndarray) -> lis
             raise DegenerateGeometryError("point set too degenerate for an increment solve")
         d_theta = torque / spread
         d_s = complex(sum_x, sum_y) / m - 1j * (turn * z_bar) * d_theta
-        if not all(map(math.isfinite, (d_theta, d_s.real, d_s.imag))):
+        if not (math.isfinite(d_theta) and cmath.isfinite(d_s)):
             raise NumericalFailureError()
         increments.append((d_theta, d_s.real, d_s.imag))
     return increments
@@ -375,7 +416,7 @@ def update_multipliers(state: SolverState, cfg: SolverConfig) -> tuple[float, fl
     measured before the ascent.
     """
     res = _constraint_residuals(state, state.constraints)
-    h1, h2, g1, g2 = np.matmul(res.reshape(4, 1, -1), res.reshape(4, -1, 1)).reshape(4).tolist()
+    h1, h2, g1, g2 = np.matmul(*state.norm_rows, out=state.norms).ravel().tolist()
     coupling = math.sqrt(g1 + g2)
     primal = max(math.sqrt(h1), math.sqrt(h2), coupling)
     state.duals += res

@@ -15,6 +15,7 @@ GOLDEN = {
     "test_solver_golden.py": "solver_golden.json",
     "test_baselines_golden.py": "baselines_golden.json",
     "test_solver_small_golden.py": "solver_small_golden.json",
+    "test_solver_mid_golden.py": "solver_mid_golden.json",
 }
 
 

@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from spotalign.pipeline import (
     synth_corpus,
 )
 from spotalign.roads import SpotType, sample_candidates
+from spotalign.solver import SolverConfig
 
 from conftest import straight_segment
 
@@ -182,6 +184,27 @@ class TestRaaRectify:
         pts = tuple(unproject_points(frame, np.array([[60.0, 30.0]])))
         with pytest.raises(ValueError, match="segment 'lone': RAA needs at least 2 collected points"):
             rectify(CollectedSet("lone", pts), seg, "raa", th=0.1)
+
+    def test_logs_one_debug_line_per_searched_segment(self, caplog):
+        segment, collected = synth_corpus(1, 0, seed=1)[0]
+        cfg = SolverConfig(max_iters=3)  # too few sweeps for any window to converge
+        quiet = raa_rectify(collected, segment, th=1.0, cfg=cfg)
+        with caplog.at_level(logging.DEBUG, logger="spotalign.pipeline"):
+            out = raa_rectify(collected, segment, th=1.0, cfg=cfg)
+        assert out == quiet
+        (record,) = [r for r in caplog.records if r.name == "spotalign.pipeline"]
+        losses = sorted(out.window_losses)
+        assert len(losses) > 1 and record.levelno == logging.DEBUG
+        assert record.args == (segment.id, len(losses), len(losses), out.loss, losses[1] - losses[0])
+        assert record.getMessage().startswith(f"raa_rectify {segment.id}: {len(losses)} windows solved, "
+                                              f"{len(losses)} stopped at max_iters, loss ")
+
+    def test_already_correct_segment_logs_nothing(self, caplog):
+        seg = straight_segment(60 * 6.0, SpotType.PARALLEL)
+        collected, _ = planted_collected(seg, start=0, m=12)
+        with caplog.at_level(logging.DEBUG, logger="spotalign.pipeline"):
+            assert raa_rectify(collected, seg, th=10.0).already_correct
+        assert not [r for r in caplog.records if r.name == "spotalign.pipeline"]
 
     def test_baseline_dispatch(self, rng):
         seg = straight_segment(30 * 6.0, SpotType.PARALLEL)

@@ -53,6 +53,13 @@ class TestWarp:
             assert np.allclose(row, warp_values(t, p), rtol=0.0, atol=1e-12)
 
 
+    @pytest.mark.parametrize("transforms, values", [(np.zeros(3), np.zeros((2, 6))), (np.zeros((2, 3)), np.zeros(6))],
+                             ids=["one-row-two-vectors", "two-rows-one-vector"])
+    def test_one_row_per_vector(self, transforms, values):
+        with pytest.raises(ValueError, match="one transform row per vector"):
+            warp_values(transforms, values)
+
+
 class TestCompose:
     """Composition laws of :func:`fold_increments`, one row per transform."""
 

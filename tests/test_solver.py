@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -17,7 +18,6 @@ from spotalign.solver import (
     SolverState,
     admm_solve,
     alignment_loss,
-    axis_mean_replicate,
     lagrangian,
     rank1_excess,
     rank1_excess_prox,
@@ -42,7 +42,7 @@ def random_state(rng, m=8, mu=0.7):
     state.blocks[0, 1] = rng.uniform(-40, 40, 2 * m)
     state.blocks[1] = rng.uniform(-40, 40, (2 * m, 2)).T
     state.blocks[2, 0] = rng.uniform(-3, 3, 2 * m)
-    state.blocks[2, 1] = axis_mean_replicate(rng.uniform(-3, 3, 2 * m))
+    state.blocks[2, 1] = np.tile(rng.uniform(-3, 3, (m, 2)).mean(axis=0), m)  # constant per axis
     state.duals[0, 0] = rng.uniform(-1, 1, 2 * m)
     state.duals[0, 1] = rng.uniform(-1, 1, 2 * m)
     state.duals[1] = rng.uniform(-1, 1, (2 * m, 2)).T
@@ -73,6 +73,36 @@ MALFORMED = [
 MALFORMED_IDS = ["3-columns", "flat", "3-d", "nan", "inf", "-inf"]
 
 
+# (n, 2) matrices down to sigma_2 / sigma_1 = 1e-12, with column scales 1e6
+# apart, and a threshold as a fraction of sigma_1
+EXCESS_CASES = dict(
+    n=st.integers(2, 70),
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["general", "rank1", "zero"]),
+    ratio_exp=st.one_of(st.just(0.0), st.floats(-12.0, 0.0)),
+    scale_exp=st.floats(-6.0, 6.0),
+    col_scale_exp=st.one_of(st.just(0.0), st.floats(-6.0, 6.0)),
+    t_frac=st.one_of(st.just(0.0), st.floats(1e-14, 2.0)),
+)
+
+
+def excess_case(n, seed, kind, ratio_exp, scale_exp, col_scale_exp, t_frac):
+    """The matrix and threshold an EXCESS_CASES draw describes."""
+    rng = np.random.default_rng(seed)
+    if kind == "zero":
+        b = np.zeros((n, 2))
+    elif kind == "rank1":
+        col = rng.normal(size=n) * 10.0**scale_exp
+        b = np.stack([col, col * rng.choice([0.0, 0.5, -2.0, 1.0])], axis=1)[:, rng.permutation(2)]
+    else:
+        u, _ = np.linalg.qr(rng.normal(size=(n, 2)))
+        ang = rng.uniform(0, 2 * math.pi)
+        v = np.array([[math.cos(ang), -math.sin(ang)], [math.sin(ang), math.cos(ang)]])
+        b = u @ np.diag([1.0, 10.0**ratio_exp]) @ v.T * 10.0**scale_exp
+    b = b * [1.0, 10.0**col_scale_exp]
+    return b, t_frac * np.linalg.svd(b, compute_uv=False)[0]
+
+
 def malformed_pair(bad, side):
     good = np.arange(bad.size, dtype=float).reshape(-1, 2)
     pair = [good, good]
@@ -90,8 +120,9 @@ class TestSolverState:
         assert np.array_equal(state.blocks[0], inputs) and np.array_equal(state.blocks[1], inputs)
         assert not state.blocks[2].any() and not state.transforms.any() and not state.duals.any()
         assert np.array_equal(state.W, inputs)
-        # blocks and transforms are views into the one iterate buffer
-        assert state.blocks.base is state.vector and state.transforms.base is state.vector
+        # blocks and transforms are views into the iterate; W and the duals are not part of it
+        assert np.shares_memory(state.blocks, state.vector) and np.shares_memory(state.transforms, state.vector)
+        assert not np.shares_memory(state.W, state.vector) and not np.shares_memory(state.duals, state.vector)
 
     @pytest.mark.parametrize("side", [0, 1])
     @pytest.mark.parametrize("bad, match", MALFORMED, ids=MALFORMED_IDS)
@@ -170,33 +201,13 @@ class TestRank1ExcessProx:
         assert sig_out[0] == pytest.approx(sig_in[0], abs=1e-10)
         assert sig_out[1] == pytest.approx(max(sig_in[1] - 0.5, 0.0), abs=1e-10)
 
-    @given(
-        n=st.integers(2, 70),
-        seed=st.integers(0, 2**32 - 1),
-        kind=st.sampled_from(["general", "rank1", "zero"]),
-        ratio_exp=st.one_of(st.just(0.0), st.floats(-12.0, 0.0)),
-        scale_exp=st.floats(-6.0, 6.0),
-        col_scale_exp=st.one_of(st.just(0.0), st.floats(-6.0, 6.0)),
-        t_frac=st.one_of(st.just(0.0), st.floats(1e-14, 2.0)),
-    )
+    @given(**EXCESS_CASES)
     @settings(max_examples=300, deadline=None)
-    def test_matches_svd_reference(self, n, seed, kind, ratio_exp, scale_exp, col_scale_exp, t_frac):
+    def test_matches_svd_reference(self, **case):
         # sigma_1 kept, sigma_2 soft-thresholded, against LAPACK's SVD, down
         # to sigma_2 / sigma_1 = 1e-12 and column scales 1e6 apart
-        rng = np.random.default_rng(seed)
-        if kind == "zero":
-            b = np.zeros((n, 2))
-        elif kind == "rank1":
-            col = rng.normal(size=n) * 10.0**scale_exp
-            b = np.stack([col, col * rng.choice([0.0, 0.5, -2.0, 1.0])], axis=1)[:, rng.permutation(2)]
-        else:
-            u, _ = np.linalg.qr(rng.normal(size=(n, 2)))
-            ang = rng.uniform(0, 2 * math.pi)
-            v = np.array([[math.cos(ang), -math.sin(ang)], [math.sin(ang), math.cos(ang)]])
-            b = u @ np.diag([1.0, 10.0**ratio_exp]) @ v.T * 10.0**scale_exp
-        b = b * [1.0, 10.0**col_scale_exp]
+        b, t = excess_case(**case)
         u, sig_in, vt = np.linalg.svd(b, full_matrices=False)
-        t = t_frac * sig_in[0]
         out = rank1_excess_prox(b, t)
         sig_out = np.linalg.svd(out, compute_uv=False)
         assert sig_out[0] == pytest.approx(sig_in[0], rel=1e-12, abs=0.0)
@@ -205,6 +216,17 @@ class TestRank1ExcessProx:
             # a clear spectral gap fixes the singular vectors: same matrix
             reference = (u * [sig_in[0], max(sig_in[1] - t, 0.0)]) @ vt
             assert np.abs(out - reference).max() <= 1e-10 * sig_in[0]
+
+    @given(**EXCESS_CASES, as_rows=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_in_place_is_bitwise_out_of_place(self, as_rows, **case):
+        b, t = excess_case(**case)
+        if as_rows:  # the (n, 2) view of (2, n) rows, as A is held in the solver
+            b = np.ascontiguousarray(b.T).T
+        expected = rank1_excess_prox(b, t)
+        out = rank1_excess_prox(b, t, out=b)
+        assert np.shares_memory(out, b)
+        assert b.tobytes() == expected.tobytes()
 
     def test_negative_threshold_rejected(self):
         for threshold in (-0.1, math.nan):
@@ -470,6 +492,23 @@ class TestAdmmSolve:
             assert alone.mu == state.mu
             for name in ("vector", "duals", "W", "residual", "constraints"):
                 assert getattr(alone, name).tobytes() == getattr(state, name).tobytes(), name
+
+    def test_sweep_allocates_nothing(self):
+        # every buffer a sweep writes is the state's: after a warm-up sweep,
+        # 20 sweeps raise the traced peak by less than one 2M-float row
+        r = np.random.default_rng(7)
+        cfg, m = SolverConfig(), 500
+        state = SolverState(r.uniform(-40, 40, (m, 2)), r.uniform(-40, 40, (m, 2)), cfg.mu0)
+        sweep(state, cfg)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            for _ in range(20):
+                sweep(state, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - start < 2 * m * 8
 
     def test_trace_copy_writes_no_buffer_of_the_state(self, rng, monkeypatch):
         cfg = SolverConfig()
