@@ -14,7 +14,7 @@ from .solver import (
     rank1_excess_prox,
     svt_prox,
 )
-from .matchers import Assignment, baseline_rectify, cd_distance, ed_match, hungarian_assign, wd_match
+from .matchers import Assignment, baseline_rectify, hungarian_assign
 from .pipeline import (
     CollectedSet,
     InsufficientCandidatesError,
@@ -40,7 +40,7 @@ __all__ = [
     "DegenerateGeometryError", "NumericalFailureError",
     "SolverConfig", "SolverResult", "SolverState", "admm_solve", "alignment_loss",
     "rank1_excess_prox", "svt_prox",
-    "Assignment", "baseline_rectify", "cd_distance", "ed_match", "hungarian_assign", "wd_match",
+    "Assignment", "baseline_rectify", "hungarian_assign",
     "CollectedSet", "InsufficientCandidatesError", "Mixed", "NoiseSpec", "RandomNoise",
     "RectifiedSet", "Rotational", "Translational",
     "inject_noise", "raa_rectify", "rectify", "synth_corpus",

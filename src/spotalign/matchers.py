@@ -2,11 +2,12 @@
 
 Four classics: nearest-candidate euclidean matching (ED), chamfer distance
 (CD), the Hungarian assignment (HA), and exact discrete optimal transport
-(WD).  ED and WD match against the full candidate set; CD and HA score
-sliding windows of candidates, mirroring the window search of the main
+(WD), all run by :func:`baseline_rectify` from one point-to-candidate
+distance matrix.  ED and WD match against the full candidate set; CD and HA
+score sliding windows of candidates, mirroring the window search of the main
 method, and snap to the best window.  WD snaps by capacity-1 transport,
-which is one rectangular assignment; :func:`wd_match` keeps the balanced
-transport LP and its W1 cost.
+which is one rectangular assignment, so no transport LP is solved.
+:func:`hungarian_assign` is the square assignment with lexicographic ties.
 """
 
 from __future__ import annotations
@@ -36,21 +37,22 @@ class Assignment:
 
 
 # scipy.optimize takes most of a second to import and only HA and WD need it,
-# so scipy modules load on first use.  The matchers look the two solvers up at
-# call time, which keeps them replaceable (e.g. by wrappers that time them).
+# so it loads on first use.  The matchers look the solver up at call time,
+# which keeps it replaceable (e.g. by wrappers that time it).
 @functools.cache
-def _scipy(name: str):
-    return importlib.import_module(f"scipy.{name}")
+def _optimize():
+    return importlib.import_module("scipy.optimize")
 
 
 def linear_sum_assignment(cost):
     """:func:`scipy.optimize.linear_sum_assignment`."""
-    return _scipy("optimize").linear_sum_assignment(cost)
+    return _optimize().linear_sum_assignment(cost)
 
 
+# no library caller: perfbench's tracer wraps it until ROADMAP item 2 drops matchers.linprog.ms_p50
 def linprog(c, **kwargs):
     """:func:`scipy.optimize.linprog`."""
-    return _scipy("optimize").linprog(c, **kwargs)
+    return _optimize().linprog(c, **kwargs)
 
 
 def _as_xy(points) -> np.ndarray:
@@ -60,39 +62,6 @@ def _as_xy(points) -> np.ndarray:
     if not np.isfinite(xy).all():
         raise ValueError("point coordinates must be finite")
     return xy
-
-
-def _pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    diff = a[:, None, :] - b[None, :, :]
-    return np.hypot(diff[..., 0], diff[..., 1])
-
-
-def _distances(set_a, set_b, name: str) -> np.ndarray:
-    a = _as_xy(set_a)
-    b = _as_xy(set_b)
-    if a.size == 0 or b.size == 0:
-        raise ValueError(f"{name} needs non-empty point sets")
-    return _pairwise_distances(a, b)
-
-
-def _nearest(dist: np.ndarray) -> Assignment:
-    idx = np.argmin(dist, axis=1)  # argmin returns the first (lowest) index on ties
-    cost = float(dist[np.arange(len(idx)), idx].sum())
-    return Assignment(tuple((i, int(j)) for i, j in enumerate(idx)), cost)
-
-
-def ed_match(collected, candidates) -> Assignment:
-    """Match each collected point to its nearest candidate (ties: lower index)."""
-    return _nearest(_distances(collected, candidates, "ed_match"))
-
-
-def _chamfer(dist: np.ndarray) -> float:
-    return float(dist.min(axis=1).sum() + dist.min(axis=0).sum())
-
-
-def cd_distance(set_a, set_b) -> float:
-    """Chamfer distance: symmetric sum of nearest-neighbor distances."""
-    return _chamfer(_distances(set_a, set_b, "cd_distance"))
 
 
 def _optimum(cost: np.ndarray) -> float:
@@ -137,56 +106,28 @@ def hungarian_assign(cost: np.ndarray) -> Assignment:
     return Assignment(tuple((i, j) for i, j in enumerate(chosen)), total)
 
 
-def _transport(cost: np.ndarray) -> tuple[Assignment, float]:
-    m, k = cost.shape
-    # transport variable i*k + j enters the marginal of collected point i (row
-    # i) and of candidate j (row m + j)
-    rows = (np.column_stack(np.divmod(np.arange(m * k), k)) + (0, m)).ravel()
-    marginals = _scipy("sparse").csc_array(
-        (np.ones(2 * m * k), rows, np.arange(0, 2 * m * k + 1, 2)), shape=(m + k, m * k)
-    )
-    # drop one redundant constraint to keep the system full-rank
-    a_eq = marginals[:-1]
-    b_eq = np.concatenate([np.full(m, 1.0 / m), np.full(k - 1, 1.0 / k)])
-    res = linprog(cost.reshape(-1), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
-    if not res.success:
-        raise RuntimeError(f"transport LP failed: {res.message}")
-    plan = res.x.reshape(m, k)
-    mapping = np.argmax(plan, axis=1)
-    pairs = tuple((i, int(j)) for i, j in enumerate(mapping))
-    return Assignment(pairs, float((plan * cost).sum())), float(res.fun)
-
-
-def wd_match(collected, candidates) -> tuple[Assignment, float]:
-    """Exact discrete optimal transport with uniform weights.
-
-    Mass 1/M per collected point against 1/K per candidate; the reported
-    mapping sends each collected point to the candidate receiving its largest
-    mass share.  Exact ties are settled by float noise in the LP solver's
-    plan, often toward the higher index.  Returns the assignment and the
-    transport cost.
-    """
-    return _transport(_distances(collected, candidates, "wd_match"))
+def _window_sums(dist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per M-wide window of candidate columns: the sum of the M row minima
+    and the sum of the M column minima (the chamfer distance's two halves)."""
+    m = dist.shape[0]
+    windows = np.lib.stride_tricks.sliding_window_view
+    return windows(dist, m, axis=1).min(axis=2).sum(axis=0), windows(dist.min(axis=0), m).sum(axis=1)
 
 
 def _best_window(dist: np.ndarray) -> int:
     """Start of the window with the smallest Hungarian optimum (ties: smaller start).
 
-    Every window gets a lower bound first: the larger of the sums, over its
-    columns, of the row minima and of the column minima.  Windows are solved
-    in order of increasing bound until a bound exceeds the best optimum so
-    far.  Each bound, like each optimum, is a sum of M non-negative terms, so
-    its rounding error is relative to the window's own cost and the 1e-9
-    margin covers it: every window that could win or tie is solved.  (A
-    prefix-sum difference would err relative to the whole row of columns,
-    which the margin does not cover when the best cost is near 0.)
+    Every window gets a lower bound first: the larger of its two
+    :func:`_window_sums`.  Windows are solved in order of increasing bound
+    until a bound exceeds the best optimum so far.  Each bound, like each
+    optimum, is a sum of M non-negative terms, so its rounding error is
+    relative to the window's own cost and the 1e-9 margin covers it: every
+    window that could win or tie is solved.  (A prefix-sum difference would
+    err relative to the whole row of columns, which the margin does not
+    cover when the best cost is near 0.)
     """
     m = dist.shape[0]
-    windows = np.lib.stride_tricks.sliding_window_view
-    bound = np.maximum(
-        windows(dist, m, axis=1).min(axis=2).sum(axis=0),
-        windows(dist.min(axis=0), m).sum(axis=1),
-    )
+    bound = np.maximum(*_window_sums(dist))
     best, best_score = 0, math.inf
     for i in np.argsort(bound, kind="stable"):
         if bound[i] > best_score * (1 + 1e-9):
@@ -219,17 +160,19 @@ def baseline_rectify(collected, candidate_set: CandidateSet, method: str) -> tup
         raise ValueError("no collected points to rectify")
     if k == 0:
         raise ValueError("no candidates to snap to")
-    dist = _pairwise_distances(pts, cand)
+    diff = pts[:, None, :] - cand[None, :, :]
+    dist = np.hypot(diff[..., 0], diff[..., 1])
 
     if method == ED:
-        return cand[[j for _, j in _nearest(dist).pairs]], 0
+        return cand[np.argmin(dist, axis=1)], 0  # ties: lower index
     if method not in BASELINE_METHODS:
         raise ValueError(f"unknown baseline method {method!r}")
-    n_windows = candidate_set.window_count(m)  # InsufficientCandidatesError when K < M
+    candidate_set.window_count(m)  # InsufficientCandidatesError when K < M
     if method == WD:
         return cand[linear_sum_assignment(dist)[1]], 0
     if method == HA:
         best = _best_window(dist)
     else:
-        best = int(np.argmin([_chamfer(dist[:, i:i + m]) for i in range(n_windows)]))  # ties: smaller index
+        rows, cols = _window_sums(dist)
+        best = int(np.argmin(rows + cols))  # ties: smaller start
     return cand[best:best + m], best

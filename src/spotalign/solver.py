@@ -13,7 +13,7 @@ singular values but the largest).  Driving it to zero makes the two columns
 of A parallel, which is what forces the rectified collected points onto the
 candidate pattern; the leading singular value (the pattern itself) carries no
 penalty, so the coupling exerts no pressure to shrink or translate the data.
-E1 absorbs sparse outliers, E2 absorbs a systematic per-axis offset of the
+E1 absorbs a few gross outliers, E2 absorbs a systematic per-axis offset of the
 candidate side, and the rigid transforms are re-linearized every sweep: the
 increment least-squares solution is folded into the running transforms and
 the inputs re-warped.
@@ -261,13 +261,13 @@ def svt_prox(B: np.ndarray, threshold: float) -> np.ndarray:
     return (u * kept) @ vt
 
 
-def rank1_excess_prox(B: np.ndarray, threshold: float, out: np.ndarray | None = None) -> np.ndarray:
+def rank1_excess_prox(B: np.ndarray, threshold: float) -> np.ndarray:
     """Soft-threshold the smaller singular value of a two-column matrix.
 
     Proximal operator of threshold * (spectral mass beyond rank one).  The
     leading singular pair is untouched, so the dominant pattern carries no
-    shrinkage; only the deviation from rank one is penalized.  ``B`` and
-    ``out`` are (n, 2), possibly transposed (2, n) rows, possibly one array.
+    shrinkage; only the deviation from rank one is penalized.  ``B`` is
+    (n, 2), possibly transposed (2, n) rows; the result is a new array.
 
     Closed form: one Jacobi rotation of the 2x2 Gram matrix gives the right
     singular vectors; the small singular value is taken as |B v2| (not as
@@ -280,12 +280,9 @@ def rank1_excess_prox(B: np.ndarray, threshold: float, out: np.ndarray | None = 
     if B.ndim != 2 or B.shape[1] != 2:
         raise ValueError(f"expected an (n, 2) matrix, got shape {B.shape}")
     n = len(B)
-    shrunk = np.empty((2, n))  # apart from B, so out may be B itself
+    shrunk = np.empty((2, n))
     _shrink_excess(B.T, threshold, shrunk, np.empty(2), np.empty(n), np.empty((2, 2)))
-    if out is None:
-        return shrunk.T
-    out[...] = shrunk.T
-    return out
+    return shrunk.T
 
 
 def _shrink_excess(rows: np.ndarray, threshold: float, out: np.ndarray, v2: np.ndarray, bv2: np.ndarray,

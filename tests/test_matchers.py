@@ -9,14 +9,7 @@ import numpy as np
 import pytest
 
 import spotalign.matchers
-from spotalign.matchers import (
-    Assignment,
-    baseline_rectify,
-    cd_distance,
-    ed_match,
-    hungarian_assign,
-    wd_match,
-)
+from spotalign.matchers import Assignment, baseline_rectify, hungarian_assign
 from spotalign.geo import GeoPoint, make_frame, project_points, unproject_points
 from spotalign.pipeline import CollectedSet, rectify
 from spotalign.roads import CandidateSet, SpotType, sample_candidates
@@ -35,52 +28,28 @@ def brute_force_assignment(cost: np.ndarray) -> Assignment:
     return Assignment(tuple(enumerate(best_perm)), float(best_cost))
 
 
-def transport_vertex_oracle(a: np.ndarray, b: np.ndarray) -> float:
-    """Oracle: minimum cost over all vertices of the transportation polytope.
+def chamfer_double_loop(pts: np.ndarray, cand: np.ndarray) -> float:
+    """Oracle: summed nearest-neighbor distances from each set to the other."""
+    rows = sum(min(math.hypot(*(p - q)) for q in cand) for p in pts)
+    cols = sum(min(math.hypot(*(p - q)) for p in pts) for q in cand)
+    return rows + cols
 
-    Vertices correspond to spanning trees of the bipartite graph; enumerate
-    every m+k-1 edge subset, solve the tree flow, keep feasible ones.
-    """
-    m, k = len(a), len(b)
-    cost = np.hypot(*(a[:, None, :] - b[None, :, :]).transpose(2, 0, 1))
-    supply = np.full(m, 1.0 / m)
-    demand = np.full(k, 1.0 / k)
-    edges = [(i, j) for i in range(m) for j in range(k)]
-    best = math.inf
-    n_vars = m + k - 1
-    for subset in itertools.combinations(edges, n_vars):
-        rows = np.zeros((m + k, n_vars))
-        for col, (i, j) in enumerate(subset):
-            rows[i, col] = 1.0
-            rows[m + j, col] = 1.0
-        rhs = np.concatenate([supply, demand])
-        # drop one dependent constraint; solvable iff the subset spans
-        sol, residual, rank, _ = np.linalg.lstsq(rows[:-1], rhs[:-1], rcond=None)
-        if rank < n_vars:
-            continue
-        if np.max(np.abs(rows @ sol - rhs)) > 1e-9:
-            continue
-        if np.min(sol) < -1e-12:
-            continue
-        best = min(best, float(sum(f * cost[i, j] for f, (i, j) in zip(sol, subset))))
-    return best
+
+def candidate_set(xy: np.ndarray) -> CandidateSet:
+    return CandidateSet("grid", xy, np.arange(len(xy), dtype=float), make_frame(GeoPoint(0.0, 0.0)))
 
 
 class TestEdMatch:
-    def test_identity(self):
-        pts = np.array([[0.0, 0.0], [5.0, 1.0]])
-        out = ed_match(pts, pts)
-        assert out.pairs == ((0, 0), (1, 1))
-        assert out.total_cost == 0.0
+    CANDS = np.array([[1.0, 0.0], [3.0, 0.0]])
 
     def test_nearest(self):
-        out = ed_match(np.array([[0.0, 0.0]]), np.array([[1.0, 0.0], [3.0, 0.0]]))
-        assert out.pairs == ((0, 0),)
-        assert out.total_cost == pytest.approx(1.0)
+        snapped, start = baseline_rectify(np.array([[0.0, 0.0]]), candidate_set(self.CANDS), "ed")
+        assert snapped.tolist() == [[1.0, 0.0]]
+        assert start == 0
 
     def test_tie_breaks_low_index(self):
-        out = ed_match(np.array([[2.0, 0.0]]), np.array([[1.0, 0.0], [3.0, 0.0]]))
-        assert out.pairs == ((0, 0),)
+        snapped, _ = baseline_rectify(np.array([[2.0, 0.0]]), candidate_set(self.CANDS), "ed")
+        assert snapped.tolist() == [[1.0, 0.0]]
 
     def test_sqrt_argmin_invariance(self, rng):
         # Eq-style sqrt distance is monotone, so the chosen candidate matches
@@ -91,34 +60,12 @@ class TestEdMatch:
             by_d = np.argmin(dist, axis=1)
             by_sqrt = np.argmin(np.sqrt(dist), axis=1)
             assert np.array_equal(by_d, by_sqrt)
-            got = [j for _, j in ed_match(pts, cand).pairs]
-            assert np.array_equal(got, by_d)
+            snapped, _ = baseline_rectify(pts, candidate_set(cand), "ed")
+            assert np.array_equal(snapped, cand[by_d])
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            ed_match(np.empty((0, 2)), np.array([[0.0, 0.0]]))
-
-
-class TestChamfer:
-    def test_identical_sets(self, rng):
-        pts = rng.uniform(-5, 5, (7, 2))
-        assert cd_distance(pts, pts) == 0.0
-
-    def test_single_points(self):
-        assert cd_distance(np.array([[0.0, 0.0]]), np.array([[3.0, 0.0]])) == pytest.approx(6.0)
-
-    def test_matches_double_loop(self, rng):
-        for _ in range(30):
-            a = rng.uniform(-10, 10, (5, 2))
-            b = rng.uniform(-10, 10, (5, 2))
-            brute = sum(min(np.hypot(*(p - q)) for q in b) for p in a)
-            brute += sum(min(np.hypot(*(p - q)) for p in a) for q in b)
-            assert cd_distance(a, b) == pytest.approx(brute, abs=1e-12)
-
-    def test_symmetry_exact(self, rng):
-        a = rng.uniform(-10, 10, (6, 2))
-        b = rng.uniform(-10, 10, (4, 2))
-        assert cd_distance(a, b) == cd_distance(b, a)
+        with pytest.raises(ValueError, match="no collected points"):
+            baseline_rectify(np.empty((0, 2)), candidate_set(np.array([[0.0, 0.0]])), "ed")
 
 
 class TestHungarian:
@@ -155,34 +102,6 @@ class TestHungarian:
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
             hungarian_assign(np.zeros((2, 3)))
-
-
-class TestWasserstein:
-    def test_identity(self, rng):
-        pts = rng.uniform(-5, 5, (4, 2))
-        assignment, cost = wd_match(pts, pts)
-        assert cost == pytest.approx(0.0, abs=1e-9)
-        assert assignment.pairs == tuple((i, i) for i in range(4))
-
-    def test_single_atoms(self):
-        _, cost = wd_match(np.array([[0.0, 0.0]]), np.array([[2.0, 0.0]]))
-        assert cost == pytest.approx(2.0, abs=1e-9)
-
-    def test_matches_vertex_enumeration(self, rng):
-        for _ in range(5):
-            a = rng.uniform(-10, 10, (3, 2))
-            b = rng.uniform(-10, 10, (4, 2))
-            _, cost = wd_match(a, b)
-            assert cost == pytest.approx(transport_vertex_oracle(a, b), abs=1e-9)
-
-    def test_bounded_by_hungarian(self, rng):
-        for _ in range(10):
-            pts = rng.uniform(-10, 10, (5, 2))
-            cand = rng.uniform(-10, 10, (5, 2))
-            dist = np.hypot(*(pts[:, None] - cand[None, :]).transpose(2, 0, 1))
-            hung = hungarian_assign(dist).total_cost
-            _, wd_cost = wd_match(pts, cand)
-            assert wd_cost <= hung / 5 + 1e-9
 
 
 class TestBaselineRectify:
@@ -228,23 +147,25 @@ class TestBaselineRectify:
             assert to_cand.min(axis=1).max() < 1e-6
             assert len(set(np.argmin(to_cand, axis=1).tolist())) == m
 
-    def test_ha_pruning_matches_exhaustive_search(self):
-        # integer grids make many windows tie on their Hungarian optimum and
-        # on their lower bound; the smaller start index must still win
+    @pytest.mark.parametrize("method", ["cd", "ha"])
+    def test_window_search_matches_exhaustive_search(self, method):
+        # integer grids make many windows tie on their score (and, for HA, on
+        # its lower bound); the smaller start index must still win
         rng = np.random.default_rng(7)
-        frame = make_frame(GeoPoint(0.0, 0.0))
         tied = 0
         for _ in range(600):
             k = int(rng.integers(3, 13))
             m = int(rng.integers(1, k))
             cand = rng.integers(0, 3, (k, 2)).astype(float)
             pts = rng.integers(0, 3, (m, 2)).astype(float)
-            cands = CandidateSet("grid", cand, np.arange(k, dtype=float), frame)
-            dist = np.hypot(*(pts[:, None] - cand[None, :]).transpose(2, 0, 1))
-            scores = [spotalign.matchers._optimum(dist[:, i:i + m]) for i in range(k - m + 1)]
+            if method == "cd":
+                scores = [chamfer_double_loop(pts, cand[i:i + m]) for i in range(k - m + 1)]
+            else:
+                dist = np.hypot(*(pts[:, None] - cand[None, :]).transpose(2, 0, 1))
+                scores = [spotalign.matchers._optimum(dist[:, i:i + m]) for i in range(k - m + 1)]
             want = int(np.argmin(scores))
             tied += scores.count(scores[want]) > 1
-            snapped, start = baseline_rectify(pts, cands, "ha")
+            snapped, start = baseline_rectify(pts, candidate_set(cand), method)
             assert start == want
             assert np.array_equal(snapped, cand[want:want + m])
         assert tied >= 150
@@ -314,20 +235,18 @@ class TestColdPath:
 
     def test_scipy_entry_points_looked_up_at_call_time(self, monkeypatch):
         calls = []
-        for name in ("linear_sum_assignment", "linprog"):
-            real = getattr(spotalign.matchers, name)
+        real = spotalign.matchers.linear_sum_assignment
 
-            def counted(*args, _name=name, _real=real, **kwargs):
-                calls.append(_name)
-                return _real(*args, **kwargs)
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
 
-            monkeypatch.setattr(spotalign.matchers, name, counted)
+        monkeypatch.setattr(spotalign.matchers, "linear_sum_assignment", counted)
         cands = sample_candidates(straight_segment(7 * 6.0, SpotType.PARALLEL))
         window = cands.xy()[2:6]
         hungarian_assign(np.eye(3))
         baseline_rectify(window, cands, "ha")
-        wd_match(window, cands.xy())
+        baseline_rectify(window, cands, "wd")
         # hungarian_assign: the optimum plus 4 refinement solves; HA: of the 5
-        # windows, only the exact one (bound 0) is solved
-        assert calls.count("linear_sum_assignment") == 1 + 4 + 1
-        assert calls.count("linprog") == 1
+        # windows, only the exact one (bound 0) is solved; WD: one assignment
+        assert len(calls) == 1 + 4 + 1 + 1
