@@ -29,8 +29,10 @@ def _normalize_angle(theta: float) -> float:
 def warp_values(transforms, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Warp interleaved vectors ``values`` (2M,) or (k, 2M) by (theta, s_x, s_y) rows (3,) or (k, 3).
 
-    One transform row per vector (the solver warps its two sides in one
-    call); with each point (x, y) taken as x + iy, the warp is e^(i theta) z + s.
+    One transform row per vector (a solver state warps its two sides in one
+    call when it is built or its transforms are set; a sweep re-warps them
+    as a product with the state's ``moments``); with each point (x, y)
+    taken as x + iy, the warp is e^(i theta) z + s.
     With ``out``, a C-contiguous float array, it is warped in place there.
     """
     rows = np.asarray(transforms, dtype=float)

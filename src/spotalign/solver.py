@@ -16,7 +16,9 @@ penalty, so the coupling exerts no pressure to shrink or translate the data.
 E1 absorbs a few gross outliers, E2 absorbs a systematic per-axis offset of the
 candidate side, and the rigid transforms are re-linearized every sweep: the
 increment least-squares solution is folded into the running transforms and
-the inputs re-warped.
+the inputs re-warped.  The warp is rigid, so both the increment step's sums
+and the re-warp are products with one matrix the inputs fix,
+``SolverState.moments``.
 
 :func:`sweep` is the one implementation of a sweep; :func:`admm_solve`
 repeats it until convergence, and its trace mode records the same sweep.
@@ -35,11 +37,12 @@ and its scratch alike, so a sweep allocates nothing the size of a block; what
 is scalar (the coupling step's 2x2 rotation, the transforms and their
 increments) stays in Python floats.  The coupling and increment steps are
 closed forms; the warp Jacobians are only computed for trace mode.  A sweep
-is some forty numpy calls on arrays of a few hundred entries, so the cost of
+is some thirty numpy calls on arrays of a few hundred entries, so the cost of
 a call, not the arithmetic, sets its time: fixed linear combinations of
-blocks are one product (the C/D-step is one over ``SolverState.terms``), and
-no call takes a broadcast (n, 1) operand, which numpy runs through a slower
-loop that allocates buffers as long as the block.
+blocks are one product (the C/D-step and the E-step's residual are each one
+over ``SolverState.terms``, the re-warp one with ``moments``), and no call
+takes a broadcast (n, 1) operand, which numpy runs through a slower loop
+that allocates buffers as long as the block.
 
 The E2 regularizer is realized purely through its translation structure (the
 per-axis-mean projection is the exact block minimizer), so the augmented
@@ -73,6 +76,9 @@ THETA_NORM_SCALE_M = 10.0
 # the C/D-step's weights of the rows A, E, W, U, U3 of SolverState.terms
 _CD_WEIGHTS = np.array([0.5, 0.5, 0.5, 0.5, -0.5])
 _CD_WEIGHTS.flags.writeable = False
+# the E-step's weights of the rows [C D], A, E, W, U, U3 of SolverState.terms
+_RESIDUAL_WEIGHTS = np.array([1.0, 0.0, 0.0, -1.0, -1.0, 0.0])
+_RESIDUAL_WEIGHTS.flags.writeable = False
 
 
 class DegenerateGeometryError(Exception):
@@ -143,6 +149,7 @@ class SolverState:
         keep         (2, 2)       A-step: I - k v2 v2^T
         residual     (2, 2M)      E-step: [C D] - W - E - U
         sums         (8,)         increment step: ``moments`` @ residual
+        coef         (8,)         re-warp: W = coef @ ``moments``
         constraints  (2, 2, 2M)   multiplier step: the constraint residuals
         norms        (4, 1, 1)    multiplier step: their squared row norms
         ===========  ===========  =========================================
@@ -151,13 +158,15 @@ class SolverState:
     theta in (-pi, pi]), ``blocks``, W and ``duals``; its first part,
     ``transforms`` and ``blocks``, is ``vector``, the iterate.  [C; D] and A
     start as the inputs, the rest at zero.  ``pairs`` holds [C D], A, E, U,
-    U3, ``e_rows`` the E-step's rows (its complex views for E2) and
-    ``norm_rows`` the multiplier step's operands, all views made once.  W
-    follows ``transforms``: :func:`sweep` folds its increments into them in
-    place and re-warps W itself, and :meth:`set_transforms` does both for a
-    caller outside a sweep.  ``moments`` (both sides' block-diagonally) and
-    ``levers`` are the increment step's terms the inputs fix.  A
-    ``copy.copy`` shares every buffer, so trace mode only reads its copy.
+    U3, ``e_rows`` the E-step's operands (the residual flat, then its rows
+    and E's, complex views for E2) and ``norm_rows`` the multiplier step's
+    operands, all views made once.  W follows ``transforms``: :func:`sweep`
+    folds its increments into them in place and re-warps W itself, and
+    :meth:`set_transforms` does both for a caller outside a sweep.
+    ``moments`` (both sides' block-diagonally) and ``levers`` are the terms
+    the inputs fix; ``moments`` serves both the increment step's sums and
+    the sweep's re-warp.  A ``copy.copy`` shares every buffer, so trace mode
+    only reads its copy.
     """
 
     def __init__(self, P: np.ndarray, Rd: np.ndarray, mu: float) -> None:
@@ -187,11 +196,12 @@ class SolverState:
         self.residual, self.constraints = np.empty_like(self.inputs), np.empty_like(self.duals)
         self.coupled, self.keep = np.empty_like(self.inputs), np.empty((2, 2))
         self.v2, self.bv2 = np.empty(2), np.empty(n)
-        self.sums, self.norms = np.empty(8), np.empty((4, 1, 1))
+        self.sums, self.coef, self.norms = np.empty(8), np.empty(8), np.empty((4, 1, 1))
         r, e, c = self.residual, self.blocks[2], self.constraints.reshape(4, n)
-        self.e_rows = (r[0], e[0], r[1].view(np.complex128), e[1].view(np.complex128))
+        self.e_rows = (r.reshape(-1), r[0], e[0], r[1].view(np.complex128), e[1].view(np.complex128))
         self.norm_rows = (c[:, None], c[:, :, None])
-        # per side, side_moments @ r = (Re, Im) sum conj(z_i - z_mean) r_i, sum r_x, sum r_y;
+        # per side, side_moments @ r = (Re, Im) sum conj(z_i - z_mean) r_i, sum r_x, sum r_y,
+        # and (cos, sin, Re, Im of the warped z_mean) @ side_moments is the warp;
         # moments holds them block-diagonally, so one product serves both sides
         z = self.inputs.view(np.complex128)
         z_mean = z.sum(axis=1) / (n // 2)
@@ -298,11 +308,11 @@ def _shrink_excess(rows: np.ndarray, threshold: float, out: np.ndarray, v2: np.n
     phi = 0.5 * math.atan2(2.0 * g01, g00 - g11)
     v2x, v2y = -math.sin(phi), math.cos(phi)
     v2[0], v2[1] = v2x, v2y
-    sigma2 = math.sqrt(np.dot(np.dot(v2, rows, out=bv2), bv2))
+    sigma2 = math.sqrt(np.dot(np.dot(v2, rows, bv2), bv2))
     shrink = 1.0 if sigma2 <= threshold else threshold / sigma2
     kx, ky = shrink * v2x, shrink * v2y
     keep[0, 0], keep[0, 1], keep[1, 0], keep[1, 1] = 1.0 - kx * v2x, -kx * v2y, -ky * v2x, 1.0 - ky * v2y
-    np.dot(keep, rows, out=out)
+    np.dot(keep, rows, out)
 
 
 def rank1_excess(B: np.ndarray) -> float:
@@ -314,7 +324,7 @@ def rank1_excess(B: np.ndarray) -> float:
 def update_coupling(state: SolverState, cfg: SolverConfig) -> None:
     """A-step: threshold the rank-1 excess of [C D] + U3 at lam/mu, in A's rows."""
     cd, a_rows, _, _, u3 = state.pairs
-    coupled = np.add(cd, u3, out=state.coupled)
+    coupled = np.add(cd, u3, state.coupled)
     _shrink_excess(coupled, cfg.lam / state.mu, a_rows, state.v2, state.bv2, state.keep)
 
 
@@ -326,7 +336,7 @@ def update_rectified_blocks(state: SolverState) -> None:
     part: inside the solve loop they were folded at the end of the previous
     sweep, so they are zero here.
     """
-    np.dot(_CD_WEIGHTS, state.terms[1:], out=state.terms[0])
+    np.dot(_CD_WEIGHTS, state.terms[1:], state.terms[0])
 
 
 def update_error_blocks(state: SolverState) -> np.ndarray:
@@ -334,19 +344,18 @@ def update_error_blocks(state: SolverState) -> np.ndarray:
 
     E1 is the residual minus its clip to [-t, t], t = 1/mu (soft threshold);
     E2 projects its residual onto translation structure (every x entry the
-    mean of the x residuals, likewise for y).  Returns what the new E leaves
-    of the residual, [C D] - W - E - U, which the increment step fits.
+    mean of the x residuals, likewise for y).  The residual [C D] - W - U is
+    one product with the rows of ``state.terms``.  Returns what the new E
+    leaves of it, [C D] - W - E - U, which the increment step fits.
     """
-    cd, _, e, u, _ = state.pairs
-    r1, e1, r2, e2 = state.e_rows
-    residual = np.subtract(cd, state.W, out=state.residual)
-    residual -= u
+    flat, r1, e1, r2, e2 = state.e_rows
+    np.dot(_RESIDUAL_WEIGHTS, state.terms, flat)
     t = 1.0 / state.mu
     np.minimum(np.maximum(r1, -t, out=e1), t, out=e1)
-    np.subtract(r1, e1, out=e1)
+    np.subtract(r1, e1, e1)
     e2.fill(np.add.reduce(r2) / len(r2))  # both axis means as one complex mean
-    residual -= e
-    return residual
+    flat -= state.terms[2]
+    return state.residual
 
 
 def update_transform_increments(state: SolverState, residual: np.ndarray) -> list[tuple[float, float, float]]:
@@ -366,17 +375,18 @@ def update_transform_increments(state: SolverState, residual: np.ndarray) -> lis
     with cross(a, b) = Im(conj(a) b).  The warp is rigid: with z the inputs,
     w_i - w_mean = e^(i theta) (z_i - z_mean) and w_mean - s = e^(i theta)
     z_mean, so the spread is fixed and the sums a sweep needs, sum
-    conj(z_i - z_mean) r_i and sum r_i, are one product of the residual with
-    ``state.moments``.  A side is singular when its spread is negligible
-    against the rotation column's squared norm sum |w_i - s|^2 (the spread
-    plus M |z_mean|^2, in ``state.levers``).
+    conj(z_i - z_mean) r_i and sum r_i, are one product of ``state.moments``
+    with the residual; :func:`sweep` re-warps W with the same matrix.  A side
+    is singular when its spread is negligible against the rotation column's
+    squared norm sum |w_i - s|^2 (the spread plus M |z_mean|^2, in
+    ``state.levers``).
 
     Raises :class:`NumericalFailureError` if a sum or an increment is not
     finite (checked first: an overflowed sum would pass for singular), and
     :class:`DegenerateGeometryError` for a singular side.
     """
     m = residual.shape[1] // 2
-    sums = np.dot(state.moments, residual.ravel(), out=state.sums).tolist()
+    sums = np.dot(state.moments, residual.ravel(), state.sums).tolist()
     # three unknowns per side: scalar arithmetic from here on
     increments = []
     for (theta, _, _), (z_bar, spread, lever), (cross_re, cross_im, sum_x, sum_y) in zip(
@@ -398,9 +408,9 @@ def update_transform_increments(state: SolverState, residual: np.ndarray) -> lis
 def _constraint_residuals(state: SolverState, out: np.ndarray) -> np.ndarray:
     """[W1 + E1 - C; W2 + E2 - D] and [C D] - A, stacked as (2, 2, 2M) rows, into out."""
     cd, a_rows, e, _, _ = state.pairs
-    h = np.add(state.W, e, out=out[0])
+    h = np.add(state.W, e, out[0])
     h -= cd
-    np.subtract(cd, a_rows, out=out[1])
+    np.subtract(cd, a_rows, out[1])
     return out
 
 
@@ -446,9 +456,12 @@ def sweep(state: SolverState, cfg: SolverConfig, trace: IterationTrace | None = 
     """One ADMM sweep: A -> C/D -> E1/E2 -> increments -> multipliers.
 
     The increments are folded into the transforms (re-linearizing the warps)
-    before the dual step.  Returns the largest constraint residual; with a
-    ``trace`` the Lagrangian after each block and the coupling residual are
-    appended to it.
+    before the dual step, and W is re-warped as one product with
+    ``state.moments``: per side w_i = e^(i theta) (z_i - z_mean) + (e^(i
+    theta) z_mean + s), so the coefficients of its rows are cos theta, sin
+    theta and the warped z_mean.  Returns the largest constraint residual;
+    with a ``trace`` the Lagrangian after each block and the coupling
+    residual are appended to it.
     """
     if trace is not None:
         l_start = lagrangian(state, cfg)
@@ -470,7 +483,13 @@ def sweep(state: SolverState, cfg: SolverConfig, trace: IterationTrace | None = 
                                       for k in (0, 1)])
         trace.lagrangians.append((l_start, l_a, l_cd, l_e, lagrangian(moved, cfg)))
     fold_increments(state.transforms, increments, out=state.transforms)
-    warp_values(state.transforms, state.inputs, out=state.W)
+    coef = []
+    for (theta, s_x, s_y), (z_bar, _, _) in zip(state.transforms.tolist(), state.levers):
+        turn = cmath.rect(1.0, theta)
+        shift = turn * z_bar + complex(s_x, s_y)
+        coef += (turn.real, turn.imag, shift.real, shift.imag)
+    state.coef[:] = coef
+    np.dot(state.coef, state.moments, state.terms[3])
     coupling, primal = update_multipliers(state, cfg)
     if trace is not None:
         trace.coupling_residuals.append(coupling)
@@ -513,7 +532,7 @@ def admm_solve(
             norm2 = np.dot(vec, vec)  # not finite once any entry (or the norm itself) is not
             if not math.isfinite(norm2):
                 raise NumericalFailureError(iterations)
-            step = np.subtract(vec, prev_vec, out=prev_vec)
+            step = np.subtract(vec, prev_vec, prev_vec)
             rel_change = math.sqrt(np.dot(step, step)) / max(1.0, prev_norm)
             prev_vec[...], prev_norm = vec, math.sqrt(norm2)
             if primal < cfg.tol_primal or rel_change < cfg.tol_change:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spotalign.solver
-from spotalign.rigid import jacobian_values
+from spotalign.rigid import jacobian_values, warp_values
 from spotalign.solver import (
     DegenerateGeometryError,
     IterationTrace,
@@ -500,6 +500,22 @@ class TestAdmmSolve:
         finally:
             tracemalloc.stop()
         assert peak - start < 2 * m * 8
+
+    @given(m=st.integers(2, 60), sweeps=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
+           scale_exp=st.floats(-3.0, 6.0))
+    @settings(max_examples=200, deadline=None)
+    def test_sweep_rewarp_matches_warp_values(self, m, sweeps, seed, scale_exp):
+        # the sweep re-warps W as a product with SolverState.moments; it must
+        # agree with the general warp to rounding at the inputs' scale
+        r, scale = np.random.default_rng(seed), 10.0**scale_exp
+        cfg = SolverConfig()
+        state = SolverState(*(r.uniform(-scale, scale, (m, 2)) for _ in range(2)), cfg.mu0)
+        state.set_transforms(np.column_stack([r.uniform(-math.pi, math.pi, 2),
+                                              r.uniform(-scale, scale, (2, 2))]))
+        bound = 1e-12 * np.abs(state.inputs).max()
+        for _ in range(sweeps):
+            sweep(state, cfg)
+            assert np.abs(state.W - warp_values(state.transforms, state.inputs)).max() <= bound
 
     def test_trace_copy_writes_no_buffer_of_the_state(self, rng, monkeypatch):
         cfg = SolverConfig()
