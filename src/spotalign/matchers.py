@@ -5,8 +5,10 @@ Four classics: nearest-candidate euclidean matching (ED), chamfer distance
 (WD), all run by :func:`baseline_rectify` from one point-to-candidate
 distance matrix.  ED and WD match against the full candidate set; CD and HA
 score sliding windows of candidates, mirroring the window search of the main
-method, and snap to the best window.  WD snaps by capacity-1 transport,
-which is one rectangular assignment, so no transport LP is solved.
+method, and snap to the best window; HA solves only the windows that two
+lower bounds on the assignment optimum cannot rule out.  WD snaps by
+capacity-1 transport, which is one rectangular assignment, so no transport
+LP is solved.
 :func:`hungarian_assign` is the square assignment with lexicographic ties.
 """
 
@@ -108,33 +110,63 @@ def hungarian_assign(cost: np.ndarray) -> Assignment:
 
 def _window_sums(dist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per M-wide window of candidate columns: the sum of the M row minima
-    and the sum of the M column minima (the chamfer distance's two halves)."""
-    m = dist.shape[0]
-    windows = np.lib.stride_tricks.sliding_window_view
-    return windows(dist, m, axis=1).min(axis=2).sum(axis=0), windows(dist.min(axis=0), m).sum(axis=1)
+    and the sum of the M column minima (the chamfer distance's two halves).
+
+    The row minima come by doubling: after the step with width w, column j
+    of ``block`` holds each row's minimum over columns j .. j + 2w - 1, and
+    two overlapping blocks of the largest such width cover any M columns.
+    A minimum is exact whatever the order of its operands, so the (M, W)
+    array of window row minima, and its sums, are bitwise those of a
+    direct scan, at O(MK log M) cost instead of O(M^2 W).
+    """
+    m, k = dist.shape
+    block, w = dist, 1
+    while 2 * w <= m:
+        block = np.minimum(block[:, :-w], block[:, w:])
+        w *= 2
+    rows = np.minimum(block[:, :k - m + 1], block[:, m - w:])
+    return rows.sum(axis=0), np.lib.stride_tricks.sliding_window_view(dist.min(axis=0), m).sum(axis=1)
+
+
+def _reduction_bound(cost: np.ndarray) -> float:
+    """Lower bound on the assignment optimum of a square ``cost``: subtract
+    each row's minimum, then add each column's smallest remainder (and the
+    same with rows and columns swapped; the larger of the two)."""
+    u = cost.min(axis=1)
+    v = cost.min(axis=0)
+    return max(u.sum() + (cost - u[:, None]).min(axis=0).sum(), v.sum() + (cost - v).min(axis=1).sum())
 
 
 def _best_window(dist: np.ndarray) -> int:
     """Start of the window with the smallest Hungarian optimum (ties: smaller start).
 
-    Every window gets a lower bound first: the larger of its two
-    :func:`_window_sums`.  Windows are solved in order of increasing bound
-    until a bound exceeds the best optimum so far.  Each bound, like each
-    optimum, is a sum of M non-negative terms, so its rounding error is
-    relative to the window's own cost and the 1e-9 margin covers it: every
-    window that could win or tie is solved.  (A prefix-sum difference would
-    err relative to the whole row of columns, which the margin does not
-    cover when the best cost is near 0.)
+    Two lower bounds rule windows out.  Every window gets a cheap one
+    first: the larger of its two :func:`_window_sums`.  Windows are solved
+    in order of increasing cheap bound until one exceeds the best optimum
+    so far.  After the first solve, each further window also gets its
+    :func:`_reduction_bound`, the value of a feasible dual (Kuhn's row and
+    column reduction), and is skipped, not solved, when that bound exceeds
+    the best optimum; the loop goes on, since it is ordered by the cheap
+    bound only.  Each bound, like each optimum, is a sum of M non-negative
+    terms whose rounding errors are relative to the window's own cost: a
+    remainder c_ij - u_i is exactly >= 0 and rounds relative to c_ij.  So
+    the 1e-9 margin covers them, and every window that could win or tie is
+    solved.  (A prefix-sum difference would err relative to the whole row
+    of columns, which the margin does not cover when the best cost is near
+    0.)
     """
     m = dist.shape[0]
     bound = np.maximum(*_window_sums(dist))
-    best, best_score = 0, math.inf
+    best, best_score, limit = 0, math.inf, math.inf
     for i in np.argsort(bound, kind="stable"):
-        if bound[i] > best_score * (1 + 1e-9):
+        if bound[i] > limit:
             break
-        score = _optimum(dist[:, i:i + m])
+        window = dist[:, i:i + m]
+        if limit < math.inf and _reduction_bound(window) > limit:
+            continue
+        score = _optimum(window)
         if score < best_score or (score == best_score and i < best):
-            best, best_score = int(i), score
+            best, best_score, limit = int(i), score, score * (1 + 1e-9)
     return best
 
 
@@ -160,8 +192,7 @@ def baseline_rectify(collected, candidate_set: CandidateSet, method: str) -> tup
         raise ValueError("no collected points to rectify")
     if k == 0:
         raise ValueError("no candidates to snap to")
-    diff = pts[:, None, :] - cand[None, :, :]
-    dist = np.hypot(diff[..., 0], diff[..., 1])
+    dist = np.hypot(np.subtract.outer(pts[:, 0], cand[:, 0]), np.subtract.outer(pts[:, 1], cand[:, 1]))
 
     if method == ED:
         return cand[np.argmin(dist, axis=1)], 0  # ties: lower index

@@ -128,8 +128,10 @@ class CandidateSet:
 
 
 def _cumulative_arclengths(xy: np.ndarray) -> np.ndarray:
-    deltas = np.hypot(np.diff(xy[:, 0]), np.diff(xy[:, 1]))
-    return np.concatenate([[0.0], np.cumsum(deltas)])
+    steps = np.diff(xy, axis=0)
+    cum = np.zeros(len(xy))
+    np.cumsum(np.hypot(steps[:, 0], steps[:, 1]), out=cum[1:])
+    return cum
 
 
 def segment_arclength(segment: RoadSegment) -> float:
@@ -180,11 +182,10 @@ def sample_candidates(segment: RoadSegment) -> CandidateSet:
 
     # guard keeps the last step admissible when (b - a) is a hair under a
     # multiple of the spacing; overshoot is bounded by 6e-10 m
-    arcs = np.concatenate([
-        a + np.arange(math.floor((b - a) / spacing + 1e-10) + 1) * spacing for a, b in intervals
-    ])
+    stretches = [a + np.arange(math.floor((b - a) / spacing + 1e-10) + 1) * spacing for a, b in intervals]
+    arcs = stretches[0] if len(stretches) == 1 else np.concatenate(stretches)
     # interpolate each arclength within the edge containing it (cum is non-decreasing)
-    edge = np.clip(np.searchsorted(cum, arcs, side="right") - 1, 0, len(cum) - 2)
+    edge = np.minimum(np.maximum(np.searchsorted(cum, arcs, side="right") - 1, 0), len(cum) - 2)
     length = cum[edge + 1] - cum[edge]
     t = np.divide(arcs - cum[edge], length, out=np.zeros_like(arcs), where=length != 0.0)
     points = xy[edge] + t[:, None] * (xy[edge + 1] - xy[edge])

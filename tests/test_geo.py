@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ from spotalign.geo import (
     project_points,
     to_geo,
     to_local,
+    unproject_points,
 )
 
 MPD = math.pi * EARTH_RADIUS_M / 180.0
@@ -53,6 +57,46 @@ class TestMakeFrame:
             GeoPoint(lat, lon)
 
 
+class TestGeoPoint:
+    def test_latitude_message_wins_when_both_out_of_range(self):
+        with pytest.raises(ValueError, match=r"^latitude 91.0 outside \[-90, 90\]$"):
+            GeoPoint(91.0, 200.0)
+
+    def test_nan_rejected_with_its_own_message(self):
+        with pytest.raises(ValueError, match=r"^latitude nan outside \[-90, 90\]$"):
+            GeoPoint(math.nan, 0.0)
+        with pytest.raises(ValueError, match=r"^longitude nan outside \[-180, 180\]$"):
+            GeoPoint(0.0, math.nan)
+
+    def test_keywords_and_bounds_accepted(self):
+        assert GeoPoint(lon=180.0, lat=-90.0) == GeoPoint(-90.0, 180.0)
+
+    def test_fields_are_frozen(self):
+        p = GeoPoint(1.5, 2.5)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            p.lat = 3.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del p.lon
+        assert (p.lat, p.lon) == (1.5, 2.5)
+
+    def test_points_carry_no_instance_dict(self):
+        # one point per loaded row: slots keep each at two references
+        assert not hasattr(GeoPoint(1.5, 2.5), "__dict__")
+
+    def test_dataclass_protocols(self):
+        p = GeoPoint(1.5, 2.5)
+        assert repr(p) == "GeoPoint(lat=1.5, lon=2.5)"
+        assert p == GeoPoint(1.5, 2.5) and p != GeoPoint(1.5, 2.0)
+        assert hash(p) == hash((1.5, 2.5))
+        assert [(f.name, f.type) for f in dataclasses.fields(GeoPoint)] == [("lat", "float"), ("lon", "float")]
+        assert dataclasses.astuple(p) == (1.5, 2.5)
+        assert dataclasses.replace(p, lon=-3.0) == GeoPoint(1.5, -3.0)
+        with pytest.raises(ValueError, match="latitude"):
+            dataclasses.replace(p, lat=100.0)
+        for q in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+            assert q == p and type(q) is GeoPoint and (q.lat, q.lon) == (1.5, 2.5)
+
+
 class TestProjection:
     def test_origin_maps_to_zero(self):
         frame = make_frame(GeoPoint(10.0, 20.0))
@@ -83,6 +127,17 @@ class TestProjection:
             q = LocalPoint(float(x), float(y))
             back = to_local(frame, to_geo(frame, q))
             assert math.hypot(back.x - q.x, back.y - q.y) < 1e-9
+
+    @pytest.mark.parametrize("xy", [np.zeros((2, 3)), np.zeros(2)])
+    def test_unproject_rejects_non_pairs(self, xy):
+        with pytest.raises(ValueError, match=r"\(N, 2\)"):
+            unproject_points(make_frame(GeoPoint(0.0, 0.0)), xy)
+
+    @pytest.mark.parametrize("xy", [[], np.empty((0, 2))])
+    def test_unproject_empty(self, xy):
+        frame = make_frame(GeoPoint(0.0, 0.0))
+        assert unproject_points(frame, xy) == []
+        assert project_points(frame, []).shape == (0, 2)
 
     def test_beyond_range_rejected(self):
         frame = make_frame(GeoPoint(0.0, 0.0))

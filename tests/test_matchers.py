@@ -7,11 +7,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spotalign.matchers
 from spotalign.matchers import Assignment, baseline_rectify, hungarian_assign
 from spotalign.geo import GeoPoint, make_frame, project_points, unproject_points
-from spotalign.pipeline import CollectedSet, rectify
+from spotalign.pipeline import CollectedSet, rectify, synth_corpus
 from spotalign.roads import CandidateSet, SpotType, sample_candidates
 
 from conftest import straight_segment
@@ -33,6 +35,26 @@ def chamfer_double_loop(pts: np.ndarray, cand: np.ndarray) -> float:
     rows = sum(min(math.hypot(*(p - q)) for q in cand) for p in pts)
     cols = sum(min(math.hypot(*(p - q)) for p in pts) for q in cand)
     return rows + cols
+
+
+def window_sums_sliding(dist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reference: every window's row minima read off a sliding view, O(M^2 W)."""
+    m = dist.shape[0]
+    windows = np.lib.stride_tricks.sliding_window_view
+    return windows(dist, m, axis=1).min(axis=2).sum(axis=0), windows(dist.min(axis=0), m).sum(axis=1)
+
+
+def broadcast_distances(pts: np.ndarray, cand: np.ndarray) -> np.ndarray:
+    """Reference: hypot of one broadcast (M, K, 2) difference."""
+    diff = pts[:, None, :] - cand[None, :, :]
+    return np.hypot(diff[..., 0], diff[..., 1])
+
+
+def draw_points(rng: np.random.Generator, n: int, grid: bool) -> np.ndarray:
+    """Integer grid points (many tied distances) or float points of random scale."""
+    if grid:
+        return rng.integers(0, 4, (n, 2)).astype(float)
+    return rng.normal(0, 10.0 ** rng.uniform(-3, 3), (n, 2))
 
 
 def candidate_set(xy: np.ndarray) -> CandidateSet:
@@ -208,6 +230,71 @@ class TestBaselineRectify:
         cands = self.make_candidates()
         with pytest.raises(ValueError):
             baseline_rectify(cands.xy()[:4], cands, "nearest")
+
+
+class TestExactRewrites:
+    """The matchers' fast forms give bitwise the values of the direct ones."""
+
+    @given(m=st.one_of(st.sampled_from([1, 2, 4, 8, 16, 32]), st.integers(1, 40)),
+           data=st.data(), seed=st.integers(0, 2**32 - 1), grid=st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_window_sums_equal_sliding_view(self, m, data, seed, grid):
+        k = data.draw(st.integers(m, 3 * m))
+        rng = np.random.default_rng(seed)
+        dist = broadcast_distances(draw_points(rng, m, grid), draw_points(rng, k, grid))
+        rows, cols = spotalign.matchers._window_sums(dist)
+        want_rows, want_cols = window_sums_sliding(dist)
+        assert np.array_equal(rows, want_rows)
+        assert np.array_equal(cols, want_cols)
+
+    @given(n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
+           log_scale=st.floats(-6, 6), kind=st.sampled_from(["uniform", "ties", "zeros"]))
+    @settings(max_examples=300, deadline=None)
+    def test_reduction_bound_never_exceeds_optimum(self, n, seed, log_scale, kind):
+        rng = np.random.default_rng(seed)
+        if kind == "ties":
+            cost = rng.integers(0, 3, (n, n)).astype(float)
+        else:
+            cost = rng.uniform(0, 1, (n, n))
+            if kind == "zeros":
+                cost[rng.uniform(size=(n, n)) < 0.3] = 0.0
+        cost *= 10.0 ** log_scale
+        bound = spotalign.matchers._reduction_bound(cost)
+        assert 0.0 <= bound <= spotalign.matchers._optimum(cost) * (1 + 1e-9)
+
+    @given(m=st.integers(1, 12), extra=st.integers(0, 12), seed=st.integers(0, 2**32 - 1), grid=st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_distance_matrix_equals_broadcast_hypot(self, m, extra, seed, grid):
+        # WD hands the full distance matrix to the assignment solver
+        rng = np.random.default_rng(seed)
+        pts, cand = draw_points(rng, m, grid), draw_points(rng, m + extra, grid)
+        seen = []
+        real = spotalign.matchers.linear_sum_assignment
+
+        def capture(cost):
+            seen.append(cost)
+            return real(cost)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(spotalign.matchers, "linear_sum_assignment", capture)
+            baseline_rectify(pts, candidate_set(cand), "wd")
+        assert len(seen) == 1
+        assert np.array_equal(seen[0], broadcast_distances(pts, cand))
+
+    def test_ha_solves_only_windows_neither_bound_rules_out(self, monkeypatch):
+        # 19 solves with the window-sum bound alone; the reduction bound rules
+        # out 7 more windows (test_baselines_golden pins the same corpus's winners)
+        calls = []
+        real = spotalign.matchers.linear_sum_assignment
+
+        def counted(cost):
+            calls.append(cost.shape)
+            return real(cost)
+
+        monkeypatch.setattr(spotalign.matchers, "linear_sum_assignment", counted)
+        for seg, collected in synth_corpus(3, 3, seed=1):
+            rectify(collected, seg, "ha")
+        assert len(calls) == 12
 
 
 class TestColdPath:
