@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from spotalign.geo import GeoPoint, LocalPoint, make_frame, to_geo, unproject_points
-from spotalign.roads import RoadSegment, SpotType
+from spotalign.pipeline import CollectedSet
+from spotalign.roads import RoadSegment, SpotType, sample_candidates
 
 
 def straight_segment(
@@ -34,6 +35,33 @@ def straight_segment(
         spot_type=spot_type,
         intersection_indices=frozenset(intersections),
     )
+
+
+def gap_case(rng: np.random.Generator, d: float):
+    """A window that straddles a 100 m candidate gap, drifted ``d`` m along the road.
+
+    The road is 600 m with one flagged interior vertex (3..7 of 11), so its
+    50 m clearance splits the candidate grid in two and windows differ in
+    shape, not only in position.  The collected points are the true window
+    of M in 12..24 candidates shifted by ``d`` along the road and 3 m across
+    it (each sign drawn), plus uniform +-1.5 m jitter.  Returns the segment,
+    the collected set and the true window's start index.
+    """
+    segment = straight_segment(600.0, n_vertices=11, intersections=(int(rng.integers(3, 8)),))
+    cands = sample_candidates(segment)
+    cand_xy = cands.xy()
+    m = int(rng.integers(12, 25))
+    left = int(np.argmax(np.diff(cands.arclengths) > 50.0)) + 1  # candidates before the gap
+    start = int(rng.integers(max(0, left - m + 1), left))
+    truth = cand_xy[start:start + m]
+    shift = rng.choice([-1.0, 1.0], 2) * [d, 3.0]
+    xy = truth + shift + rng.uniform(-1.5, 1.5, truth.shape)
+    collected = CollectedSet(
+        segment_id=segment.id,
+        points=tuple(unproject_points(cands.frame, xy)),
+        ground_truth=tuple(unproject_points(cands.frame, truth)),
+    )
+    return segment, collected, start
 
 
 def polyline_segment(

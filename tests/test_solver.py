@@ -358,7 +358,7 @@ class TestMultipliers:
         u1, mu = state.duals[0, 0].copy(), state.mu
         update_multipliers(state, cfg)
         assert np.array_equal(state.duals[0, 0], u1 / cfg.rho)
-        assert state.mu == pytest.approx(1.3 * mu, rel=1e-15)
+        assert state.mu == pytest.approx(cfg.rho * mu, rel=1e-15)
 
     def test_residual_scaling(self, rng):
         state, cfg = random_state(rng)
@@ -374,7 +374,7 @@ class TestMultipliers:
         cfg = SolverConfig(mu0=0.05, max_iters=20, tol_primal=1e-15, tol_change=1e-15)
         res = admm_solve(gt + [1.0, -2.0], gt, cfg)
         assert res.iterations == 20
-        assert res.state.mu == pytest.approx(0.05 * 1.3**20, rel=1e-12)
+        assert res.state.mu == pytest.approx(0.05 * cfg.rho**20, rel=1e-12)
 
 
 class TestAdmmSolve:

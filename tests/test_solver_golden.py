@@ -14,25 +14,30 @@ against that checkout:
 (with no argument the record goes to stdout; the script never writes the
 committed file, which must not be re-recorded).  The test re-solves the same
 windows through ``raa_rectify`` and requires losses within 1e-9 relative,
-identical sweep counts and flags, and the same winning window.
+identical sweep counts and flags, and the same winning window.  The record
+was made at the penalty growth rho = 1.3, so the test solves at that
+schedule; a second test pins the default schedule to the recorded winners.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import statistics
 import sys
 from pathlib import Path
 
 import spotalign.pipeline as pipeline
 from spotalign import synth_corpus
+from spotalign.solver import SolverConfig
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "solver_golden.json"
 CORPUS = {"n_straight": 3, "n_curve": 3, "seed": 1}
 TH = 1.0
+RECORDED = SolverConfig(rho=1.3)  # the schedule the golden file was recorded at
 
 
-def record() -> dict:
+def record(cfg: SolverConfig = RECORDED) -> dict:
     """Rectify the corpus, recording every window solve ``raa_rectify`` makes."""
     solves = []
     original = pipeline.admm_solve
@@ -48,7 +53,7 @@ def record() -> dict:
     try:
         for segment, collected in synth_corpus(**CORPUS):
             start = len(solves)
-            out = pipeline.raa_rectify(collected, segment, th=TH)
+            out = pipeline.raa_rectify(collected, segment, th=TH, cfg=cfg)
             segments.append({"id": segment.id, "window_start_index": out.window_start_index,
                              "windows": solves[start:]})
     finally:
@@ -70,6 +75,17 @@ def test_window_solves_match_recorded():
             assert (a["iterations"], a["converged"]) == (b["iterations"], b["converged"]), where
             la, lb = float.fromhex(a["loss"]), float.fromhex(b["loss"])
             assert math.isclose(la, lb, rel_tol=1e-9, abs_tol=0.0), where
+
+
+def test_default_schedule_keeps_the_recorded_winners():
+    # the default rho settles a window in ~30 sweeps, not the record's ~51
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    got = record(SolverConfig())
+    for new, old in zip(got["segments"], golden["segments"], strict=True):
+        assert new["window_start_index"] == old["window_start_index"], new["id"]
+    windows = [w for s in got["segments"] for w in s["windows"]]
+    assert all(w["converged"] for w in windows)
+    assert statistics.median(w["iterations"] for w in windows) <= 32
 
 
 if __name__ == "__main__":

@@ -16,6 +16,7 @@ multipliers) by running this module as a script against that checkout:
 (with no argument the record goes to stdout; the committed file is never
 written by the script).  The test requires losses within 1e-9 relative,
 identical sweep counts and flags, and the same exception type and iteration.
+Cases solve at rho = 1.3, the penalty growth the record was made at.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ CASES = [(f"m{m}-{kind}", case_points, (m, kind)) for m in SIZES for kind in KIN
 def solve(build, args) -> dict:
     pts, window = build(*args)
     try:
-        result = admm_solve(pts, window, SolverConfig())
+        result = admm_solve(pts, window, SolverConfig(rho=1.3))
     except (DegenerateGeometryError, NumericalFailureError) as exc:
         return {"error": type(exc).__name__, "iteration": getattr(exc, "iteration", None)}
     return {"loss": result.loss.hex(), "iterations": result.iterations,
