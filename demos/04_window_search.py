@@ -1,8 +1,10 @@
-"""Brute-force window search: find where corrupted points belong on a segment.
+"""Window race: find where corrupted points belong on a segment.
 
-Collected points are scored against every contiguous candidate window; the
-alignment loss (sparse errors + offset block + transform size) is lowest at
-the true window even under rotation, lateral drift, and outliers.
+Collected points are scored against the contiguous candidate windows,
+nearest centroid first; a window whose loss early in its solve already
+trails the best finished one is abandoned.  The alignment loss (sparse
+errors + offset block + transform size) is lowest at the true window even
+under rotation, lateral drift, and outliers.
 """
 import math
 
@@ -40,9 +42,10 @@ print(f"planted window start: {true_start}; corruption: 5 deg rotation + 4 m lat
 
 out = raa_rectify(collected, segment, th=1.0)
 losses = np.asarray(out.window_losses)
-order = np.argsort(losses)[:5]
+finished = np.flatnonzero(np.isfinite(losses))
+order = finished[np.argsort(losses[finished])][:5]
 print(f"\nrecovered window start: {out.window_start_index}")
-print("five best windows:")
+print(f"{len(losses) - len(finished)} of {len(losses)} windows abandoned; up to five best finished windows:")
 for i in order:
     marker = " <- chosen" if i == out.window_start_index else ""
     print(f"  start {i:3d}: loss {losses[i]:10.2f}{marker}")

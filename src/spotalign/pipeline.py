@@ -1,7 +1,7 @@
-"""End-to-end rectification: the brute-force window search over candidate
-locations, noise-injection models for experiments, and a synthetic corpus
-generator shaped like the field data (straight and curved segments with
-planted ground-truth windows)."""
+"""End-to-end rectification: the window race over candidate locations,
+noise-injection models for experiments, and a synthetic corpus generator
+shaped like the field data (straight and curved segments with planted
+ground-truth windows)."""
 
 from __future__ import annotations
 
@@ -23,6 +23,11 @@ RAA = "raa"
 ALL_METHODS = (RAA,) + BASELINE_METHODS
 
 DEFAULT_CORRECTNESS_THRESHOLD_M = 10.0
+
+# a window solve is abandoned once its loss after RACE_CHECK_SWEEP sweeps
+# exceeds this multiple of the best finished window's loss; a winner's loss at
+# that sweep has stayed within 1.04x its final loss on every corpus checked
+RACE_MARGIN = 1.5
 
 
 @dataclass(frozen=True)
@@ -50,7 +55,8 @@ class RectifiedSet:
     ``window_start_index`` is the candidate index the output window starts at
     (0 for methods that match against the full candidate set, and for inputs
     accepted as already correct).  ``window_losses`` carries the per-window
-    scores of the search when one ran.
+    scores of the search when one ran; +inf marks a window whose solve was
+    abandoned because it could not win.
     """
 
     segment_id: str
@@ -161,19 +167,23 @@ def raa_rectify(
     th: float = DEFAULT_CORRECTNESS_THRESHOLD_M,
     cfg: SolverConfig | None = None,
 ) -> RectifiedSet:
-    """Rectify one segment's collected points by brute-force window alignment.
+    """Rectify one segment's collected points by a race of window alignments.
 
     The collected points are first compared against the first M candidates;
     a mean per-point distance under ``th`` meters accepts them as already
-    correct.  Otherwise every M-wide candidate window (stride 1) is aligned
-    with the rank-1 solver and the window with the smallest alignment loss
-    wins (ties: smaller start index).  Each window solve runs in coordinates
-    centered on that window, so the transform-norm part of the loss measures
-    displacement relative to the window itself.  The output snaps to the
-    winning window's candidates.  At DEBUG level, ``spotalign.pipeline``
-    logs one line per searched segment: the windows solved, how many of them
-    stopped at ``max_iters`` without converging, the winning loss and its
-    margin over the runner-up (nan for a single window).
+    correct.  Otherwise the M-wide candidate windows (stride 1) are aligned
+    with the rank-1 solver, nearest centroid first, and the window with the
+    smallest alignment loss wins (ties: smaller start index).  A solve whose
+    loss after :data:`~spotalign.solver.RACE_CHECK_SWEEP` sweeps exceeds
+    :data:`RACE_MARGIN` times the best finished loss so far is abandoned and
+    scores +inf.  Each window solve runs in coordinates centered on that
+    window, so the transform-norm part of the loss measures displacement
+    relative to the window itself.  The output snaps to the winning window's
+    candidates.  At DEBUG level, ``spotalign.pipeline`` logs one line per
+    searched segment: the windows, how many were abandoned, how many of the
+    rest stopped at ``max_iters`` without converging, the winning loss and
+    its margin over the best finished runner-up (nan for a single window,
+    inf when every other window was abandoned).
 
     Raises :class:`InsufficientCandidatesError` when the candidate set is
     smaller than the collected set, and ``ValueError`` when a single
@@ -202,19 +212,28 @@ def raa_rectify(
 
     if m < 2:
         raise ValueError(f"segment {segment.id!r}: RAA needs at least 2 collected points, got {m}")
+    csum = np.cumsum(np.concatenate((np.zeros((1, 2)), cand_xy)), axis=0)
+    offsets = (csum[m:] - csum[:-m]) / m - pts.mean(axis=0)
     losses = np.empty(n_windows)
-    capped = 0
-    for i in range(n_windows):
+    capped = abandoned = 0
+    best_final = math.inf
+    for i in np.argsort(np.hypot(*offsets.T), kind="stable").tolist():
         window = cand_xy[i:i + m]
         center = window.mean(axis=0)
-        solved = admm_solve(pts - center, window - center, cfg)
+        # a zero best would abandon every positive loss, ties included
+        bound = RACE_MARGIN * best_final if best_final > 0 else math.inf
+        solved = admm_solve(pts - center, window - center, cfg, abandon_above=bound)
         losses[i] = solved.loss
-        capped += not solved.converged
+        if solved.loss == math.inf:
+            abandoned += 1
+        else:
+            capped += not solved.converged
+            best_final = min(best_final, solved.loss)
     best = int(np.argmin(losses))
     if log.isEnabledFor(logging.DEBUG):
         margin = float(np.partition(losses, 1)[1] - losses[best]) if n_windows > 1 else math.nan
-        log.debug("raa_rectify %s: %d windows solved, %d stopped at max_iters, loss %.6f, margin %.6f",
-                  segment.id, n_windows, capped, losses[best], margin)
+        log.debug("raa_rectify %s: %d windows, %d abandoned, %d stopped at max_iters, loss %.6f, margin %.6f",
+                  segment.id, n_windows, abandoned, capped, losses[best], margin)
     snapped = unproject_points(frame, cand_xy[best:best + m])
     return RectifiedSet(
         segment_id=collected.segment_id,

@@ -73,6 +73,9 @@ log = logging.getLogger(__name__)
 # translation (meters) that weighs like one radian in the alignment loss
 THETA_NORM_SCALE_M = 10.0
 
+# the sweep after which admm_solve compares the loss with ``abandon_above``
+RACE_CHECK_SWEEP = 8
+
 # the C/D-step's weights of the rows A, E, W, U, U3 of SolverState.terms
 _CD_WEIGHTS = np.array([0.5, 0.5, 0.5, 0.5, -0.5])
 _CD_WEIGHTS.flags.writeable = False
@@ -504,12 +507,16 @@ def admm_solve(
     cfg: SolverConfig | None = None,
     *,
     collect_trace: bool = False,
+    abandon_above: float = math.inf,
 ) -> SolverResult:
     """Run the full alternating solve of the (M, 2) points P against the window Rd.
 
     Repeats :func:`sweep` until the largest constraint residual drops below
     ``tol_primal``, the relative state change drops below ``tol_change``, or
-    ``max_iters`` sweeps have run.
+    ``max_iters`` sweeps have run.  A solve still running after
+    :data:`RACE_CHECK_SWEEP` sweeps whose alignment loss then exceeds
+    ``abandon_above`` is abandoned: it returns loss +inf, unconverged, at
+    that sweep.  The default bound abandons nothing.
 
     Raises ValueError unless P and Rd are finite (M, 2) arrays with the same
     M of at least 2, :class:`NumericalFailureError` if the state leaves the
@@ -523,7 +530,7 @@ def admm_solve(
         state = SolverState(P, Rd, cfg.mu0)
         trace = IterationTrace() if collect_trace else None
 
-        converged = False
+        converged = abandoned = False
         vec, prev_vec = state.vector, state.vector.copy()
         prev_norm = math.sqrt(np.dot(vec, vec))
         for iterations in range(1, cfg.max_iters + 1):
@@ -540,8 +547,11 @@ def admm_solve(
             if primal < cfg.tol_primal or rel_change < cfg.tol_change:
                 converged = True
                 break
+            if iterations == RACE_CHECK_SWEEP and alignment_loss(state) > abandon_above:
+                abandoned = True
+                break
 
-        loss = alignment_loss(state)
+        loss = math.inf if abandoned else alignment_loss(state)
     log.debug(
         "admm_solve: m=%d iters=%d converged=%s primal=%.3e loss=%.6f",
         state.inputs.shape[1] // 2, iterations, converged, primal, loss,

@@ -11,9 +11,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from spotalign.geo import GeoPoint, LocalPoint, make_frame, to_geo, unproject_points
+from spotalign.geo import GeoPoint, LocalPoint, make_frame, project_points, to_geo, unproject_points
 from spotalign.pipeline import CollectedSet
 from spotalign.roads import RoadSegment, SpotType, sample_candidates
+from spotalign.solver import SolverConfig, SolverResult, admm_solve
 
 
 def straight_segment(
@@ -62,6 +63,24 @@ def gap_case(rng: np.random.Generator, d: float):
         ground_truth=tuple(unproject_points(cands.frame, truth)),
     )
     return segment, collected, start
+
+
+def exhaustive_search(segment: RoadSegment, collected: CollectedSet,
+                      cfg: SolverConfig | None = None) -> list[SolverResult]:
+    """Solve every candidate window in start order, abandoning none.
+
+    Each window is centred as ``raa_rectify`` centres it, so a window that
+    the race finishes has the same loss bit for bit.  The exhaustive winner
+    is the first window of least loss.
+    """
+    cands = sample_candidates(segment)
+    pts, cand_xy = project_points(cands.frame, collected.points), cands.xy()
+    results = []
+    for i in range(cands.window_count(len(pts))):
+        window = cand_xy[i:i + len(pts)]
+        center = window.mean(axis=0)
+        results.append(admm_solve(pts - center, window - center, cfg))
+    return results
 
 
 def polyline_segment(

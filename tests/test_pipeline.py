@@ -195,9 +195,21 @@ class TestRaaRectify:
         (record,) = [r for r in caplog.records if r.name == "spotalign.pipeline"]
         losses = sorted(out.window_losses)
         assert len(losses) > 1 and record.levelno == logging.DEBUG
-        assert record.args == (segment.id, len(losses), len(losses), out.loss, losses[1] - losses[0])
-        assert record.getMessage().startswith(f"raa_rectify {segment.id}: {len(losses)} windows solved, "
+        # no solve reaches the race's check sweep, so none is abandoned
+        assert record.args == (segment.id, len(losses), 0, len(losses), out.loss, losses[1] - losses[0])
+        assert record.getMessage().startswith(f"raa_rectify {segment.id}: {len(losses)} windows, 0 abandoned, "
                                               f"{len(losses)} stopped at max_iters, loss ")
+
+    def test_debug_line_counts_abandoned_windows_apart(self, caplog):
+        segment, collected = synth_corpus(1, 0, seed=1)[0]
+        with caplog.at_level(logging.DEBUG, logger="spotalign.pipeline"):
+            out = raa_rectify(collected, segment, th=1.0)
+        (record,) = [r for r in caplog.records if r.name == "spotalign.pipeline"]
+        finished = sorted(v for v in out.window_losses if v < math.inf)
+        abandoned = len(out.window_losses) - len(finished)
+        assert abandoned > 0 and finished[0] == out.loss
+        runner_up = finished[1] if len(finished) > 1 else math.inf
+        assert record.args == (segment.id, len(out.window_losses), abandoned, 0, out.loss, runner_up - out.loss)
 
     def test_already_correct_segment_logs_nothing(self, caplog):
         seg = straight_segment(60 * 6.0, SpotType.PARALLEL)

@@ -12,11 +12,13 @@ against that checkout:
     PYTHONPATH=src python tests/test_solver_golden.py OUT.json
 
 (with no argument the record goes to stdout; the script never writes the
-committed file, which must not be re-recorded).  The test re-solves the same
-windows through ``raa_rectify`` and requires losses within 1e-9 relative,
-identical sweep counts and flags, and the same winning window.  The record
-was made at the penalty growth rho = 1.3, so the test solves at that
-schedule; a second test pins the default schedule to the recorded winners.
+committed file, which must not be re-recorded).  The test re-solves every
+window directly, in start order and abandoning none, and requires losses
+within 1e-9 relative, identical sweep counts and flags, and the same winning
+window; ``raa_rectify``, which abandons windows that cannot win, must pick
+that winner with the same loss bit for bit.  The record was made at the
+penalty growth rho = 1.3, so the test solves at that schedule; a second test
+pins the default schedule to the recorded winners.
 """
 
 from __future__ import annotations
@@ -27,9 +29,11 @@ import statistics
 import sys
 from pathlib import Path
 
-import spotalign.pipeline as pipeline
 from spotalign import synth_corpus
+from spotalign.pipeline import raa_rectify
 from spotalign.solver import SolverConfig
+
+from conftest import exhaustive_search
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "solver_golden.json"
 CORPUS = {"n_straight": 3, "n_curve": 3, "seed": 1}
@@ -38,27 +42,25 @@ RECORDED = SolverConfig(rho=1.3)  # the schedule the golden file was recorded at
 
 
 def record(cfg: SolverConfig = RECORDED) -> dict:
-    """Rectify the corpus, recording every window solve ``raa_rectify`` makes."""
-    solves = []
-    original = pipeline.admm_solve
-
-    def recording(*args, **kwargs):
-        result = original(*args, **kwargs)
-        solves.append({"loss": result.loss.hex(), "iterations": result.iterations,
-                       "converged": result.converged})
-        return result
-
-    pipeline.admm_solve = recording
+    """Solve every window of the corpus in start order, with the first least loss winning."""
     segments = []
-    try:
-        for segment, collected in synth_corpus(**CORPUS):
-            start = len(solves)
-            out = pipeline.raa_rectify(collected, segment, th=TH, cfg=cfg)
-            segments.append({"id": segment.id, "window_start_index": out.window_start_index,
-                             "windows": solves[start:]})
-    finally:
-        pipeline.admm_solve = original
+    for segment, collected in synth_corpus(**CORPUS):
+        results = exhaustive_search(segment, collected, cfg)
+        losses = [r.loss for r in results]
+        segments.append({
+            "id": segment.id,
+            "window_start_index": losses.index(min(losses)),
+            "windows": [{"loss": r.loss.hex(), "iterations": r.iterations, "converged": r.converged}
+                        for r in results],
+        })
     return {"corpus": CORPUS, "th": TH, "segments": segments}
+
+
+def assert_race_keeps_the_record(got: dict, cfg: SolverConfig) -> None:
+    for (segment, collected), rec in zip(synth_corpus(**CORPUS), got["segments"], strict=True):
+        out = raa_rectify(collected, segment, th=TH, cfg=cfg)
+        winner = rec["window_start_index"]
+        assert (out.window_start_index, out.loss.hex()) == (winner, rec["windows"][winner]["loss"]), rec["id"]
 
 
 def test_window_solves_match_recorded():
@@ -75,6 +77,7 @@ def test_window_solves_match_recorded():
             assert (a["iterations"], a["converged"]) == (b["iterations"], b["converged"]), where
             la, lb = float.fromhex(a["loss"]), float.fromhex(b["loss"])
             assert math.isclose(la, lb, rel_tol=1e-9, abs_tol=0.0), where
+    assert_race_keeps_the_record(got, RECORDED)
 
 
 def test_default_schedule_keeps_the_recorded_winners():
@@ -86,6 +89,7 @@ def test_default_schedule_keeps_the_recorded_winners():
     windows = [w for s in got["segments"] for w in s["windows"]]
     assert all(w["converged"] for w in windows)
     assert statistics.median(w["iterations"] for w in windows) <= 32
+    assert_race_keeps_the_record(got, SolverConfig())
 
 
 if __name__ == "__main__":
