@@ -8,7 +8,8 @@ import math
 
 import numpy as np
 
-from spotalign import GeoPoint, LocalPoint, make_frame, to_geo, to_local
+from spotalign import GeoPoint, LocalPoint, make_frame, to_geo
+from spotalign.geo import project_points
 
 frame = make_frame(GeoPoint(39.9, 116.4))
 print(f"frame at (39.9, 116.4):")
@@ -16,7 +17,7 @@ print(f"  1 degree of latitude  = {frame.meters_per_deg_lat:12.3f} m")
 print(f"  1 degree of longitude = {frame.meters_per_deg_lon:12.3f} m")
 
 p = GeoPoint(39.905, 116.407)
-q = to_local(frame, p)
+q = LocalPoint(*project_points(frame, [p])[0].tolist())
 print(f"\n(39.905, 116.407) -> local ({q.x:.3f} m east, {q.y:.3f} m north)")
 
 back = to_geo(frame, q)

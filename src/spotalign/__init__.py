@@ -1,6 +1,6 @@
 """spotalign: rectify and align roadside parking-spot GPS points."""
 
-from .geo import GeoPoint, LocalFrame, LocalPoint, make_frame, to_geo, to_local
+from .geo import GeoPoint, LocalFrame, LocalPoint, make_frame, to_geo
 from .rigid import jacobian_values, warp_values
 from .roads import CandidateSet, EmptyCandidateError, RoadSegment, SpotType, sample_candidates, segment_arclength
 from .solver import (
@@ -33,7 +33,7 @@ from .metrics import EvalReport, evaluate_segments, robustness_index
 from .dataio import Dataset, DatasetError, RunConfig, load_dataset, save_dataset
 
 __all__ = [
-    "GeoPoint", "LocalFrame", "LocalPoint", "make_frame", "to_geo", "to_local",
+    "GeoPoint", "LocalFrame", "LocalPoint", "make_frame", "to_geo",
     "jacobian_values", "warp_values",
     "CandidateSet", "EmptyCandidateError", "RoadSegment", "SpotType",
     "sample_candidates", "segment_arclength",

@@ -78,14 +78,8 @@ def make_frame(origin: GeoPoint) -> LocalFrame:
     )
 
 
-def to_local(frame: LocalFrame, p: GeoPoint) -> LocalPoint:
-    """Project ``p`` into frame meters.  Rejects points beyond 10 km of the origin."""
-    x, y = project_points(frame, [p])[0].tolist()
-    return LocalPoint(x, y)
-
-
 def to_geo(frame: LocalFrame, q: LocalPoint) -> GeoPoint:
-    """Exact inverse of :func:`to_local`."""
+    """Exact inverse of projecting with :func:`project_points`."""
     return unproject_points(frame, [[q.x, q.y]])[0]
 
 

@@ -14,14 +14,8 @@ DEFAULT_RECALL_TOLERANCE_M = 0.5
 
 
 @dataclass(frozen=True)
-class SegmentScore:
-    acd: float
-    ar: float
-
-
-@dataclass(frozen=True)
 class EvalReport:
-    """Pooled metrics plus the per-segment breakdown they were pooled from.
+    """Pooled metrics.
 
     ``acd`` pools deviations over all points; ``ar`` averages per-segment
     recall without weighting by segment size.  Predictions are matched to
@@ -30,16 +24,14 @@ class EvalReport:
 
     acd: float
     ar: float
-    per_segment: tuple[SegmentScore, ...]
 
 
 def evaluate_segments(pred, truth, tau: float = DEFAULT_RECALL_TOLERANCE_M) -> EvalReport:
-    """Per-segment scores plus point-pooled ACD (meters) and segment-averaged AR.
+    """Point-pooled ACD (meters) and segment-averaged AR.
 
     ``pred`` and ``truth`` are sequences of (M_i, 2) arrays of local-frame
-    meters, index-aligned within each segment; ``per_segment`` follows their
-    order.  A point counts toward recall when it lies strictly within ``tau``
-    meters of its truth.
+    meters, index-aligned within each segment.  A point counts toward recall
+    when it lies strictly within ``tau`` meters of its truth.
     """
     if not 0 < tau < np.inf:
         raise ValueError("tau must be positive and finite")
@@ -56,10 +48,9 @@ def evaluate_segments(pred, truth, tau: float = DEFAULT_RECALL_TOLERANCE_M) -> E
         if p.shape[0] == 0:
             raise ValueError(f"segment {i}: empty point list")
         devs.append(np.hypot(*(p - t).T))
-    per = tuple(SegmentScore(acd=float(d.mean()), ar=float((d < tau).mean())) for d in devs)
+    recalls = [float((d < tau).mean()) for d in devs]
     pooled_acd = float(sum(d.sum() for d in devs) / sum(d.size for d in devs))
-    mean_ar = float(np.mean([s.ar for s in per]))
-    return EvalReport(acd=pooled_acd, ar=mean_ar, per_segment=per)
+    return EvalReport(acd=pooled_acd, ar=float(np.mean(recalls)))
 
 
 def robustness_index(r_noisy: float, r_clean: float, direction: str) -> float:

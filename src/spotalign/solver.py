@@ -16,9 +16,9 @@ penalty, so the coupling exerts no pressure to shrink or translate the data.
 E1 absorbs a few gross outliers, E2 absorbs a systematic per-axis offset of the
 candidate side, and the rigid transforms are re-linearized every sweep: the
 increment least-squares solution is folded into the running transforms and
-the inputs re-warped.  The warp is rigid, so both the increment step's sums
-and the re-warp are products with one matrix the inputs fix,
-``SolverState.moments``.
+the inputs re-warped, both by :func:`fold_and_rewarp`.  The warp is rigid,
+so both the increment step's sums and the re-warp are products with one
+matrix the inputs fix, ``SolverState.moments``.
 
 :func:`sweep` is the one implementation of a sweep; :func:`admm_solve`
 repeats it until convergence, and its trace mode records the same sweep.
@@ -58,7 +58,6 @@ fixed meters-per-radian-equivalent scale :data:`THETA_NORM_SCALE_M`.
 from __future__ import annotations
 
 import cmath
-import copy
 import logging
 import math
 import numbers
@@ -66,7 +65,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .rigid import fold_increments, jacobian_values, warp_values
+from .rigid import jacobian_values
+# no solver caller: perfbench's tracer wraps it until ROADMAP item 2a drops rigid.warp_values.calls_per_solve
+from .rigid import warp_values
 
 log = logging.getLogger(__name__)
 
@@ -165,13 +166,12 @@ class SolverState:
     start as the inputs, the rest at zero.  ``pairs`` holds [C D], A, E, U,
     U3, ``e_rows`` the E-step's operands (the residual flat, then its rows
     and E's, complex views for E2) and ``norm_rows`` the multiplier step's
-    operands, all views made once.  W follows ``transforms``: :func:`sweep`
-    folds its increments into them in place and re-warps W itself, and
-    :meth:`set_transforms` does both for a caller outside a sweep.
-    ``moments`` (both sides' block-diagonally) and ``levers`` are the terms
-    the inputs fix; ``moments`` serves both the increment step's sums and
-    the sweep's re-warp.  A ``copy.copy`` shares every buffer, so trace mode
-    only reads its copy.
+    operands, all views made once.  W starts as the inputs, the identity
+    warp, and then follows ``transforms``: :func:`fold_and_rewarp` alone
+    writes ``transforms``, ``coef`` and W, called by :func:`sweep` with the
+    increments and by :meth:`set_transforms` with none.  ``moments`` (both
+    sides' block-diagonally) and ``levers`` are the terms the inputs fix;
+    ``moments`` serves both the increment step's sums and the re-warp.
     """
 
     def __init__(self, P: np.ndarray, Rd: np.ndarray, mu: float) -> None:
@@ -196,7 +196,7 @@ class SolverState:
         self.blocks = self.terms[:3].reshape(3, 2, n)
         self.W, self.duals = self.terms[3].reshape(2, n), self.terms[4:].reshape(2, 2, n)
         self.blocks[:2] = self.inputs
-        warp_values(self.transforms, self.inputs, out=self.W)
+        np.add(self.inputs, 0.0, out=self.W)  # the identity warp; + 0.0 turns -0.0 into 0.0 as a warp does
         self.pairs = (*self.blocks, *self.duals)
         self.residual, self.constraints = np.empty_like(self.inputs), np.empty_like(self.duals)
         self.coupled, self.keep = np.empty_like(self.inputs), np.empty((2, 2))
@@ -221,12 +221,16 @@ class SolverState:
                        for c, s in zip(z_mean.tolist(), spread.tolist())]
 
     def set_transforms(self, transforms) -> None:
-        """Move both transforms, given as (2, 3) rows, and re-warp the inputs."""
+        """Move both transforms, given as (2, 3) rows, and re-warp the inputs.
+
+        The angles are normalized into (-pi, pi], as :func:`fold_and_rewarp`
+        leaves them.
+        """
         transforms = np.asarray(transforms, dtype=float)
         if transforms.shape != (2, 3):
             raise ValueError(f"expected (2, 3) transform rows, got shape {transforms.shape}")
         self.transforms[...] = transforms
-        warp_values(self.transforms, self.inputs, out=self.W)
+        fold_and_rewarp(self, [(0.0, 0.0, 0.0)] * 2)
 
 
 @dataclass
@@ -381,10 +385,10 @@ def update_transform_increments(state: SolverState, residual: np.ndarray) -> lis
     w_i - w_mean = e^(i theta) (z_i - z_mean) and w_mean - s = e^(i theta)
     z_mean, so the spread is fixed and the sums a sweep needs, sum
     conj(z_i - z_mean) r_i and sum r_i, are one product of ``state.moments``
-    with the residual; :func:`sweep` re-warps W with the same matrix.  A side
-    is singular when its spread is negligible against the rotation column's
-    squared norm sum |w_i - s|^2 (the spread plus M |z_mean|^2, in
-    ``state.levers``).
+    with the residual; :func:`fold_and_rewarp` re-warps W with the same
+    matrix.  A side is singular when its spread is negligible against the
+    rotation column's squared norm sum |w_i - s|^2 (the spread plus M
+    |z_mean|^2, in ``state.levers``).
 
     Raises :class:`NumericalFailureError` if a sum or an increment is not
     finite (checked first: an overflowed sum would pass for singular), and
@@ -408,6 +412,39 @@ def update_transform_increments(state: SolverState, residual: np.ndarray) -> lis
             raise NumericalFailureError()
         increments.append((d_theta, d_s.real, d_s.imag))
     return increments
+
+
+def _normalize_angle(theta: float) -> float:
+    t = math.remainder(theta, math.tau)
+    if t <= -math.pi:
+        t += math.tau
+    return t
+
+
+def fold_and_rewarp(state: SolverState, increments) -> None:
+    """Fold each side's increment into its transform, then re-warp W from the new rows.
+
+    ``increments`` holds one (d_theta, d_sx, d_sy) row of floats per side,
+    applied after that side's transform: the folded row warps like the
+    transform followed by the increment, its angle normalized into (-pi, pi].
+    W is one product with ``state.moments``: per side w_i = e^(i theta) (z_i
+    - z_mean) + (e^(i theta) z_mean + s), so the coefficients of its rows,
+    written to ``state.coef``, are cos theta, sin theta and the warped z_mean.
+    Two rows, so the fold is scalar arithmetic.
+    """
+    rows, coef = [], []
+    for (theta, s_x, s_y), (d_theta, d_sx, d_sy), (z_bar, _, _) in zip(
+            state.transforms.tolist(), increments, state.levers):
+        c, s = math.cos(d_theta), math.sin(d_theta)
+        theta = _normalize_angle(theta + d_theta)
+        s_x, s_y = c * s_x - s * s_y + d_sx, s * s_x + c * s_y + d_sy
+        turn = cmath.rect(1.0, theta)
+        shift = turn * z_bar + complex(s_x, s_y)
+        rows.append((theta, s_x, s_y))
+        coef += (turn.real, turn.imag, shift.real, shift.imag)
+    state.transforms[...] = rows
+    state.coef[:] = coef
+    np.dot(state.coef, state.moments, state.terms[3])
 
 
 def _constraint_residuals(state: SolverState, out: np.ndarray) -> np.ndarray:
@@ -460,13 +497,12 @@ def alignment_loss(state: SolverState) -> float:
 def sweep(state: SolverState, cfg: SolverConfig, trace: IterationTrace | None = None) -> float:
     """One ADMM sweep: A -> C/D -> E1/E2 -> increments -> multipliers.
 
-    The increments are folded into the transforms (re-linearizing the warps)
-    before the dual step, and W is re-warped as one product with
-    ``state.moments``: per side w_i = e^(i theta) (z_i - z_mean) + (e^(i
-    theta) z_mean + s), so the coefficients of its rows are cos theta, sin
-    theta and the warped z_mean.  Returns the largest constraint residual;
-    with a ``trace`` the Lagrangian after each block and the coupling
-    residual are appended to it.
+    :func:`fold_and_rewarp` folds the increments into the transforms
+    (re-linearizing the warps) and re-warps W before the dual step.  Returns
+    the largest constraint residual; with a ``trace`` the Lagrangian after
+    each block and the coupling residual are appended to it.  The increment
+    step's Lagrangian is measured on the state itself, with each warp moved
+    along its Jacobian in W, which the re-warp then overwrites.
     """
     if trace is not None:
         l_start = lagrangian(state, cfg)
@@ -481,20 +517,11 @@ def sweep(state: SolverState, cfg: SolverConfig, trace: IterationTrace | None = 
         l_e = lagrangian(state, cfg)
     increments = update_transform_increments(state, residual)
     if trace is not None:
-        # the increment step's value before folding: the same state with each
-        # warp moved along its Jacobian
-        moved = copy.copy(state)
-        moved.W = state.W + np.stack([jacobian_values(state.transforms[k, 0], state.inputs[k]) @ increments[k]
-                                      for k in (0, 1)])
-        trace.lagrangians.append((l_start, l_a, l_cd, l_e, lagrangian(moved, cfg)))
-    fold_increments(state.transforms, increments, out=state.transforms)
-    coef = []
-    for (theta, s_x, s_y), (z_bar, _, _) in zip(state.transforms.tolist(), state.levers):
-        turn = cmath.rect(1.0, theta)
-        shift = turn * z_bar + complex(s_x, s_y)
-        coef += (turn.real, turn.imag, shift.real, shift.imag)
-    state.coef[:] = coef
-    np.dot(state.coef, state.moments, state.terms[3])
+        # the increment step's value before folding
+        for k in (0, 1):
+            state.W[k] += jacobian_values(state.transforms[k, 0], state.inputs[k]) @ increments[k]
+        trace.lagrangians.append((l_start, l_a, l_cd, l_e, lagrangian(state, cfg)))
+    fold_and_rewarp(state, increments)
     coupling, primal = update_multipliers(state, cfg)
     if trace is not None:
         trace.coupling_residuals.append(coupling)

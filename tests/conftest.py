@@ -8,6 +8,8 @@ inside the library exactly enough for count assertions.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -105,6 +107,11 @@ def polyline_segment(
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+def random_transform(rng) -> np.ndarray:
+    """A (theta, s_x, s_y) row."""
+    return np.array([rng.uniform(-math.pi, math.pi), rng.uniform(-50, 50), rng.uniform(-50, 50)])
 
 
 def fd_warp_jacobian(t, values, h: float = 1e-6) -> np.ndarray:

@@ -15,7 +15,6 @@ from spotalign.geo import (
     make_frame,
     project_points,
     to_geo,
-    to_local,
     unproject_points,
 )
 
@@ -100,14 +99,14 @@ class TestGeoPoint:
 class TestProjection:
     def test_origin_maps_to_zero(self):
         frame = make_frame(GeoPoint(10.0, 20.0))
-        q = to_local(frame, frame.origin)
-        assert q.x == 0.0 and q.y == 0.0
+        x, y = project_points(frame, [frame.origin])[0]
+        assert x == 0.0 and y == 0.0
 
     def test_milli_degree_east(self):
         frame = make_frame(GeoPoint(0.0, 0.0))
-        q = to_local(frame, GeoPoint(0.0, 0.001))
-        assert q.x == pytest.approx(111.3194908, abs=1e-6)
-        assert q.y == 0.0
+        x, y = project_points(frame, [GeoPoint(0.0, 0.001)])[0]
+        assert x == pytest.approx(111.3194908, abs=1e-6)
+        assert y == 0.0
 
     def test_inverse_example(self):
         frame = make_frame(GeoPoint(0.0, 0.0))
@@ -125,8 +124,8 @@ class TestProjection:
         for _ in range(1000):
             x, y = rng.uniform(-2000, 2000, size=2)
             q = LocalPoint(float(x), float(y))
-            back = to_local(frame, to_geo(frame, q))
-            assert math.hypot(back.x - q.x, back.y - q.y) < 1e-9
+            x, y = project_points(frame, [to_geo(frame, q)])[0]
+            assert math.hypot(x - q.x, y - q.y) < 1e-9
 
     @pytest.mark.parametrize("xy", [np.zeros((2, 3)), np.zeros(2)])
     def test_unproject_rejects_non_pairs(self, xy):
@@ -142,13 +141,13 @@ class TestProjection:
     def test_beyond_range_rejected(self):
         frame = make_frame(GeoPoint(0.0, 0.0))
         with pytest.raises(ValueError):
-            to_local(frame, GeoPoint(0.0, 0.2))  # ~22 km east
+            project_points(frame, [GeoPoint(0.0, 0.2)])[0]  # ~22 km east
 
     def test_project_points_names_first_far_point(self):
         frame = make_frame(GeoPoint(0.0, 0.0))
         far = GeoPoint(0.0, 0.2)  # ~22 km east
         with pytest.raises(ValueError) as single:
-            to_local(frame, far)
+            project_points(frame, [far])[0]
         with pytest.raises(ValueError) as batch:
             project_points(frame, [GeoPoint(0.0, 0.001), far, GeoPoint(0.3, 0.0)])
         assert str(batch.value) == str(single.value)

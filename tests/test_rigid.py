@@ -3,12 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from spotalign.rigid import fold_increments, jacobian_values, warp_values
-
-
-def random_transform(rng) -> np.ndarray:
-    """A (theta, s_x, s_y) row."""
-    return np.array([rng.uniform(-math.pi, math.pi), rng.uniform(-50, 50), rng.uniform(-50, 50)])
+from spotalign.rigid import jacobian_values, warp_values
 
 
 def random_points(rng, m=10) -> np.ndarray:
@@ -16,7 +11,7 @@ def random_points(rng, m=10) -> np.ndarray:
     return rng.uniform(-100, 100, size=(m, 2)).reshape(-1)
 
 
-from conftest import fd_warp_jacobian as fd_jacobian
+from conftest import fd_warp_jacobian as fd_jacobian, random_transform
 
 
 class TestWarp:
@@ -46,9 +41,6 @@ class TestWarp:
         pts = np.stack([random_points(rng, 7) for _ in range(2)])
         both = warp_values(ts, pts)
         assert both.shape == (2, 14)
-        in_place = np.empty_like(both)
-        warp_values(ts, pts, out=in_place)
-        assert np.array_equal(in_place, both)
         for row, t, p in zip(both, ts, pts):
             assert np.allclose(row, warp_values(t, p), rtol=0.0, atol=1e-12)
 
@@ -58,35 +50,6 @@ class TestWarp:
     def test_one_row_per_vector(self, transforms, values):
         with pytest.raises(ValueError, match="one transform row per vector"):
             warp_values(transforms, values)
-
-
-class TestCompose:
-    """Composition laws of :func:`fold_increments`, one row per transform."""
-
-    def test_zero_increment(self, rng):
-        base = np.stack([random_transform(rng), random_transform(rng)])
-        assert np.array_equal(fold_increments(base, np.zeros((2, 3))), base)
-
-    def test_identity_base(self):
-        out = fold_increments(np.zeros((1, 3)), np.array([[0.3, 1.0, -2.0]]))
-        assert out == pytest.approx(np.array([[0.3, 1.0, -2.0]]))
-
-    def test_matches_sequential_warps(self, rng):
-        pts = random_points(rng, 100)
-        for _ in range(25):
-            base = random_transform(rng)
-            inc = rng.uniform(-0.5, 0.5, size=3)
-            (fused_row,) = fold_increments(base[None], inc[None])
-            in_place = base[None].copy()
-            fold_increments(in_place, inc[None].tolist(), out=in_place)
-            assert np.array_equal(in_place[0], fused_row)
-            fused = warp_values(fused_row, pts)
-            two_step = warp_values(inc, warp_values(base, pts))
-            assert np.max(np.abs(fused - two_step)) < 1e-12 * max(1.0, np.abs(two_step).max())
-
-    def test_fold_normalizes_theta(self):
-        out = fold_increments(np.array([[3.0, 0.0, 0.0]]), np.array([[0.5, 0.0, 0.0]]))
-        assert out[0, 0] == pytest.approx(3.5 - 2 * math.pi)
 
 
 class TestJacobian:
