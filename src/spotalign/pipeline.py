@@ -15,7 +15,7 @@ from .geo import GeoPoint, LocalFrame, make_frame, project_points, unproject_poi
 from .matchers import BASELINE_METHODS, baseline_rectify
 # InsufficientCandidatesError: re-exported for the package and the CLI
 from .roads import CURVE, STRAIGHT, InsufficientCandidatesError, RoadSegment, SpotType, sample_candidates
-from .solver import SolverConfig, admm_solve
+from .solver import RACE_CHECK_SWEEPS, SolverConfig, admm_solve
 
 log = logging.getLogger(__name__)
 
@@ -24,9 +24,9 @@ ALL_METHODS = (RAA,) + BASELINE_METHODS
 
 DEFAULT_CORRECTNESS_THRESHOLD_M = 10.0
 
-# a window solve is abandoned once its loss after RACE_CHECK_SWEEP sweeps
-# exceeds this multiple of the best finished window's loss; a winner's loss at
-# that sweep has stayed within 1.04x its final loss on every corpus checked
+# a window solve is abandoned once its loss after a check sweep exceeds this multiple
+# of the best finished loss; on every corpus checked, a winner's loss after 1, 2, 4
+# and 8 sweeps stayed within 0.44x, 0.81x, 1.00x and 1.01x its final loss
 RACE_MARGIN = 1.5
 
 
@@ -174,16 +174,16 @@ def raa_rectify(
     correct.  Otherwise the M-wide candidate windows (stride 1) are aligned
     with the rank-1 solver, nearest centroid first, and the window with the
     smallest alignment loss wins (ties: smaller start index).  A solve whose
-    loss after :data:`~spotalign.solver.RACE_CHECK_SWEEP` sweeps exceeds
-    :data:`RACE_MARGIN` times the best finished loss so far is abandoned and
-    scores +inf.  Each window solve runs in coordinates centered on that
-    window, so the transform-norm part of the loss measures displacement
+    loss after one of :data:`~spotalign.solver.RACE_CHECK_SWEEPS` exceeds
+    :data:`RACE_MARGIN` times the best finished loss so far is abandoned
+    there and scores +inf.  Each window solve runs in coordinates centered on
+    that window, so the transform-norm part of the loss measures displacement
     relative to the window itself.  The output snaps to the winning window's
     candidates.  At DEBUG level, ``spotalign.pipeline`` logs one line per
-    searched segment: the windows, how many were abandoned, how many of the
-    rest stopped at ``max_iters`` without converging, the winning loss and
-    its margin over the best finished runner-up (nan for a single window,
-    inf when every other window was abandoned).
+    searched segment: the windows, how many were abandoned in all and at
+    each check sweep, how many of the rest stopped at ``max_iters``, the
+    winning loss and its margin over the best finished runner-up (nan for a
+    single window, inf when every other window was abandoned).
 
     Raises :class:`InsufficientCandidatesError` when the candidate set is
     smaller than the collected set, and ``ValueError`` when a single
@@ -198,8 +198,7 @@ def raa_rectify(
     pts = project_points(frame, collected.points)
     cand_xy = cands.xy()
 
-    lead = cand_xy[:m]
-    d = float(np.hypot(*(pts - lead).T).mean())
+    d = float(np.hypot(*(pts - cand_xy[:m]).T).mean())
     if d < th:
         return RectifiedSet(
             segment_id=collected.segment_id,
@@ -215,7 +214,7 @@ def raa_rectify(
     csum = np.cumsum(np.concatenate((np.zeros((1, 2)), cand_xy)), axis=0)
     offsets = (csum[m:] - csum[:-m]) / m - pts.mean(axis=0)
     losses = np.empty(n_windows)
-    capped = abandoned = 0
+    capped, abandoned_at = 0, []  # the sweep each abandoned solve stopped at
     best_final = math.inf
     for i in np.argsort(np.hypot(*offsets.T), kind="stable").tolist():
         window = cand_xy[i:i + m]
@@ -225,15 +224,16 @@ def raa_rectify(
         solved = admm_solve(pts - center, window - center, cfg, abandon_above=bound)
         losses[i] = solved.loss
         if solved.loss == math.inf:
-            abandoned += 1
+            abandoned_at.append(solved.iterations)
         else:
             capped += not solved.converged
             best_final = min(best_final, solved.loss)
     best = int(np.argmin(losses))
     if log.isEnabledFor(logging.DEBUG):
         margin = float(np.partition(losses, 1)[1] - losses[best]) if n_windows > 1 else math.nan
-        log.debug("raa_rectify %s: %d windows, %d abandoned, %d stopped at max_iters, loss %.6f, margin %.6f",
-                  segment.id, n_windows, abandoned, capped, losses[best], margin)
+        log.debug("raa_rectify %s: %d windows, %d abandoned (per check sweep %s), %d stopped at max_iters, "
+                  "loss %.6f, margin %.6f", segment.id, n_windows, len(abandoned_at),
+                  {k: abandoned_at.count(k) for k in RACE_CHECK_SWEEPS}, capped, losses[best], margin)
     snapped = unproject_points(frame, cand_xy[best:best + m])
     return RectifiedSet(
         segment_id=collected.segment_id,

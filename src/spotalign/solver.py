@@ -74,8 +74,8 @@ log = logging.getLogger(__name__)
 # translation (meters) that weighs like one radian in the alignment loss
 THETA_NORM_SCALE_M = 10.0
 
-# the sweep after which admm_solve compares the loss with ``abandon_above``
-RACE_CHECK_SWEEP = 8
+# the sweeps after which admm_solve compares the loss with ``abandon_above``
+RACE_CHECK_SWEEPS = (1, 2, 4, 8)
 
 # the C/D-step's weights of the rows A, E, W, U, U3 of SolverState.terms
 _CD_WEIGHTS = np.array([0.5, 0.5, 0.5, 0.5, -0.5])
@@ -540,10 +540,10 @@ def admm_solve(
 
     Repeats :func:`sweep` until the largest constraint residual drops below
     ``tol_primal``, the relative state change drops below ``tol_change``, or
-    ``max_iters`` sweeps have run.  A solve still running after
-    :data:`RACE_CHECK_SWEEP` sweeps whose alignment loss then exceeds
-    ``abandon_above`` is abandoned: it returns loss +inf, unconverged, at
-    that sweep.  The default bound abandons nothing.
+    ``max_iters`` sweeps have run.  A solve still running after each of
+    :data:`RACE_CHECK_SWEEPS` sweeps is abandoned at the first of them where
+    its alignment loss exceeds ``abandon_above``: it returns loss +inf,
+    unconverged, at that sweep.  The default bound abandons nothing.
 
     Raises ValueError unless P and Rd are finite (M, 2) arrays with the same
     M of at least 2, :class:`NumericalFailureError` if the state leaves the
@@ -574,7 +574,7 @@ def admm_solve(
             if primal < cfg.tol_primal or rel_change < cfg.tol_change:
                 converged = True
                 break
-            if iterations == RACE_CHECK_SWEEP and alignment_loss(state) > abandon_above:
+            if iterations in RACE_CHECK_SWEEPS and alignment_loss(state) > abandon_above:
                 abandoned = True
                 break
 

@@ -20,9 +20,9 @@ from spotalign.pipeline import (
     synth_corpus,
 )
 from spotalign.roads import SpotType, sample_candidates
-from spotalign.solver import SolverConfig
+from spotalign.solver import RACE_CHECK_SWEEPS, SolverConfig
 
-from conftest import straight_segment
+from conftest import rectify_with_stops, straight_segment
 
 
 def planted_collected(segment, start, m, jitter=None, rng=None):
@@ -185,7 +185,8 @@ class TestRaaRectify:
         with pytest.raises(ValueError, match="segment 'lone': RAA needs at least 2 collected points"):
             rectify(CollectedSet("lone", pts), seg, "raa", th=0.1)
 
-    def test_logs_one_debug_line_per_searched_segment(self, caplog):
+    def test_logs_one_debug_line_per_searched_segment(self, caplog, monkeypatch):
+        monkeypatch.setattr(spotalign.pipeline, "RACE_MARGIN", math.inf)  # a race that abandons nothing
         segment, collected = synth_corpus(1, 0, seed=1)[0]
         cfg = SolverConfig(max_iters=3)  # too few sweeps for any window to converge
         quiet = raa_rectify(collected, segment, th=1.0, cfg=cfg)
@@ -195,21 +196,25 @@ class TestRaaRectify:
         (record,) = [r for r in caplog.records if r.name == "spotalign.pipeline"]
         losses = sorted(out.window_losses)
         assert len(losses) > 1 and record.levelno == logging.DEBUG
-        # no solve reaches the race's check sweep, so none is abandoned
-        assert record.args == (segment.id, len(losses), 0, len(losses), out.loss, losses[1] - losses[0])
-        assert record.getMessage().startswith(f"raa_rectify {segment.id}: {len(losses)} windows, 0 abandoned, "
-                                              f"{len(losses)} stopped at max_iters, loss ")
+        no_stops = dict.fromkeys(RACE_CHECK_SWEEPS, 0)
+        assert record.args == (segment.id, len(losses), 0, no_stops, len(losses), out.loss, losses[1] - losses[0])
+        assert record.getMessage().startswith(f"raa_rectify {segment.id}: {len(losses)} windows, 0 abandoned "
+                                              f"(per check sweep {no_stops}), {len(losses)} stopped at max_iters, "
+                                              "loss ")
 
     def test_debug_line_counts_abandoned_windows_apart(self, caplog):
         segment, collected = synth_corpus(1, 0, seed=1)[0]
         with caplog.at_level(logging.DEBUG, logger="spotalign.pipeline"):
-            out = raa_rectify(collected, segment, th=1.0)
+            out, stops = rectify_with_stops(segment, collected, th=1.0)
         (record,) = [r for r in caplog.records if r.name == "spotalign.pipeline"]
         finished = sorted(v for v in out.window_losses if v < math.inf)
         abandoned = len(out.window_losses) - len(finished)
         assert abandoned > 0 and finished[0] == out.loss
         runner_up = finished[1] if len(finished) > 1 else math.inf
-        assert record.args == (segment.id, len(out.window_losses), abandoned, 0, out.loss, runner_up - out.loss)
+        per_check = {k: stops.count(k) for k in RACE_CHECK_SWEEPS}
+        assert sum(per_check.values()) == len(stops) == abandoned and per_check[RACE_CHECK_SWEEPS[0]] > 0
+        assert record.args == (segment.id, len(out.window_losses), abandoned, per_check, 0, out.loss,
+                               runner_up - out.loss)
 
     def test_already_correct_segment_logs_nothing(self, caplog):
         seg = straight_segment(60 * 6.0, SpotType.PARALLEL)

@@ -1,17 +1,19 @@
 """The window race picks the exhaustive search's window, loss and points.
 
 ``raa_rectify`` solves windows nearest-centroid first and abandons a solve
-whose loss after ``RACE_CHECK_SWEEP`` sweeps exceeds ``RACE_MARGIN`` times
-the best finished loss so far.  That is safe while every winner's loss at
-the check sweep stays below ``RACE_MARGIN`` times its final loss.  The
-constants were chosen on the golden corpus, ``synth_corpus(10, 10)`` at
-seeds 0-9, the gap arm at seeds 11-13 and 21-22 and the criterion-05
-corpus; every corpus here is held out from that choice.  A margin pin at
-1.2, well inside 1.5, fails before a solver change can cost a window.
+whose loss after any of ``RACE_CHECK_SWEEPS`` (1, 2, 4 and 8 sweeps)
+exceeds ``RACE_MARGIN`` times the best finished loss so far.  That is safe
+while every winner's loss at each check sweep stays below ``RACE_MARGIN``
+times its final loss.  The margin was chosen on the golden corpus,
+``synth_corpus(10, 10)`` at seeds 0-9, the gap arm at seeds 11-13 and 21-22
+and the criterion-05 corpus, and the check sweeps on ``synth_corpus(10,
+10)`` at seeds 0-3 and the same gap arm; every corpus here is held out from
+both choices.  A margin pin at 1.2, well inside 1.5, at every check sweep
+fails before a solver change or a new check sweep can cost a window.
 
 Run as a script to print, for each corpus (all by default), the largest
-ratio of a winner's loss at the check sweep to its final loss and the share
-of windows abandoned:
+ratio of a winner's loss at each check sweep to its final loss and the
+share of windows abandoned at each check sweep:
 
     PYTHONPATH=src python tests/test_window_race.py [CORPUS ...]
 """
@@ -19,6 +21,7 @@ of windows abandoned:
 from __future__ import annotations
 
 import math
+import re
 import sys
 from dataclasses import dataclass, replace
 
@@ -30,9 +33,9 @@ from spotalign import synth_corpus
 from spotalign.geo import project_points, unproject_points
 from spotalign.pipeline import RACE_MARGIN, RectifiedSet, raa_rectify
 from spotalign.roads import sample_candidates
-from spotalign.solver import RACE_CHECK_SWEEP, SolverConfig, SolverResult, admm_solve
+from spotalign.solver import RACE_CHECK_SWEEPS, SolverConfig, SolverResult, admm_solve
 
-from conftest import exhaustive_search, gap_case
+from conftest import exhaustive_search, gap_case, rectify_with_stops
 
 TH = 1.0
 MARGIN_PIN = 1.2
@@ -66,7 +69,8 @@ class Outcome:
     winner: int  # the exhaustive search's window, its loss and snapped points
     loss: float
     points: tuple
-    check_loss: float  # the winner's loss after RACE_CHECK_SWEEP sweeps
+    check_losses: tuple[float, ...]  # the winner's loss after each of RACE_CHECK_SWEEPS
+    abandoned_at: tuple[int, ...]  # the sweep each window the race abandoned stopped at
 
 
 def outcome(segment, collected, cfg: SolverConfig) -> Outcome:
@@ -76,14 +80,21 @@ def outcome(segment, collected, cfg: SolverConfig) -> Outcome:
     pts = project_points(cands.frame, collected.points)
     window = cands.xy()[winner:winner + len(pts)]
     center = window.mean(axis=0)
-    early = admm_solve(pts - center, window - center, replace(cfg, max_iters=RACE_CHECK_SWEEP))
-    return Outcome(raa_rectify(collected, segment, th=TH, cfg=cfg), winner, losses[winner],
-                   tuple(unproject_points(cands.frame, window)), early.loss)
+    early = tuple(admm_solve(pts - center, window - center, replace(cfg, max_iters=k)).loss
+                  for k in RACE_CHECK_SWEEPS)
+    raced, abandoned_at = rectify_with_stops(segment, collected, TH, cfg)
+    return Outcome(raced, winner, losses[winner], tuple(unproject_points(cands.frame, window)), early,
+                   abandoned_at)
 
 
 def run_corpus(name: str) -> list[Outcome]:
     build, cfg = CORPORA[name]
     return [outcome(segment, collected, cfg) for segment, collected in build()]
+
+
+def worst_ratios(results: list[Outcome]) -> list[float]:
+    """Per check sweep, the largest ratio of a winner's loss there to its final loss."""
+    return [max(o.check_losses[j] / o.loss for o in results) for j in range(len(RACE_CHECK_SWEEPS))]
 
 
 @pytest.fixture(scope="module")
@@ -102,23 +113,29 @@ def test_race_picks_the_exhaustive_winner(outcomes, name):
 
 @pytest.mark.parametrize("name", list(CORPORA))
 def test_winners_stay_inside_the_margin_at_the_check_sweep(outcomes, name):
-    ratios = [o.check_loss / o.loss for o in outcomes[name]]
-    assert max(ratios) <= MARGIN_PIN < RACE_MARGIN, (name, max(ratios))
+    ratios = worst_ratios(outcomes[name])
+    assert max(ratios) <= MARGIN_PIN < RACE_MARGIN, (name, dict(zip(RACE_CHECK_SWEEPS, ratios)))
 
 
 def test_the_race_abandons_windows(outcomes):
     windows = [v for o in outcomes["synth-10"] for v in o.race.window_losses]
-    assert 0 < windows.count(math.inf) < len(windows)
+    stops = [k for o in outcomes["synth-10"] for k in o.abandoned_at]
+    assert 0 < windows.count(math.inf) == len(stops) < len(windows)
+    assert RACE_CHECK_SWEEPS[0] in stops and set(stops) <= set(RACE_CHECK_SWEEPS)
 
 
 def drifted_window(m: int = 20, seed: int = 5) -> tuple[np.ndarray, np.ndarray]:
-    """A centred 6 m window and the same points turned 4 degrees, drifted 3 m and jittered."""
+    """A centred 6 m window and the same points turned 4 degrees, drifted 1.1 m and jittered.
+
+    The solve runs past the last check sweep, and its loss rises over the
+    check sweeps and stays below its final loss.
+    """
     rng = np.random.default_rng(seed)
     window = np.column_stack([np.arange(m) * 6.0, np.zeros(m)])
     window -= window.mean(axis=0)
     turn = math.radians(4.0)
     rot = np.array([[math.cos(turn), -math.sin(turn)], [math.sin(turn), math.cos(turn)]])
-    return window @ rot.T + [1.0, 3.0] + rng.uniform(-1.0, 1.0, window.shape), window
+    return window @ rot.T + [0.5, 1.0] + rng.uniform(-1.0, 1.0, window.shape), window
 
 
 def same_solve(a: SolverResult, b: SolverResult) -> bool:
@@ -126,33 +143,50 @@ def same_solve(a: SolverResult, b: SolverResult) -> bool:
             and a.state.vector.tobytes() == b.state.vector.tobytes())
 
 
+def loss_after(pts: np.ndarray, window: np.ndarray, sweeps: int) -> float:
+    return admm_solve(pts, window, SolverConfig(max_iters=sweeps)).loss
+
+
 class TestAbandon:
     def test_abandoned_solve_reports_inf_unconverged_at_the_check_sweep(self):
         pts, window = drifted_window()
-        assert admm_solve(pts, window).iterations > RACE_CHECK_SWEEP
+        assert admm_solve(pts, window).iterations > RACE_CHECK_SWEEPS[-1]
         got = admm_solve(pts, window, abandon_above=0.0)
-        assert (got.loss, got.converged, got.iterations) == (math.inf, False, RACE_CHECK_SWEEP)
+        assert (got.loss, got.converged, got.iterations) == (math.inf, False, RACE_CHECK_SWEEPS[0])
+
+    @pytest.mark.parametrize("k", RACE_CHECK_SWEEPS)
+    def test_bound_under_the_loss_at_a_check_sweep_abandons_there(self, k):
+        pts, window = drifted_window()
+        bound = math.nextafter(loss_after(pts, window, k), -math.inf)
+        assert all(loss_after(pts, window, j) <= bound for j in RACE_CHECK_SWEEPS if j < k)
+        got = admm_solve(pts, window, abandon_above=bound)
+        assert (got.loss, got.converged, got.iterations) == (math.inf, False, k)
 
     def test_infinite_bound_is_the_plain_solve(self):
         pts, window = drifted_window()
         assert same_solve(admm_solve(pts, window, abandon_above=math.inf), admm_solve(pts, window))
 
     def test_solve_shorter_than_the_check_sweep_is_never_abandoned(self):
+        # the solve stops one sweep before a check sweep; the bound ties its
+        # loss at the earlier check sweeps and is under its loss at the stop
         pts, window = drifted_window()
-        cfg = SolverConfig(max_iters=RACE_CHECK_SWEEP - 1)
-        got = admm_solve(pts, window, cfg, abandon_above=0.0)
-        assert got.iterations == RACE_CHECK_SWEEP - 1
-        assert same_solve(got, admm_solve(pts, window, cfg))
+        stop = RACE_CHECK_SWEEPS[2] - 1
+        assert stop not in RACE_CHECK_SWEEPS
+        plain = admm_solve(pts, window, SolverConfig(max_iters=stop))
+        bound = max(loss_after(pts, window, j) for j in RACE_CHECK_SWEEPS if j < stop)
+        assert plain.loss > bound
+        got = admm_solve(pts, window, SolverConfig(max_iters=stop), abandon_above=bound)
+        assert got.iterations == stop and same_solve(got, plain)
 
     def test_window_tying_the_best_is_not_abandoned(self):
         pts, window = drifted_window()
         plain = admm_solve(pts, window)
-        assert same_solve(admm_solve(pts, window, abandon_above=RACE_MARGIN * plain.loss), plain)
+        assert same_solve(admm_solve(pts, window, abandon_above=plain.loss), plain)
 
     @pytest.mark.parametrize("best, later_bound", [(2.0, RACE_MARGIN * 2.0), (0.0, math.inf)])
     def test_bound_follows_the_best_finished_loss(self, monkeypatch, best, later_bound):
         # a zero best would make the bound zero and abandon every positive
-        # loss, so a window tying it at the end but not at the check sweep too
+        # loss, so a window tying it at the end but not at a check sweep too
         bounds = []
 
         def fake(P, Rd, cfg, *, abandon_above):
@@ -167,18 +201,29 @@ class TestAbandon:
         assert out.window_start_index == 0  # every window ties: the smallest start wins
 
 
+def summary(name: str, results: list[Outcome]) -> str:
+    """One line: per check sweep, the winners' worst ratio and the share of windows abandoned there."""
+    windows = sum(len(o.race.window_losses) for o in results)
+    stops = [k for o in results for k in o.abandoned_at]
+    return (f"{name}: at sweeps {', '.join(map(str, RACE_CHECK_SWEEPS))} a winner's loss / final is at most "
+            f"{', '.join(f'{r:.4f}' for r in worst_ratios(results))} and "
+            f"{', '.join(f'{stops.count(k) / windows:.1%}' for k in RACE_CHECK_SWEEPS)} "
+            f"of {windows} windows are abandoned")
+
+
 def test_script_prints_the_margin_and_abandoned_share():
     from test_golden_scripts import run_script
 
     (line,) = run_script("test_window_race.py", "lambda-1").splitlines()
-    assert line.startswith(f"lambda-1: winner loss at sweep {RACE_CHECK_SWEEP} / final at most ")
-    assert line.endswith(" windows abandoned")
+    sweeps = ", ".join(map(str, RACE_CHECK_SWEEPS))
+    got = re.fullmatch(rf"lambda-1: at sweeps {sweeps} a winner's loss / final is at most ([\d., ]+) "
+                       rf"and ([\d.%, ]+) of \d+ windows are abandoned", line)
+    assert got, line
+    ratios, shares = (group.split(", ") for group in got.groups())
+    assert len(ratios) == len(shares) == len(RACE_CHECK_SWEEPS)
+    assert all(float(r) <= MARGIN_PIN for r in ratios) and all(s.endswith("%") for s in shares)
 
 
 if __name__ == "__main__":
     for name in sys.argv[1:] or CORPORA:
-        results = run_corpus(name)
-        ratio = max(o.check_loss / o.loss for o in results)
-        windows = [v for o in results for v in o.race.window_losses]
-        print(f"{name}: winner loss at sweep {RACE_CHECK_SWEEP} / final at most {ratio:.4f}, "
-              f"{windows.count(math.inf) / len(windows):.1%} of {len(windows)} windows abandoned")
+        print(summary(name, run_corpus(name)))
