@@ -89,7 +89,9 @@ def project_points(frame: LocalFrame, points: list[GeoPoint] | tuple[GeoPoint, .
     Rejects the whole sequence if any point lies beyond 10 km of the origin;
     the error names the first such point.
     """
-    ll = np.array([(p.lat, p.lon) for p in points], dtype=float).reshape(-1, 2)
+    from itertools import chain  # built into the interpreter: a lookup, not a load
+
+    ll = np.fromiter(chain.from_iterable((p.lat, p.lon) for p in points), float, 2 * len(points)).reshape(-1, 2)
     xy = np.empty_like(ll)
     np.multiply(ll[:, 1] - frame.origin.lon, frame.meters_per_deg_lon, xy[:, 0])
     np.multiply(ll[:, 0] - frame.origin.lat, frame.meters_per_deg_lat, xy[:, 1])

@@ -178,12 +178,15 @@ def raa_rectify(
     :data:`RACE_MARGIN` times the best finished loss so far is abandoned
     there and scores +inf.  Each window solve runs in coordinates centered on
     that window, so the transform-norm part of the loss measures displacement
-    relative to the window itself.  The output snaps to the winning window's
-    candidates.  At DEBUG level, ``spotalign.pipeline`` logs one line per
-    searched segment: the windows, how many were abandoned in all and at
-    each check sweep, how many of the rest stopped at ``max_iters``, the
-    winning loss and its margin over the best finished runner-up (nan for a
-    single window, inf when every other window was abandoned).
+    relative to the window itself.  The window solves of a segment share one
+    :class:`~spotalign.solver.SolverState`, each passing the previous one's
+    state as ``out``, so a segment allocates one.  The output snaps to the
+    winning window's candidates.  At DEBUG level, ``spotalign.pipeline``
+    logs one line per searched segment: the windows, how many were
+    abandoned in all and at each check sweep, how many of the rest stopped
+    at ``max_iters``, the winning loss and its margin over the best finished
+    runner-up (nan for a single window, inf when every other window was
+    abandoned).
 
     Raises :class:`InsufficientCandidatesError` when the candidate set is
     smaller than the collected set, and ``ValueError`` when a single
@@ -213,15 +216,20 @@ def raa_rectify(
         raise ValueError(f"segment {segment.id!r}: RAA needs at least 2 collected points, got {m}")
     csum = np.cumsum(np.concatenate((np.zeros((1, 2)), cand_xy)), axis=0)
     offsets = (csum[m:] - csum[:-m]) / m - pts.mean(axis=0)
+    # every window centred on its mean at once, (windows, M, 2) per side; each
+    # centre equals cand_xy[i:i + m].mean(axis=0) bit for bit
+    windows = np.lib.stride_tricks.sliding_window_view(cand_xy, m, axis=0)
+    centres = windows.mean(axis=-1)[:, None]
+    centred_pts, centred_windows = pts - centres, windows.transpose(0, 2, 1) - centres
     losses = np.empty(n_windows)
     capped, abandoned_at = 0, []  # the sweep each abandoned solve stopped at
     best_final = math.inf
+    state = None  # the segment's one solver state, made by the first solve
     for i in np.argsort(np.hypot(*offsets.T), kind="stable").tolist():
-        window = cand_xy[i:i + m]
-        center = window.mean(axis=0)
         # a zero best would abandon every positive loss, ties included
         bound = RACE_MARGIN * best_final if best_final > 0 else math.inf
-        solved = admm_solve(pts - center, window - center, cfg, abandon_above=bound)
+        solved = admm_solve(centred_pts[i], centred_windows[i], cfg, abandon_above=bound, out=state)
+        state = solved.state
         losses[i] = solved.loss
         if solved.loss == math.inf:
             abandoned_at.append(solved.iterations)
@@ -241,7 +249,7 @@ def raa_rectify(
         window_start_index=best,
         loss=float(losses[best]),
         method=RAA,
-        window_losses=tuple(float(v) for v in losses),
+        window_losses=tuple(losses.tolist()),
     )
 
 

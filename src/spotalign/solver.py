@@ -132,13 +132,36 @@ class SolverConfig:
             raise ValueError("max_iters must be an integer of at least 1")
 
 
+def _checked_inputs(P: np.ndarray, Rd: np.ndarray, mu: float) -> tuple[np.ndarray, np.ndarray]:
+    """P and Rd as float arrays; ValueError unless they are finite (M, 2) arrays
+    with the same M of at least 2 and ``0 < mu < inf``."""
+    p, rd = np.asarray(P, dtype=float), np.asarray(Rd, dtype=float)
+    for name, xy in (("P", p), ("Rd", rd)):
+        if xy.ndim != 2 or xy.shape[1] != 2:
+            raise ValueError(f"{name} must be an (M, 2) array, got shape {xy.shape}")
+    if len(p) != len(rd):
+        raise ValueError(f"P and Rd must hold the same point count ({len(p)} vs {len(rd)})")
+    if len(p) < 2:
+        raise ValueError("alignment needs at least 2 points per side")
+    if not (np.isfinite(p).all() and np.isfinite(rd).all()):
+        raise ValueError("P and Rd must be finite")
+    if not 0 < mu < math.inf:  # NaN fails too
+        raise ValueError(f"mu must be positive and finite, got {mu!r}")
+    return p, rd
+
+
 class SolverState:
     """All ADMM blocks for one alignment problem, both sides stacked.
 
     Built from the (M, 2) points P, the (M, 2) window Rd and the starting
     penalty ``mu``; raises ValueError unless P and Rd are finite (M, 2)
-    arrays with the same M of at least 2 and ``0 < mu < inf``.  The state is
-    its buffers:
+    arrays with the same M of at least 2 and ``0 < mu < inf``.  A state is
+    reusable: :meth:`load` starts a new problem of the same M in its
+    buffers, as the constructor does after allocating them, so a solve
+    into a loaded state ends bit for bit where one into a new state ends.
+    Loading overwrites the earlier problem and everything solved from it,
+    also as seen through a :class:`SolverResult` that holds the state.  The
+    state is its buffers:
 
         ===========  ===========  =========================================
         buffer       shape        holds
@@ -175,28 +198,14 @@ class SolverState:
     """
 
     def __init__(self, P: np.ndarray, Rd: np.ndarray, mu: float) -> None:
-        p, r = np.asarray(P, dtype=float), np.asarray(Rd, dtype=float)
-        for name, xy in (("P", p), ("Rd", r)):
-            if xy.ndim != 2 or xy.shape[1] != 2:
-                raise ValueError(f"{name} must be an (M, 2) array, got shape {xy.shape}")
-        if len(p) != len(r):
-            raise ValueError(f"P and Rd must hold the same point count ({len(p)} vs {len(r)})")
-        if len(p) < 2:
-            raise ValueError("alignment needs at least 2 points per side")
-        self.inputs = np.concatenate((p, r)).reshape(2, -1)
-        if not np.isfinite(self.inputs).all():
-            raise ValueError("P and Rd must be finite")
-        if not 0 < mu < math.inf:  # NaN fails too
-            raise ValueError(f"mu must be positive and finite, got {mu!r}")
-        n = self.inputs.shape[1]
-        self.mu = mu
-        buffer = np.zeros(12 * n + 6)
+        p, rd = _checked_inputs(P, Rd, mu)
+        n = 2 * len(p)
+        self._buffer = buffer = np.empty(12 * n + 6)
         self.vector, self.transforms = buffer[:6 * n + 6], buffer[:6].reshape(2, 3)
         self.terms = buffer[6:].reshape(6, 2 * n)
         self.blocks = self.terms[:3].reshape(3, 2, n)
         self.W, self.duals = self.terms[3].reshape(2, n), self.terms[4:].reshape(2, 2, n)
-        self.blocks[:2] = self.inputs
-        np.add(self.inputs, 0.0, out=self.W)  # the identity warp; + 0.0 turns -0.0 into 0.0 as a warp does
+        self.inputs = np.empty((2, n))
         self.pairs = (*self.blocks, *self.duals)
         self.residual, self.constraints = np.empty_like(self.inputs), np.empty_like(self.duals)
         self.coupled, self.keep = np.empty_like(self.inputs), np.empty((2, 2))
@@ -205,19 +214,45 @@ class SolverState:
         r, e, c = self.residual, self.blocks[2], self.constraints.reshape(4, n)
         self.e_rows = (r.reshape(-1), r[0], e[0], r[1].view(np.complex128), e[1].view(np.complex128))
         self.norm_rows = (c[:, None], c[:, :, None])
-        # per side, side_moments @ r = (Re, Im) sum conj(z_i - z_mean) r_i, sum r_x, sum r_y,
-        # and (cos, sin, Re, Im of the warped z_mean) @ side_moments is the warp;
-        # moments holds them block-diagonally, so one product serves both sides
-        z = self.inputs.view(np.complex128)
-        z_mean = z.sum(axis=1) / (n // 2)
-        zc = z - z_mean[:, None]
-        spread = (zc.conj() * zc).real.sum(axis=1)
-        side_moments = np.zeros((2, 4, n))
-        side_moments[:, 0], side_moments[:, 1] = zc.view(float), (1j * zc).view(float)
-        side_moments[:, 2, 0::2] = side_moments[:, 3, 1::2] = 1.0
+        # moments holds four rows per side block-diagonally, so one product serves
+        # both sides: rows @ r = (Re, Im) sum conj(z_i - z_mean) r_i, sum r_x, sum r_y,
+        # and (cos, sin, Re, Im of the warped z_mean) @ rows is the warp.  Rows 2 and 3
+        # pick the x and y entries; rows 0 and 1, z_i - z_mean and i (z_i - z_mean),
+        # follow the inputs, and _start writes them through the (side, M) complex
+        # views _centred and _turned
         self.moments = np.zeros((8, 2 * n))
-        self.moments[:4, :n], self.moments[4:, n:] = side_moments
-        self.levers = [(c, s, s + n // 2 * (c.real * c.real + c.imag * c.imag))
+        self.moments[2, :n:2] = self.moments[3, 1:n:2] = self.moments[6, n::2] = self.moments[7, n + 1::2] = 1.0
+        row, col = self.moments.strides
+        self._centred, self._turned = (np.ndarray((2, n // 2), np.complex128, self.moments, k * row,
+                                                  (4 * row + n * col, 2 * col)) for k in (0, 1))
+        self._start(p, rd, mu)
+
+    def load(self, P: np.ndarray, Rd: np.ndarray, mu: float) -> None:
+        """Start the problem of the (M, 2) points P and window Rd at penalty ``mu``.
+
+        The state then holds what a new ``SolverState(P, Rd, mu)`` holds.
+        Raises ValueError, writing nothing, for inputs the constructor
+        rejects and for an M other than the state's.
+        """
+        p, rd = _checked_inputs(P, Rd, mu)
+        if 2 * len(p) != self.inputs.shape[1]:
+            raise ValueError(f"the state holds {self.inputs.shape[1] // 2} points per side, not {len(p)}")
+        self._start(p, rd, mu)
+
+    def _start(self, p: np.ndarray, rd: np.ndarray, mu: float) -> None:
+        """Write checked inputs, start the iterate, W and duals, and rewrite what the inputs fix."""
+        inputs, m = self.inputs, len(p)
+        np.concatenate((p, rd), out=inputs.reshape(-1, 2))
+        self.mu = mu
+        self._buffer.fill(0.0)
+        self.blocks[:2] = inputs
+        np.add(inputs, 0.0, out=self.W)  # the identity warp; + 0.0 turns -0.0 into 0.0 as a warp does
+        z = inputs.view(np.complex128)
+        z_mean = np.add.reduce(z, axis=1) / m
+        zc = np.subtract(z, z_mean[:, None], out=self._centred)
+        np.multiply(zc, 1j, out=self._turned)
+        spread = np.add.reduce((zc.conj() * zc).real, axis=1)
+        self.levers = [(c, s, s + m * (c.real * c.real + c.imag * c.imag))
                        for c, s in zip(z_mean.tolist(), spread.tolist())]
 
     def set_transforms(self, transforms) -> None:
@@ -489,7 +524,7 @@ def alignment_loss(state: SolverState) -> float:
     scale = THETA_NORM_SCALE_M
     theta, s_x, s_y = state.transforms[0].tolist()
     return float(
-        np.abs(state.blocks[2]).sum()
+        np.add.reduce(np.abs(state.blocks[2]), axis=None)
         + math.sqrt(theta**2 + (s_x / scale) ** 2 + (s_y / scale) ** 2)
     )
 
@@ -535,6 +570,7 @@ def admm_solve(
     *,
     collect_trace: bool = False,
     abandon_above: float = math.inf,
+    out: SolverState | None = None,
 ) -> SolverResult:
     """Run the full alternating solve of the (M, 2) points P against the window Rd.
 
@@ -543,10 +579,17 @@ def admm_solve(
     ``max_iters`` sweeps have run.  A solve still running after each of
     :data:`RACE_CHECK_SWEEPS` sweeps is abandoned at the first of them where
     its alignment loss exceeds ``abandon_above``: it returns loss +inf,
-    unconverged, at that sweep.  The default bound abandons nothing.
+    unconverged, at that sweep.  The default bound abandons nothing and
+    skips the checks.
+
+    The solve runs in a new :class:`SolverState`, or, given ``out``, in that
+    state, loaded with P and Rd (as numpy's ``out=``): the result is bit for
+    bit the one a new state gives, its ``state`` is ``out``, and whatever
+    ``out`` held before is overwritten.
 
     Raises ValueError unless P and Rd are finite (M, 2) arrays with the same
-    M of at least 2, :class:`NumericalFailureError` if the state leaves the
+    M of at least 2 (the M of ``out``, if given; ``out`` is then left as it
+    was), :class:`NumericalFailureError` if the state leaves the
     representable range, and :class:`DegenerateGeometryError` for coincident
     input points.
     """
@@ -554,9 +597,14 @@ def admm_solve(
     # overflow shows as a non-finite state, which the checks below turn into
     # NumericalFailureError; numpy warnings would only add noise before it
     with np.errstate(over="ignore", invalid="ignore"):
-        state = SolverState(P, Rd, cfg.mu0)
+        if out is None:
+            state = SolverState(P, Rd, cfg.mu0)
+        else:
+            state = out
+            state.load(P, Rd, cfg.mu0)
         trace = IterationTrace() if collect_trace else None
 
+        racing = abandon_above < math.inf  # NaN abandons nothing, as the comparison below
         converged = abandoned = False
         vec, prev_vec = state.vector, state.vector.copy()
         prev_norm = math.sqrt(np.dot(vec, vec))
@@ -574,7 +622,7 @@ def admm_solve(
             if primal < cfg.tol_primal or rel_change < cfg.tol_change:
                 converged = True
                 break
-            if iterations in RACE_CHECK_SWEEPS and alignment_loss(state) > abandon_above:
+            if racing and iterations in RACE_CHECK_SWEEPS and alignment_loss(state) > abandon_above:
                 abandoned = True
                 break
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import spotalign.pipeline
+import spotalign.solver
 from spotalign.geo import GeoPoint, make_frame, project_points, unproject_points
 from spotalign.pipeline import (
     CollectedSet,
@@ -20,7 +21,7 @@ from spotalign.pipeline import (
     synth_corpus,
 )
 from spotalign.roads import SpotType, sample_candidates
-from spotalign.solver import RACE_CHECK_SWEEPS, SolverConfig
+from spotalign.solver import RACE_CHECK_SWEEPS, SolverConfig, admm_solve
 
 from conftest import rectify_with_stops, straight_segment
 
@@ -230,6 +231,34 @@ class TestRaaRectify:
             out = rectify(collected, seg, method, th=0.1)
             assert out.method == method
             assert len(out.points) == 10
+
+    def test_one_solver_state_per_searched_segment(self, monkeypatch):
+        # every window is still one admm_solve call, solved into the state
+        # the segment's first solve made
+        states, calls = [], []
+
+        class Counted(spotalign.solver.SolverState):
+            def __init__(self, *args):
+                states.append(self)
+                super().__init__(*args)
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs["out"])
+            return admm_solve(*args, **kwargs)
+
+        monkeypatch.setattr(spotalign.solver, "SolverState", Counted)
+        monkeypatch.setattr(spotalign.pipeline, "admm_solve", counted)
+        corpus = synth_corpus(2, 2, seed=1)
+        outs = [raa_rectify(collected, segment, th=1.0) for segment, collected in corpus]
+        searched = [out for out in outs if not out.already_correct]
+        assert len(searched) == len(corpus) and len(states) == len(searched)
+        windows = [sample_candidates(segment).window_count(len(collected.points)) for segment, collected in corpus]
+        assert [len(out.window_losses) for out in outs] == windows
+        assert len(calls) == sum(windows)
+        firsts = np.cumsum([0] + windows[:-1]).tolist()
+        assert all(calls[i] is None for i in firsts)
+        assert [state for i, state in enumerate(calls) if i not in firsts] == [
+            state for state, n in zip(states, windows) for _ in range(n - 1)]
 
 
 class TestSynthCorpus:

@@ -636,6 +636,69 @@ class TestAdmmSolve:
             admm_solve(*malformed_pair(bad, side), SolverConfig())
 
 
+def solved_state(ending: str, m: int, rng) -> SolverState:
+    """A state of M points per side whose last solve ended as ``ending``."""
+    gt = collinear_spots(m)
+    state = SolverState(rng.uniform(-40, 40, (m, 2)), rng.uniform(-40, 40, (m, 2)), 0.3)
+    if ending == "converged":
+        assert admm_solve(gt + [1.0, -2.0], gt, out=state).converged
+    elif ending == "abandoned":
+        assert admm_solve(gt + rng.normal(0, 2, gt.shape), gt, abandon_above=0.0, out=state).loss == math.inf
+    elif ending == "degenerate":
+        with pytest.raises(DegenerateGeometryError):
+            admm_solve(np.zeros((m, 2)), np.zeros((m, 2)), out=state)
+    else:
+        with pytest.raises(NumericalFailureError):
+            admm_solve(rng.uniform(-1, 1, (m, 2)) * 1e160, rng.uniform(-1, 1, (m, 2)) * 1e160, out=state)
+    return state
+
+
+def state_bytes(state: SolverState) -> list:
+    return [state.mu, state.levers] + [getattr(state, name).tobytes()
+                                       for name in ("inputs", "vector", "W", "duals", "moments")]
+
+
+class TestReusedState:
+    """A solve into a reused state (``out=``) is the fresh solve, bit for bit."""
+
+    @given(m=st.integers(2, 60), ending=st.sampled_from(["converged", "abandoned", "degenerate", "overflow"]),
+           seed=st.integers(0, 2**32 - 1), bound=st.sampled_from([math.inf, 0.0, 5.0]),
+           max_iters=st.sampled_from([300, 3]))
+    @settings(max_examples=150, deadline=None)
+    def test_reused_solve_equals_a_fresh_one(self, m, ending, seed, bound, max_iters):
+        rng = np.random.default_rng(seed)
+        state = solved_state(ending, m, rng)
+        a, b = rng.uniform(-40, 40, (m, 2)), rng.uniform(-40, 40, (m, 2))
+        cfg = SolverConfig(max_iters=max_iters)
+        fresh = admm_solve(a, b, cfg, abandon_above=bound)
+        reused = admm_solve(a, b, cfg, abandon_above=bound, out=state)
+        assert reused.state is state
+        assert (reused.loss.hex(), reused.iterations, reused.converged, reused.state.mu) == (
+            fresh.loss.hex(), fresh.iterations, fresh.converged, fresh.state.mu)
+        for name in ("vector", "W", "duals"):
+            assert getattr(reused.state, name).tobytes() == getattr(fresh.state, name).tobytes(), name
+
+    def test_result_holds_out(self, rng):
+        state = SolverState(rng.uniform(-40, 40, (6, 2)), rng.uniform(-40, 40, (6, 2)), 1.0)
+        assert admm_solve(rng.uniform(-40, 40, (6, 2)), rng.uniform(-40, 40, (6, 2)), out=state).state is state
+
+    def test_other_point_count_rejected_and_out_kept(self, rng):
+        state = solved_state("converged", 8, rng)
+        before = state_bytes(state)
+        with pytest.raises(ValueError, match="holds 8 points per side, not 9"):
+            admm_solve(rng.uniform(-40, 40, (9, 2)), rng.uniform(-40, 40, (9, 2)), out=state)
+        assert state_bytes(state) == before
+
+    @pytest.mark.parametrize("side", [0, 1])
+    @pytest.mark.parametrize("bad, match", MALFORMED, ids=MALFORMED_IDS)
+    def test_malformed_points_rejected_and_state_kept(self, bad, match, side, rng):
+        state = solved_state("converged", len(malformed_pair(bad, side)[1 - side]), rng)
+        before = state_bytes(state)
+        with pytest.raises(ValueError, match=match):
+            state.load(*malformed_pair(bad, side), 0.1)
+        assert state_bytes(state) == before
+
+
 class TestSolverConfig:
     @pytest.mark.parametrize(
         "kwargs",

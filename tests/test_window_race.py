@@ -31,11 +31,11 @@ import pytest
 import spotalign.pipeline
 from spotalign import synth_corpus
 from spotalign.geo import project_points, unproject_points
-from spotalign.pipeline import RACE_MARGIN, RectifiedSet, raa_rectify
+from spotalign.pipeline import RACE_MARGIN, CollectedSet, RectifiedSet, raa_rectify
 from spotalign.roads import sample_candidates
 from spotalign.solver import RACE_CHECK_SWEEPS, SolverConfig, SolverResult, admm_solve
 
-from conftest import exhaustive_search, gap_case, rectify_with_stops
+from conftest import exhaustive_search, gap_case, polyline_segment, rectify_with_stops
 
 TH = 1.0
 MARGIN_PIN = 1.2
@@ -109,6 +109,31 @@ def test_race_picks_the_exhaustive_winner(outcomes, name):
         assert not o.race.already_correct, where
         assert (o.race.window_start_index, o.race.loss.hex()) == (o.winner, o.loss.hex()), where
         assert o.race.points == o.points, where
+
+
+@pytest.mark.parametrize("m", [2, 7, 8, 9, 127, 128, 129, 200])
+def test_race_matches_the_exhaustive_search_at_any_window_length(monkeypatch, m):
+    # the race centres all windows at once, the exhaustive search one by one
+    # with window.mean(axis=0); numpy's pairwise summation changes blocks at 8
+    # and 128 entries.  A race that abandons nothing finishes every window.
+    rng = np.random.default_rng(m)
+    heading = rng.uniform(0.0, 2.0 * math.pi)  # off the axes, so that no mean is exact
+    direction = np.array([math.cos(heading), math.sin(heading)])
+    segment = polyline_segment(rng.uniform(-500.0, 500.0, 2) + np.outer([0.0, (m + 2) * 6.0], direction))
+    cands = sample_candidates(segment)
+    start = int(rng.integers(0, cands.window_count(m)))
+    truth = cands.xy()[start:start + m]
+    drifted = truth + rng.choice([-1.0, 1.0], 2) * [2.0, 3.0] + rng.uniform(-1.5, 1.5, truth.shape)
+    collected = CollectedSet(segment.id, tuple(unproject_points(cands.frame, drifted)))
+    race = raa_rectify(collected, segment, th=TH)
+    losses = [r.loss for r in exhaustive_search(segment, collected)]
+    winner = losses.index(min(losses))
+    assert not race.already_correct and len(race.window_losses) == len(losses) > 1
+    assert (race.window_start_index, race.loss.hex()) == (winner, losses[winner].hex())
+    finished = [(raced.hex(), full.hex()) for raced, full in zip(race.window_losses, losses) if raced < math.inf]
+    assert finished and all(raced == full for raced, full in finished)
+    monkeypatch.setattr(spotalign.pipeline, "RACE_MARGIN", math.inf)
+    assert [v.hex() for v in raa_rectify(collected, segment, th=TH).window_losses] == [v.hex() for v in losses]
 
 
 @pytest.mark.parametrize("name", list(CORPORA))
@@ -189,7 +214,7 @@ class TestAbandon:
         # loss, so a window tying it at the end but not at a check sweep too
         bounds = []
 
-        def fake(P, Rd, cfg, *, abandon_above):
+        def fake(P, Rd, cfg, *, abandon_above, out=None):
             bounds.append(abandon_above)
             return SolverResult(state=None, loss=best, iterations=1, converged=True)
 
