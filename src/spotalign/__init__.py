@@ -11,7 +11,6 @@ from .solver import (
     SolverState,
     admm_solve,
     alignment_loss,
-    rank1_excess_prox,
     svt_prox,
 )
 from .matchers import Assignment, baseline_rectify, hungarian_assign
@@ -39,7 +38,7 @@ __all__ = [
     "sample_candidates", "segment_arclength",
     "DegenerateGeometryError", "NumericalFailureError",
     "SolverConfig", "SolverResult", "SolverState", "admm_solve", "alignment_loss",
-    "rank1_excess_prox", "svt_prox",
+    "svt_prox",
     "Assignment", "baseline_rectify", "hungarian_assign",
     "CollectedSet", "InsufficientCandidatesError", "Mixed", "NoiseSpec", "RandomNoise",
     "RectifiedSet", "Rotational", "Translational",

@@ -161,6 +161,39 @@ def inject_noise(truth: list[GeoPoint] | tuple[GeoPoint, ...], spec: NoiseSpec, 
 # rectification
 # ---------------------------------------------------------------------------
 
+def search_windows(pts: np.ndarray, cand_xy: np.ndarray,
+                   cfg: SolverConfig | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Race the rank-1 alignments of the (M, 2) points against every M-wide window.
+
+    Each window of ``cand_xy`` (stride 1), and the points with it, is
+    centred on the window's mean, so the transform-norm part of a loss
+    measures displacement relative to the window itself.  The windows are
+    solved nearest centre first, one :func:`~spotalign.solver.admm_solve`
+    call each, all into one :class:`~spotalign.solver.SolverState`.  A
+    solve whose loss after one of :data:`~spotalign.solver.RACE_CHECK_SWEEPS`
+    exceeds :data:`RACE_MARGIN` times the best finished loss so far is
+    abandoned there and scores +inf.  Returns each window's loss, sweeps
+    and ``converged``, in start order.
+    """
+    cfg = cfg or SolverConfig()
+    # every window centred on its mean at once, (windows, M, 2) per side; each
+    # centre equals cand_xy[i:i + M].mean(axis=0) bit for bit
+    windows = np.lib.stride_tricks.sliding_window_view(cand_xy, len(pts), axis=0)
+    centres = windows.mean(axis=-1)[:, None]
+    centred_pts, centred_windows = pts - centres, windows.transpose(0, 2, 1) - centres
+    n = len(windows)
+    losses, sweeps, converged = np.empty(n), np.empty(n, int), np.empty(n, bool)
+    best, state = math.inf, None  # the best finished loss; the one solver state, made by the first solve
+    for i in np.argsort(np.hypot(*(centres[:, 0] - pts.mean(axis=0)).T), kind="stable").tolist():
+        # a zero best would abandon every positive loss, ties included
+        bound = RACE_MARGIN * best if best > 0 else math.inf
+        solved = admm_solve(centred_pts[i], centred_windows[i], cfg, abandon_above=bound, out=state)
+        state = solved.state
+        losses[i], sweeps[i], converged[i] = solved.loss, solved.iterations, solved.converged
+        best = min(best, solved.loss)  # an abandoned solve's +inf leaves it
+    return losses, sweeps, converged
+
+
 def raa_rectify(
     collected: CollectedSet,
     segment: RoadSegment,
@@ -171,28 +204,18 @@ def raa_rectify(
 
     The collected points are first compared against the first M candidates;
     a mean per-point distance under ``th`` meters accepts them as already
-    correct.  Otherwise the M-wide candidate windows (stride 1) are aligned
-    with the rank-1 solver, nearest centroid first, and the window with the
-    smallest alignment loss wins (ties: smaller start index).  A solve whose
-    loss after one of :data:`~spotalign.solver.RACE_CHECK_SWEEPS` exceeds
-    :data:`RACE_MARGIN` times the best finished loss so far is abandoned
-    there and scores +inf.  Each window solve runs in coordinates centered on
-    that window, so the transform-norm part of the loss measures displacement
-    relative to the window itself.  The window solves of a segment share one
-    :class:`~spotalign.solver.SolverState`, each passing the previous one's
-    state as ``out``, so a segment allocates one.  The output snaps to the
-    winning window's candidates.  At DEBUG level, ``spotalign.pipeline``
-    logs one line per searched segment: the windows, how many were
-    abandoned in all and at each check sweep, how many of the rest stopped
-    at ``max_iters``, the winning loss and its margin over the best finished
-    runner-up (nan for a single window, inf when every other window was
-    abandoned).
+    correct.  Otherwise :func:`search_windows` scores every M-wide candidate
+    window, and the output snaps to the window with the smallest loss (ties:
+    smaller start index).  At DEBUG level, ``spotalign.pipeline`` logs one
+    line per searched segment: the windows, how many were abandoned in all
+    and at each check sweep, how many of the rest stopped at ``max_iters``,
+    the winning loss and its margin over the best finished runner-up (nan
+    for a single window, inf when every other window was abandoned).
 
     Raises :class:`InsufficientCandidatesError` when the candidate set is
     smaller than the collected set, and ``ValueError`` when a single
     collected point is not already correct (a window solve needs two).
     """
-    cfg = cfg or SolverConfig()
     cands = sample_candidates(segment)
     m = len(collected.points)
     n_windows = cands.window_count(m)
@@ -214,34 +237,16 @@ def raa_rectify(
 
     if m < 2:
         raise ValueError(f"segment {segment.id!r}: RAA needs at least 2 collected points, got {m}")
-    csum = np.cumsum(np.concatenate((np.zeros((1, 2)), cand_xy)), axis=0)
-    offsets = (csum[m:] - csum[:-m]) / m - pts.mean(axis=0)
-    # every window centred on its mean at once, (windows, M, 2) per side; each
-    # centre equals cand_xy[i:i + m].mean(axis=0) bit for bit
-    windows = np.lib.stride_tricks.sliding_window_view(cand_xy, m, axis=0)
-    centres = windows.mean(axis=-1)[:, None]
-    centred_pts, centred_windows = pts - centres, windows.transpose(0, 2, 1) - centres
-    losses = np.empty(n_windows)
-    capped, abandoned_at = 0, []  # the sweep each abandoned solve stopped at
-    best_final = math.inf
-    state = None  # the segment's one solver state, made by the first solve
-    for i in np.argsort(np.hypot(*offsets.T), kind="stable").tolist():
-        # a zero best would abandon every positive loss, ties included
-        bound = RACE_MARGIN * best_final if best_final > 0 else math.inf
-        solved = admm_solve(centred_pts[i], centred_windows[i], cfg, abandon_above=bound, out=state)
-        state = solved.state
-        losses[i] = solved.loss
-        if solved.loss == math.inf:
-            abandoned_at.append(solved.iterations)
-        else:
-            capped += not solved.converged
-            best_final = min(best_final, solved.loss)
+    losses, sweeps, converged = search_windows(pts, cand_xy, cfg)
     best = int(np.argmin(losses))
     if log.isEnabledFor(logging.DEBUG):
+        abandoned = losses == math.inf
+        stops = sweeps[abandoned].tolist()  # the sweep each abandoned solve stopped at
         margin = float(np.partition(losses, 1)[1] - losses[best]) if n_windows > 1 else math.nan
         log.debug("raa_rectify %s: %d windows, %d abandoned (per check sweep %s), %d stopped at max_iters, "
-                  "loss %.6f, margin %.6f", segment.id, n_windows, len(abandoned_at),
-                  {k: abandoned_at.count(k) for k in RACE_CHECK_SWEEPS}, capped, losses[best], margin)
+                  "loss %.6f, margin %.6f", segment.id, n_windows, len(stops),
+                  {k: stops.count(k) for k in RACE_CHECK_SWEEPS}, int((~converged & ~abandoned).sum()),
+                  losses[best], margin)
     snapped = unproject_points(frame, cand_xy[best:best + m])
     return RectifiedSet(
         segment_id=collected.segment_id,

@@ -192,9 +192,9 @@ class SolverState:
     operands, all views made once.  W starts as the inputs, the identity
     warp, and then follows ``transforms``: :func:`fold_and_rewarp` alone
     writes ``transforms``, ``coef`` and W, called by :func:`sweep` with the
-    increments and by :meth:`set_transforms` with none.  ``moments`` (both
-    sides' block-diagonally) and ``levers`` are the terms the inputs fix;
-    ``moments`` serves both the increment step's sums and the re-warp.
+    increments.  ``moments`` (both sides' block-diagonally) and ``levers``
+    are the terms the inputs fix; ``moments`` serves both the increment
+    step's sums and the re-warp.
     """
 
     def __init__(self, P: np.ndarray, Rd: np.ndarray, mu: float) -> None:
@@ -255,18 +255,6 @@ class SolverState:
         self.levers = [(c, s, s + m * (c.real * c.real + c.imag * c.imag))
                        for c, s in zip(z_mean.tolist(), spread.tolist())]
 
-    def set_transforms(self, transforms) -> None:
-        """Move both transforms, given as (2, 3) rows, and re-warp the inputs.
-
-        The angles are normalized into (-pi, pi], as :func:`fold_and_rewarp`
-        leaves them.
-        """
-        transforms = np.asarray(transforms, dtype=float)
-        if transforms.shape != (2, 3):
-            raise ValueError(f"expected (2, 3) transform rows, got shape {transforms.shape}")
-        self.transforms[...] = transforms
-        fold_and_rewarp(self, [(0.0, 0.0, 0.0)] * 2)
-
 
 @dataclass
 class IterationTrace:
@@ -315,34 +303,18 @@ def svt_prox(B: np.ndarray, threshold: float) -> np.ndarray:
     return (u * kept) @ vt
 
 
-def rank1_excess_prox(B: np.ndarray, threshold: float) -> np.ndarray:
-    """Soft-threshold the smaller singular value of a two-column matrix.
+def _shrink_excess(rows: np.ndarray, threshold: float, out: np.ndarray, v2: np.ndarray, bv2: np.ndarray,
+                   keep: np.ndarray) -> None:
+    """Soft-threshold the smaller singular value of B, given as (2, n) ``rows``, into ``out``.
 
     Proximal operator of threshold * (spectral mass beyond rank one).  The
     leading singular pair is untouched, so the dominant pattern carries no
-    shrinkage; only the deviation from rank one is penalized.  ``B`` is
-    (n, 2), possibly transposed (2, n) rows; the result is a new array.
+    shrinkage; only the deviation from rank one is penalized.
 
     Closed form: one Jacobi rotation of the 2x2 Gram matrix gives the right
     singular vectors; the small singular value is taken as |B v2| (not as
     the square root of a Gram eigenvalue, which loses it to cancellation),
     and the result is B (I - k v2 v2^T), k = 1 - max(s2 - t, 0) / s2.
-    """
-    if not threshold >= 0:  # NaN fails too
-        raise ValueError("threshold must be non-negative")
-    B = np.asarray(B, dtype=float)
-    if B.ndim != 2 or B.shape[1] != 2:
-        raise ValueError(f"expected an (n, 2) matrix, got shape {B.shape}")
-    n = len(B)
-    shrunk = np.empty((2, n))
-    _shrink_excess(B.T, threshold, shrunk, np.empty(2), np.empty(n), np.empty((2, 2)))
-    return shrunk.T
-
-
-def _shrink_excess(rows: np.ndarray, threshold: float, out: np.ndarray, v2: np.ndarray, bv2: np.ndarray,
-                   keep: np.ndarray) -> None:
-    """:func:`rank1_excess_prox` of the (2, n) ``rows`` of B, written to the rows ``out``.
-
     ``out`` is C-contiguous and apart from ``rows``; ``v2`` (2,), ``bv2``
     (n,) and ``keep`` (2, 2) are scratch.  The shrink is one 2x2 product,
     keep @ rows, not the rank-1 update rows - (k v2)(B v2)^T, whose outer

@@ -9,14 +9,12 @@ inside the library exactly enough for count assertions.
 from __future__ import annotations
 
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
 
-import spotalign.pipeline
 from spotalign.geo import GeoPoint, LocalPoint, make_frame, project_points, to_geo, unproject_points
-from spotalign.pipeline import CollectedSet, RectifiedSet, raa_rectify
+from spotalign.pipeline import CollectedSet
 from spotalign.roads import RoadSegment, SpotType, sample_candidates
 from spotalign.solver import SolverConfig, SolverResult, admm_solve
 
@@ -85,21 +83,6 @@ def exhaustive_search(segment: RoadSegment, collected: CollectedSet,
         center = window.mean(axis=0)
         results.append(admm_solve(pts - center, window - center, cfg))
     return results
-
-
-def rectify_with_stops(segment: RoadSegment, collected: CollectedSet, th: float,
-                       cfg: SolverConfig | None = None) -> tuple[RectifiedSet, tuple[int, ...]]:
-    """``raa_rectify``, and the sweep each window solve it abandoned stopped at."""
-    stops = []
-
-    def solve(*args, **kwargs):
-        solved = admm_solve(*args, **kwargs)
-        if solved.loss == math.inf:
-            stops.append(solved.iterations)
-        return solved
-
-    with mock.patch.object(spotalign.pipeline, "admm_solve", solve):
-        return raa_rectify(collected, segment, th, cfg), tuple(stops)
 
 
 def polyline_segment(

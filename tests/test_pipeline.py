@@ -18,12 +18,13 @@ from spotalign.pipeline import (
     inject_noise,
     raa_rectify,
     rectify,
+    search_windows,
     synth_corpus,
 )
 from spotalign.roads import SpotType, sample_candidates
-from spotalign.solver import RACE_CHECK_SWEEPS, SolverConfig, admm_solve
+from spotalign.solver import RACE_CHECK_SWEEPS, SolverConfig
 
-from conftest import rectify_with_stops, straight_segment
+from conftest import straight_segment
 
 
 def planted_collected(segment, start, m, jitter=None, rng=None):
@@ -206,14 +207,18 @@ class TestRaaRectify:
     def test_debug_line_counts_abandoned_windows_apart(self, caplog):
         segment, collected = synth_corpus(1, 0, seed=1)[0]
         with caplog.at_level(logging.DEBUG, logger="spotalign.pipeline"):
-            out, stops = rectify_with_stops(segment, collected, th=1.0)
+            out = raa_rectify(collected, segment, th=1.0)
         (record,) = [r for r in caplog.records if r.name == "spotalign.pipeline"]
+        cands = sample_candidates(segment)
+        losses, sweeps, _ = search_windows(project_points(cands.frame, collected.points), cands.xy())
+        assert losses.tolist() == list(out.window_losses)
         finished = sorted(v for v in out.window_losses if v < math.inf)
         abandoned = len(out.window_losses) - len(finished)
         assert abandoned > 0 and finished[0] == out.loss
         runner_up = finished[1] if len(finished) > 1 else math.inf
+        stops = sweeps[losses == math.inf].tolist()
         per_check = {k: stops.count(k) for k in RACE_CHECK_SWEEPS}
-        assert sum(per_check.values()) == len(stops) == abandoned and per_check[RACE_CHECK_SWEEPS[0]] > 0
+        assert sum(per_check.values()) == abandoned and per_check[RACE_CHECK_SWEEPS[0]] > 0
         assert record.args == (segment.id, len(out.window_losses), abandoned, per_check, 0, out.loss,
                                runner_up - out.loss)
 
@@ -233,32 +238,21 @@ class TestRaaRectify:
             assert len(out.points) == 10
 
     def test_one_solver_state_per_searched_segment(self, monkeypatch):
-        # every window is still one admm_solve call, solved into the state
-        # the segment's first solve made
-        states, calls = [], []
+        # every window is solved, each into the state the segment's first solve made
+        states = []
 
         class Counted(spotalign.solver.SolverState):
             def __init__(self, *args):
                 states.append(self)
                 super().__init__(*args)
 
-        def counted(*args, **kwargs):
-            calls.append(kwargs["out"])
-            return admm_solve(*args, **kwargs)
-
         monkeypatch.setattr(spotalign.solver, "SolverState", Counted)
-        monkeypatch.setattr(spotalign.pipeline, "admm_solve", counted)
         corpus = synth_corpus(2, 2, seed=1)
         outs = [raa_rectify(collected, segment, th=1.0) for segment, collected in corpus]
         searched = [out for out in outs if not out.already_correct]
         assert len(searched) == len(corpus) and len(states) == len(searched)
         windows = [sample_candidates(segment).window_count(len(collected.points)) for segment, collected in corpus]
         assert [len(out.window_losses) for out in outs] == windows
-        assert len(calls) == sum(windows)
-        firsts = np.cumsum([0] + windows[:-1]).tolist()
-        assert all(calls[i] is None for i in firsts)
-        assert [state for i, state in enumerate(calls) if i not in firsts] == [
-            state for state, n in zip(states, windows) for _ in range(n - 1)]
 
 
 class TestSynthCorpus:

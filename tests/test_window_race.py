@@ -1,6 +1,6 @@
 """The window race picks the exhaustive search's window, loss and points.
 
-``raa_rectify`` solves windows nearest-centroid first and abandons a solve
+``search_windows`` solves windows nearest-centroid first and abandons a solve
 whose loss after any of ``RACE_CHECK_SWEEPS`` (1, 2, 4 and 8 sweeps)
 exceeds ``RACE_MARGIN`` times the best finished loss so far.  That is safe
 while every winner's loss at each check sweep stays below ``RACE_MARGIN``
@@ -31,11 +31,11 @@ import pytest
 import spotalign.pipeline
 from spotalign import synth_corpus
 from spotalign.geo import project_points, unproject_points
-from spotalign.pipeline import RACE_MARGIN, CollectedSet, RectifiedSet, raa_rectify
+from spotalign.pipeline import RACE_MARGIN, CollectedSet, RectifiedSet, raa_rectify, search_windows
 from spotalign.roads import sample_candidates
 from spotalign.solver import RACE_CHECK_SWEEPS, SolverConfig, SolverResult, admm_solve
 
-from conftest import exhaustive_search, gap_case, polyline_segment, rectify_with_stops
+from conftest import exhaustive_search, gap_case, polyline_segment
 
 TH = 1.0
 MARGIN_PIN = 1.2
@@ -70,7 +70,7 @@ class Outcome:
     loss: float
     points: tuple
     check_losses: tuple[float, ...]  # the winner's loss after each of RACE_CHECK_SWEEPS
-    abandoned_at: tuple[int, ...]  # the sweep each window the race abandoned stopped at
+    abandoned_at: tuple[int, ...]  # the sweep each window the race abandoned stopped at, in start order
 
 
 def outcome(segment, collected, cfg: SolverConfig) -> Outcome:
@@ -82,9 +82,9 @@ def outcome(segment, collected, cfg: SolverConfig) -> Outcome:
     center = window.mean(axis=0)
     early = tuple(admm_solve(pts - center, window - center, replace(cfg, max_iters=k)).loss
                   for k in RACE_CHECK_SWEEPS)
-    raced, abandoned_at = rectify_with_stops(segment, collected, TH, cfg)
-    return Outcome(raced, winner, losses[winner], tuple(unproject_points(cands.frame, window)), early,
-                   abandoned_at)
+    raced, sweeps, _ = search_windows(pts, cands.xy(), cfg)
+    return Outcome(raa_rectify(collected, segment, TH, cfg), winner, losses[winner],
+                   tuple(unproject_points(cands.frame, window)), early, tuple(sweeps[raced == math.inf].tolist()))
 
 
 def run_corpus(name: str) -> list[Outcome]:
@@ -132,6 +132,9 @@ def test_race_matches_the_exhaustive_search_at_any_window_length(monkeypatch, m)
     assert (race.window_start_index, race.loss.hex()) == (winner, losses[winner].hex())
     finished = [(raced.hex(), full.hex()) for raced, full in zip(race.window_losses, losses) if raced < math.inf]
     assert finished and all(raced == full for raced, full in finished)
+    searched, sweeps, _ = search_windows(project_points(cands.frame, collected.points), cands.xy())
+    assert searched.tolist() == list(race.window_losses)
+    assert set(sweeps[searched == math.inf].tolist()) <= set(RACE_CHECK_SWEEPS)
     monkeypatch.setattr(spotalign.pipeline, "RACE_MARGIN", math.inf)
     assert [v.hex() for v in raa_rectify(collected, segment, th=TH).window_losses] == [v.hex() for v in losses]
 
