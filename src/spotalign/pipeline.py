@@ -15,7 +15,7 @@ from .geo import GeoPoint, LocalFrame, make_frame, project_points, unproject_poi
 from .matchers import BASELINE_METHODS, baseline_rectify
 # InsufficientCandidatesError: re-exported for the package and the CLI
 from .roads import CURVE, STRAIGHT, InsufficientCandidatesError, RoadSegment, SpotType, sample_candidates
-from .solver import RACE_CHECK_SWEEPS, SolverConfig, admm_solve
+from .solver import RACE_CHECKS, SolverConfig, admm_solve
 
 log = logging.getLogger(__name__)
 
@@ -23,11 +23,6 @@ RAA = "raa"
 ALL_METHODS = (RAA,) + BASELINE_METHODS
 
 DEFAULT_CORRECTNESS_THRESHOLD_M = 10.0
-
-# a window solve is abandoned once its loss after a check sweep exceeds this multiple
-# of the best finished loss; on every corpus checked, a winner's loss after 1, 2, 4
-# and 8 sweeps stayed within 0.44x, 0.81x, 1.00x and 1.01x its final loss
-RACE_MARGIN = 1.5
 
 
 @dataclass(frozen=True)
@@ -169,11 +164,12 @@ def search_windows(pts: np.ndarray, cand_xy: np.ndarray,
     centred on the window's mean, so the transform-norm part of a loss
     measures displacement relative to the window itself.  The windows are
     solved nearest centre first, one :func:`~spotalign.solver.admm_solve`
-    call each, all into one :class:`~spotalign.solver.SolverState`.  A
-    solve whose loss after one of :data:`~spotalign.solver.RACE_CHECK_SWEEPS`
-    exceeds :data:`RACE_MARGIN` times the best finished loss so far is
-    abandoned there and scores +inf.  Returns each window's loss, sweeps
-    and ``converged``, in start order.
+    call each, all into one :class:`~spotalign.solver.SolverState`, and
+    each solve is given the best loss a window has finished with so far.
+    A solve whose loss at a rung of :data:`~spotalign.solver.RACE_CHECKS`
+    exceeds the rung's margin times that best is abandoned there and
+    scores +inf.  Returns each window's loss, sweeps and ``converged``, in
+    start order.
     """
     cfg = cfg or SolverConfig()
     # every window centred on its mean at once, (windows, M, 2) per side; each
@@ -185,9 +181,7 @@ def search_windows(pts: np.ndarray, cand_xy: np.ndarray,
     losses, sweeps, converged = np.empty(n), np.empty(n, int), np.empty(n, bool)
     best, state = math.inf, None  # the best finished loss; the one solver state, made by the first solve
     for i in np.argsort(np.hypot(*(centres[:, 0] - pts.mean(axis=0)).T), kind="stable").tolist():
-        # a zero best would abandon every positive loss, ties included
-        bound = RACE_MARGIN * best if best > 0 else math.inf
-        solved = admm_solve(centred_pts[i], centred_windows[i], cfg, abandon_above=bound, out=state)
+        solved = admm_solve(centred_pts[i], centred_windows[i], cfg, race_best=best, out=state)
         state = solved.state
         losses[i], sweeps[i], converged[i] = solved.loss, solved.iterations, solved.converged
         best = min(best, solved.loss)  # an abandoned solve's +inf leaves it
@@ -245,7 +239,7 @@ def raa_rectify(
         margin = float(np.partition(losses, 1)[1] - losses[best]) if n_windows > 1 else math.nan
         log.debug("raa_rectify %s: %d windows, %d abandoned (per check sweep %s), %d stopped at max_iters, "
                   "loss %.6f, margin %.6f", segment.id, n_windows, len(stops),
-                  {k: stops.count(k) for k in RACE_CHECK_SWEEPS}, int((~converged & ~abandoned).sum()),
+                  {k: stops.count(k) for k, _ in RACE_CHECKS}, int((~converged & ~abandoned).sum()),
                   losses[best], margin)
     snapped = unproject_points(frame, cand_xy[best:best + m])
     return RectifiedSet(

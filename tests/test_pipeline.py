@@ -22,7 +22,7 @@ from spotalign.pipeline import (
     synth_corpus,
 )
 from spotalign.roads import SpotType, sample_candidates
-from spotalign.solver import RACE_CHECK_SWEEPS, SolverConfig
+from spotalign.solver import RACE_CHECKS, SolverConfig
 
 from conftest import straight_segment
 
@@ -188,7 +188,7 @@ class TestRaaRectify:
             rectify(CollectedSet("lone", pts), seg, "raa", th=0.1)
 
     def test_logs_one_debug_line_per_searched_segment(self, caplog, monkeypatch):
-        monkeypatch.setattr(spotalign.pipeline, "RACE_MARGIN", math.inf)  # a race that abandons nothing
+        monkeypatch.setattr(spotalign.solver, "RACE_CHECKS", ())  # a race that abandons nothing
         segment, collected = synth_corpus(1, 0, seed=1)[0]
         cfg = SolverConfig(max_iters=3)  # too few sweeps for any window to converge
         quiet = raa_rectify(collected, segment, th=1.0, cfg=cfg)
@@ -198,7 +198,7 @@ class TestRaaRectify:
         (record,) = [r for r in caplog.records if r.name == "spotalign.pipeline"]
         losses = sorted(out.window_losses)
         assert len(losses) > 1 and record.levelno == logging.DEBUG
-        no_stops = dict.fromkeys(RACE_CHECK_SWEEPS, 0)
+        no_stops = {k: 0 for k, _ in RACE_CHECKS}
         assert record.args == (segment.id, len(losses), 0, no_stops, len(losses), out.loss, losses[1] - losses[0])
         assert record.getMessage().startswith(f"raa_rectify {segment.id}: {len(losses)} windows, 0 abandoned "
                                               f"(per check sweep {no_stops}), {len(losses)} stopped at max_iters, "
@@ -217,8 +217,8 @@ class TestRaaRectify:
         assert abandoned > 0 and finished[0] == out.loss
         runner_up = finished[1] if len(finished) > 1 else math.inf
         stops = sweeps[losses == math.inf].tolist()
-        per_check = {k: stops.count(k) for k in RACE_CHECK_SWEEPS}
-        assert sum(per_check.values()) == abandoned and per_check[RACE_CHECK_SWEEPS[0]] > 0
+        per_check = {k: stops.count(k) for k, _ in RACE_CHECKS}
+        assert sum(per_check.values()) == abandoned and per_check[RACE_CHECKS[0][0]] > 0
         assert record.args == (segment.id, len(out.window_losses), abandoned, per_check, 0, out.loss,
                                runner_up - out.loss)
 

@@ -662,7 +662,7 @@ def solved_state(ending: str, m: int, rng) -> SolverState:
     if ending == "converged":
         assert admm_solve(gt + [1.0, -2.0], gt, out=state).converged
     elif ending == "abandoned":
-        assert admm_solve(gt + rng.normal(0, 2, gt.shape), gt, abandon_above=0.0, out=state).loss == math.inf
+        assert admm_solve(gt + rng.normal(0, 2, gt.shape), gt, race_best=1e-9, out=state).loss == math.inf
     elif ending == "degenerate":
         with pytest.raises(DegenerateGeometryError):
             admm_solve(np.zeros((m, 2)), np.zeros((m, 2)), out=state)
@@ -681,16 +681,16 @@ class TestReusedState:
     """A solve into a reused state (``out=``) is the fresh solve, bit for bit."""
 
     @given(m=st.integers(2, 60), ending=st.sampled_from(["converged", "abandoned", "degenerate", "overflow"]),
-           seed=st.integers(0, 2**32 - 1), bound=st.sampled_from([math.inf, 0.0, 5.0]),
+           seed=st.integers(0, 2**32 - 1), best=st.sampled_from([math.inf, 0.0, 1e-9, 3.0]),
            max_iters=st.sampled_from([300, 3]))
     @settings(max_examples=150, deadline=None)
-    def test_reused_solve_equals_a_fresh_one(self, m, ending, seed, bound, max_iters):
+    def test_reused_solve_equals_a_fresh_one(self, m, ending, seed, best, max_iters):
         rng = np.random.default_rng(seed)
         state = solved_state(ending, m, rng)
         a, b = rng.uniform(-40, 40, (m, 2)), rng.uniform(-40, 40, (m, 2))
         cfg = SolverConfig(max_iters=max_iters)
-        fresh = admm_solve(a, b, cfg, abandon_above=bound)
-        reused = admm_solve(a, b, cfg, abandon_above=bound, out=state)
+        fresh = admm_solve(a, b, cfg, race_best=best)
+        reused = admm_solve(a, b, cfg, race_best=best, out=state)
         assert reused.state is state
         assert (reused.loss.hex(), reused.iterations, reused.converged, reused.state.mu) == (
             fresh.loss.hex(), fresh.iterations, fresh.converged, fresh.state.mu)

@@ -19,6 +19,13 @@ window; ``raa_rectify``, which abandons windows that cannot win, must pick
 that winner with the same loss bit for bit.  The record was made at the
 penalty growth rho = 1.3, so the test solves at that schedule; a second test
 pins the default schedule to the recorded winners.
+
+A re-record differs from the committed file in the last hex digits of most
+losses: the file was recorded by an older sweep, and 60617eb's closed-form
+steps already round differently (its script run with 7ede870's ``src``
+rebuilds the file exactly).  To show that a change leaves the solves alone,
+compare a re-record at the change's parent with one at the change, never a
+re-record with the committed file.
 """
 
 from __future__ import annotations

@@ -16,6 +16,13 @@ module as a script against that checkout:
 (with no argument the record goes to stdout; the committed file is never
 written by the script).  The test requires losses within 1e-9 relative and
 identical sweep counts and flags.
+
+A re-record differs from the committed file in the last hex digits of most
+losses: the file was recorded by an older sweep, and 8c00a28's leaner sweep
+already rounds differently (its script run with 0c6935b's ``src`` rebuilds
+the file exactly).  To show that a change leaves the solves alone, compare
+a re-record at the change's parent with one at the change, never a
+re-record with the committed file.
 """
 
 from __future__ import annotations

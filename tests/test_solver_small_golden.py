@@ -17,6 +17,13 @@ multipliers) by running this module as a script against that checkout:
 written by the script).  The test requires losses within 1e-9 relative,
 identical sweep counts and flags, and the same exception type and iteration.
 Cases solve at rho = 1.3, the penalty growth the record was made at.
+
+A re-record differs from the committed file in the last hex digits of most
+losses: the file was recorded by an older sweep, and e594457's lean sweep
+already rounds differently (its script run with b49c2a9's ``src`` rebuilds
+the file exactly).  To show that a change leaves the solves alone, compare
+a re-record at the change's parent with one at the change, never a
+re-record with the committed file.
 """
 
 from __future__ import annotations

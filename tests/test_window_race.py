@@ -1,19 +1,21 @@
 """The window race picks the exhaustive search's window, loss and points.
 
 ``search_windows`` solves windows nearest-centroid first and abandons a solve
-whose loss after any of ``RACE_CHECK_SWEEPS`` (1, 2, 4 and 8 sweeps)
-exceeds ``RACE_MARGIN`` times the best finished loss so far.  That is safe
-while every winner's loss at each check sweep stays below ``RACE_MARGIN``
-times its final loss.  The margin was chosen on the golden corpus,
-``synth_corpus(10, 10)`` at seeds 0-9, the gap arm at seeds 11-13 and 21-22
-and the criterion-05 corpus, and the check sweeps on ``synth_corpus(10,
-10)`` at seeds 0-3 and the same gap arm; every corpus here is held out from
-both choices.  A margin pin at 1.2, well inside 1.5, at every check sweep
-fails before a solver change or a new check sweep can cost a window.
+at the first rung of ``RACE_CHECKS`` where its loss exceeds the rung's
+margin times the best finished loss so far: 1.5 after 1, 2, 4 and 8 sweeps,
+1.1 after 10.  That is safe while every winner's loss at each rung stays
+below the rung's margin times its final loss.  The margin of the first four
+rungs was chosen on the golden corpus, ``synth_corpus(10, 10)`` at seeds
+0-9, the gap arm at seeds 11-13 and 21-22 and the criterion-05 corpus, and
+every rung's sweep, and the late rung's margin, on ``synth_corpus(10, 10)``
+at seeds 0-3 and the same gap arm; every corpus here is held out from all
+of these choices.  A margin pin per rung, 1.2 at the first four (well inside
+1.5) and 1.05 at the late one (inside 1.1), fails before a solver change or
+a new rung can cost a window.
 
 Run as a script to print, for each corpus (all by default), the largest
-ratio of a winner's loss at each check sweep to its final loss and the
-share of windows abandoned at each check sweep:
+ratio of a winner's loss at each rung to its final loss, the share of
+windows abandoned at each rung and the sweeps the race runs in all:
 
     PYTHONPATH=src python tests/test_window_race.py [CORPUS ...]
 """
@@ -29,16 +31,19 @@ import numpy as np
 import pytest
 
 import spotalign.pipeline
+import spotalign.solver
 from spotalign import synth_corpus
 from spotalign.geo import project_points, unproject_points
-from spotalign.pipeline import RACE_MARGIN, CollectedSet, RectifiedSet, raa_rectify, search_windows
-from spotalign.roads import sample_candidates
-from spotalign.solver import RACE_CHECK_SWEEPS, SolverConfig, SolverResult, admm_solve
+from spotalign.pipeline import CollectedSet, RectifiedSet, raa_rectify, search_windows
+from spotalign.roads import SpotType, sample_candidates
+from spotalign.solver import RACE_CHECKS, SolverConfig, SolverResult, admm_solve
 
-from conftest import exhaustive_search, gap_case, polyline_segment
+from conftest import exhaustive_search, gap_case, polyline_segment, straight_segment
 
 TH = 1.0
-MARGIN_PIN = 1.2
+RUNGS = [k for k, _ in RACE_CHECKS]  # the sweeps of the race's rungs
+MARGINS = dict(RACE_CHECKS)
+MARGIN_PINS = {1: 1.2, 2: 1.2, 4: 1.2, 8: 1.2, 10: 1.05}  # per rung, each inside the rung's margin
 GAP_DRIFTS = (6.0, 9.0, 12.0)
 GAP_TRIALS = 3  # per drift
 
@@ -69,8 +74,9 @@ class Outcome:
     winner: int  # the exhaustive search's window, its loss and snapped points
     loss: float
     points: tuple
-    check_losses: tuple[float, ...]  # the winner's loss after each of RACE_CHECK_SWEEPS
+    check_losses: tuple[float, ...]  # the winner's loss after each rung's sweeps
     abandoned_at: tuple[int, ...]  # the sweep each window the race abandoned stopped at, in start order
+    sweeps: int  # the race's sweeps over all windows
 
 
 def outcome(segment, collected, cfg: SolverConfig) -> Outcome:
@@ -81,10 +87,11 @@ def outcome(segment, collected, cfg: SolverConfig) -> Outcome:
     window = cands.xy()[winner:winner + len(pts)]
     center = window.mean(axis=0)
     early = tuple(admm_solve(pts - center, window - center, replace(cfg, max_iters=k)).loss
-                  for k in RACE_CHECK_SWEEPS)
+                  for k in RUNGS)
     raced, sweeps, _ = search_windows(pts, cands.xy(), cfg)
     return Outcome(raa_rectify(collected, segment, TH, cfg), winner, losses[winner],
-                   tuple(unproject_points(cands.frame, window)), early, tuple(sweeps[raced == math.inf].tolist()))
+                   tuple(unproject_points(cands.frame, window)), early, tuple(sweeps[raced == math.inf].tolist()),
+                   int(sweeps.sum()))
 
 
 def run_corpus(name: str) -> list[Outcome]:
@@ -93,8 +100,8 @@ def run_corpus(name: str) -> list[Outcome]:
 
 
 def worst_ratios(results: list[Outcome]) -> list[float]:
-    """Per check sweep, the largest ratio of a winner's loss there to its final loss."""
-    return [max(o.check_losses[j] / o.loss for o in results) for j in range(len(RACE_CHECK_SWEEPS))]
+    """Per rung, the largest ratio of a winner's loss there to its final loss."""
+    return [max(o.check_losses[j] / o.loss for o in results) for j in range(len(RUNGS))]
 
 
 @pytest.fixture(scope="module")
@@ -134,22 +141,23 @@ def test_race_matches_the_exhaustive_search_at_any_window_length(monkeypatch, m)
     assert finished and all(raced == full for raced, full in finished)
     searched, sweeps, _ = search_windows(project_points(cands.frame, collected.points), cands.xy())
     assert searched.tolist() == list(race.window_losses)
-    assert set(sweeps[searched == math.inf].tolist()) <= set(RACE_CHECK_SWEEPS)
-    monkeypatch.setattr(spotalign.pipeline, "RACE_MARGIN", math.inf)
+    assert set(sweeps[searched == math.inf].tolist()) <= set(RUNGS)
+    monkeypatch.setattr(spotalign.solver, "RACE_CHECKS", ())  # a race that abandons nothing
     assert [v.hex() for v in raa_rectify(collected, segment, th=TH).window_losses] == [v.hex() for v in losses]
 
 
 @pytest.mark.parametrize("name", list(CORPORA))
 def test_winners_stay_inside_the_margin_at_the_check_sweep(outcomes, name):
-    ratios = worst_ratios(outcomes[name])
-    assert max(ratios) <= MARGIN_PIN < RACE_MARGIN, (name, dict(zip(RACE_CHECK_SWEEPS, ratios)))
+    ratios = dict(zip(RUNGS, worst_ratios(outcomes[name])))
+    assert list(MARGIN_PINS) == RUNGS
+    assert all(ratios[k] <= MARGIN_PINS[k] < MARGINS[k] for k in RUNGS), (name, ratios)
 
 
 def test_the_race_abandons_windows(outcomes):
     windows = [v for o in outcomes["synth-10"] for v in o.race.window_losses]
     stops = [k for o in outcomes["synth-10"] for k in o.abandoned_at]
     assert 0 < windows.count(math.inf) == len(stops) < len(windows)
-    assert RACE_CHECK_SWEEPS[0] in stops and set(stops) <= set(RACE_CHECK_SWEEPS)
+    assert {RUNGS[0], RUNGS[-1]} <= set(stops) <= set(RUNGS)
 
 
 def drifted_window(m: int = 20, seed: int = 5) -> tuple[np.ndarray, np.ndarray]:
@@ -175,81 +183,159 @@ def loss_after(pts: np.ndarray, window: np.ndarray, sweeps: int) -> float:
     return admm_solve(pts, window, SolverConfig(max_iters=sweeps)).loss
 
 
+def best_under(loss: float, margin: float) -> float:
+    """The largest best finished loss whose ``margin`` multiple is under ``loss``."""
+    best = loss / margin
+    while margin * best >= loss:
+        best = math.nextafter(best, -math.inf)
+    while margin * math.nextafter(best, math.inf) < loss:
+        best = math.nextafter(best, math.inf)
+    return best
+
+
+def best_over(loss: float, margin: float) -> float:
+    """The smallest best finished loss whose ``margin`` multiple is not under ``loss``."""
+    return math.nextafter(best_under(loss, margin), math.inf)
+
+
 class TestAbandon:
     def test_abandoned_solve_reports_inf_unconverged_at_the_check_sweep(self):
         pts, window = drifted_window()
-        assert admm_solve(pts, window).iterations > RACE_CHECK_SWEEPS[-1]
-        got = admm_solve(pts, window, abandon_above=0.0)
-        assert (got.loss, got.converged, got.iterations) == (math.inf, False, RACE_CHECK_SWEEPS[0])
+        assert admm_solve(pts, window).iterations > RUNGS[-1]
+        got = admm_solve(pts, window, race_best=1e-9)
+        assert (got.loss, got.converged, got.iterations) == (math.inf, False, RUNGS[0])
 
-    @pytest.mark.parametrize("k", RACE_CHECK_SWEEPS)
+    @pytest.mark.parametrize("k", RUNGS)
     def test_bound_under_the_loss_at_a_check_sweep_abandons_there(self, k):
+        # the best sits just under the loss at sweep k over that rung's margin
         pts, window = drifted_window()
-        bound = math.nextafter(loss_after(pts, window, k), -math.inf)
-        assert all(loss_after(pts, window, j) <= bound for j in RACE_CHECK_SWEEPS if j < k)
-        got = admm_solve(pts, window, abandon_above=bound)
+        loss = loss_after(pts, window, k)
+        best = best_under(loss, MARGINS[k])
+        assert all(loss_after(pts, window, j) <= MARGINS[j] * best for j in RUNGS if j < k)
+        got = admm_solve(pts, window, race_best=best)
         assert (got.loss, got.converged, got.iterations) == (math.inf, False, k)
+        assert admm_solve(pts, window, race_best=best_over(loss, MARGINS[k])).iterations > k
 
     def test_infinite_bound_is_the_plain_solve(self):
         pts, window = drifted_window()
-        assert same_solve(admm_solve(pts, window, abandon_above=math.inf), admm_solve(pts, window))
+        assert same_solve(admm_solve(pts, window, race_best=math.inf), admm_solve(pts, window))
+
+    @pytest.mark.parametrize("best", [0.0, -0.0, -1.0, math.nan])
+    def test_best_not_positive_and_finite_abandons_nothing(self, best):
+        # a zero best would abandon every positive loss, ties included
+        pts, window = drifted_window()
+        assert same_solve(admm_solve(pts, window, race_best=best), admm_solve(pts, window))
+
+    def test_empty_table_abandons_nothing(self, monkeypatch):
+        pts, window = drifted_window()
+        plain = admm_solve(pts, window)
+        monkeypatch.setattr(spotalign.solver, "RACE_CHECKS", ())
+        assert same_solve(admm_solve(pts, window, race_best=1e-9), plain)
 
     def test_solve_shorter_than_the_check_sweep_is_never_abandoned(self):
-        # the solve stops one sweep before a check sweep; the bound ties its
-        # loss at the earlier check sweeps and is under its loss at the stop
+        # the solve stops one sweep before a rung; the best ties its loss at
+        # the earlier rungs, and the next rung's margin times it is under the
+        # loss at the stop
         pts, window = drifted_window()
-        stop = RACE_CHECK_SWEEPS[2] - 1
-        assert stop not in RACE_CHECK_SWEEPS
+        stop = RUNGS[2] - 1
+        assert stop not in RUNGS
         plain = admm_solve(pts, window, SolverConfig(max_iters=stop))
-        bound = max(loss_after(pts, window, j) for j in RACE_CHECK_SWEEPS if j < stop)
-        assert plain.loss > bound
-        got = admm_solve(pts, window, SolverConfig(max_iters=stop), abandon_above=bound)
+        best = max(best_over(loss_after(pts, window, j), MARGINS[j]) for j in RUNGS if j < stop)
+        assert plain.loss > MARGINS[RUNGS[2]] * best
+        got = admm_solve(pts, window, SolverConfig(max_iters=stop), race_best=best)
         assert got.iterations == stop and same_solve(got, plain)
 
     def test_window_tying_the_best_is_not_abandoned(self):
         pts, window = drifted_window()
         plain = admm_solve(pts, window)
-        assert same_solve(admm_solve(pts, window, abandon_above=plain.loss), plain)
+        assert same_solve(admm_solve(pts, window, race_best=plain.loss), plain)
 
-    @pytest.mark.parametrize("best, later_bound", [(2.0, RACE_MARGIN * 2.0), (0.0, math.inf)])
-    def test_bound_follows_the_best_finished_loss(self, monkeypatch, best, later_bound):
-        # a zero best would make the bound zero and abandon every positive
-        # loss, so a window tying it at the end but not at a check sweep too
-        bounds = []
+    @pytest.mark.parametrize("best", [2.0, 0.0])
+    def test_bound_follows_the_best_finished_loss(self, monkeypatch, best):
+        # search_windows passes the best finished loss itself, 0 included;
+        # admm_solve applies the rungs' margins and the zero-best guard
+        passed = []
 
-        def fake(P, Rd, cfg, *, abandon_above, out=None):
-            bounds.append(abandon_above)
+        def fake(P, Rd, cfg, *, race_best, out=None):
+            passed.append(race_best)
             return SolverResult(state=None, loss=best, iterations=1, converged=True)
 
         monkeypatch.setattr(spotalign.pipeline, "admm_solve", fake)
         segment, collected = synth_corpus(1, 0, seed=1)[0]
         out = raa_rectify(collected, segment, th=TH)
-        assert len(bounds) == len(out.window_losses) > 1
-        assert bounds == [math.inf] + [later_bound] * (len(bounds) - 1)
+        assert len(passed) == len(out.window_losses) > 1
+        assert passed == [math.inf] + [best] * (len(passed) - 1)
         assert out.window_start_index == 0  # every window ties: the smallest start wins
 
 
+def narrow_street(rng: np.random.Generator, m: int, extra: int, curved: bool) -> tuple:
+    """A street with room for M + ``extra`` candidates, so ``extra`` + 1 windows.
+
+    The collected points are a seeded true window drifted 2.5-5 m across the
+    road, turned 2-5 degrees about their centroid and jittered +-1.5 m.
+    """
+    length = (m + extra - 1 + 0.5) * SpotType.PARALLEL.spacing
+    if curved:
+        radius = rng.uniform(150.0, 400.0) * rng.choice([-1.0, 1.0])
+        angles = np.linspace(0.0, length / radius, max(3, int(length // 10) + 1))
+        segment = polyline_segment(radius * np.column_stack([np.sin(angles), 1.0 - np.cos(angles)]))
+    else:
+        segment = straight_segment(length)
+    cands = sample_candidates(segment)
+    m = len(cands) - extra  # keep K - M if the sampled count moved by one
+    start = int(rng.integers(0, extra + 1))
+    truth = cands.xy()[start:start + m]
+    turn = math.radians(rng.uniform(2.0, 5.0)) * rng.choice([-1.0, 1.0])
+    rot = np.array([[math.cos(turn), -math.sin(turn)], [math.sin(turn), math.cos(turn)]])
+    centre = truth.mean(axis=0)
+    chord = truth[-1] - truth[0]
+    across = np.array([-chord[1], chord[0]]) / math.hypot(*chord)
+    drifted = ((truth - centre) @ rot.T + centre + rng.uniform(2.5, 5.0) * rng.choice([-1.0, 1.0]) * across
+               + rng.uniform(-1.5, 1.5, truth.shape))
+    return segment, CollectedSet(segment.id, tuple(unproject_points(cands.frame, drifted)))
+
+
+def test_race_on_short_nearly_full_streets():
+    # K - M of 0-3 (1-4 windows), straight and curved, M of 10-30: the shape of
+    # perfbench's raa-narrow corpus, where the late rung saves most
+    rng = np.random.default_rng(41)
+    stops = []
+    for i in range(32):
+        segment, collected = narrow_street(rng, 10 + (11 * i) % 21, i % 4, curved=(i // 4) % 2 == 1)
+        cands, m = sample_candidates(segment), len(collected.points)
+        losses = [r.loss for r in exhaustive_search(segment, collected)]
+        winner = losses.index(min(losses))
+        race = raa_rectify(collected, segment, th=TH)
+        where = f"street {i}"
+        assert len(race.window_losses) == i % 4 + 1 and not race.already_correct, where
+        assert (race.window_start_index, race.loss.hex()) == (winner, losses[winner].hex()), where
+        assert race.points == tuple(unproject_points(cands.frame, cands.xy()[winner:winner + m])), where
+        raced, sweeps, _ = search_windows(project_points(cands.frame, collected.points), cands.xy())
+        stops += sweeps[raced == math.inf].tolist()
+    assert RUNGS[-1] in stops and set(stops) <= set(RUNGS)
+
+
 def summary(name: str, results: list[Outcome]) -> str:
-    """One line: per check sweep, the winners' worst ratio and the share of windows abandoned there."""
+    """One line: per rung, the winners' worst ratio and the share of windows abandoned there; the race's sweeps."""
     windows = sum(len(o.race.window_losses) for o in results)
     stops = [k for o in results for k in o.abandoned_at]
-    return (f"{name}: at sweeps {', '.join(map(str, RACE_CHECK_SWEEPS))} a winner's loss / final is at most "
+    return (f"{name}: at sweeps {', '.join(map(str, RUNGS))} a winner's loss / final is at most "
             f"{', '.join(f'{r:.4f}' for r in worst_ratios(results))} and "
-            f"{', '.join(f'{stops.count(k) / windows:.1%}' for k in RACE_CHECK_SWEEPS)} "
-            f"of {windows} windows are abandoned")
+            f"{', '.join(f'{stops.count(k) / windows:.1%}' for k in RUNGS)} "
+            f"of {windows} windows are abandoned; the race runs {sum(o.sweeps for o in results)} sweeps")
 
 
 def test_script_prints_the_margin_and_abandoned_share():
     from test_golden_scripts import run_script
 
     (line,) = run_script("test_window_race.py", "lambda-1").splitlines()
-    sweeps = ", ".join(map(str, RACE_CHECK_SWEEPS))
+    sweeps = ", ".join(map(str, RUNGS))
     got = re.fullmatch(rf"lambda-1: at sweeps {sweeps} a winner's loss / final is at most ([\d., ]+) "
-                       rf"and ([\d.%, ]+) of \d+ windows are abandoned", line)
+                       rf"and ([\d.%, ]+) of \d+ windows are abandoned; the race runs \d+ sweeps", line)
     assert got, line
     ratios, shares = (group.split(", ") for group in got.groups())
-    assert len(ratios) == len(shares) == len(RACE_CHECK_SWEEPS)
-    assert all(float(r) <= MARGIN_PIN for r in ratios) and all(s.endswith("%") for s in shares)
+    assert len(ratios) == len(shares) == len(RUNGS)
+    assert all(float(r) <= MARGIN_PINS[k] for k, r in zip(RUNGS, ratios)) and all(s.endswith("%") for s in shares)
 
 
 if __name__ == "__main__":
