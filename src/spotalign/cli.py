@@ -31,7 +31,6 @@ from .dataio import (
 from .geo import project_points, unproject_points
 from .pipeline import (
     ALL_METHODS,
-    InsufficientCandidatesError,
     Mixed,
     RandomNoise,
     RectifiedSet,
@@ -343,8 +342,8 @@ def run_cli(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (DatasetError, EmptyCandidateError, InsufficientCandidatesError,
-            DegenerateGeometryError, NumericalFailureError, ValueError, OSError) as exc:
+    except (DatasetError, EmptyCandidateError, DegenerateGeometryError, NumericalFailureError,
+            ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

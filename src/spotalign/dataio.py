@@ -29,7 +29,7 @@ from pathlib import Path
 from .geo import GeoPoint
 from .metrics import DEFAULT_RECALL_TOLERANCE_M
 from .pipeline import ALL_METHODS, DEFAULT_CORRECTNESS_THRESHOLD_M, RAA, CollectedSet
-from .roads import CURVE, STRAIGHT, RoadSegment, SpotType
+from .roads import RoadSegment, SpotType
 from .solver import SolverConfig
 
 SEGMENT_COLUMNS = ["segment_id", "point_index", "lat", "lon", "is_intersection", "spot_type", "shape_class"]
@@ -148,22 +148,16 @@ def save_dataset(dataset: Dataset, out_dir: Path) -> dict[str, Path]:
     """Write the canonical dataset files; returns the paths written."""
     out_dir = Path(out_dir)
     written: dict[str, Path] = {}
-
-    seg_rows = _segment_rows(dataset.segments)
-    path = out_dir / "segments.csv"
-    atomic_write_text(path, render_csv(f"spotalign segments {_content_hash(seg_rows)}", SEGMENT_COLUMNS, seg_rows))
-    written["segments"] = path
-
-    col_rows = _point_rows(dataset.collected, truth=False)
-    path = out_dir / "collected.csv"
-    atomic_write_text(path, render_csv(f"spotalign collected {_content_hash(col_rows)}", COLLECTED_COLUMNS, col_rows))
-    written["collected"] = path
-
-    truth_rows = _point_rows(dataset.collected, truth=True)
-    if truth_rows:
-        path = out_dir / "truth.csv"
-        atomic_write_text(path, render_csv(f"spotalign truth {_content_hash(truth_rows)}", COLLECTED_COLUMNS, truth_rows))
-        written["truth"] = path
+    for name, columns, rows in (
+        ("segments", SEGMENT_COLUMNS, _segment_rows(dataset.segments)),
+        ("collected", COLLECTED_COLUMNS, _point_rows(dataset.collected, truth=False)),
+        ("truth", COLLECTED_COLUMNS, _point_rows(dataset.collected, truth=True)),
+    ):
+        if name == "truth" and not rows:
+            continue
+        path = out_dir / f"{name}.csv"
+        atomic_write_text(path, render_csv(f"spotalign {name} {_content_hash(rows)}", columns, rows))
+        written[name] = path
     return written
 
 
@@ -293,15 +287,12 @@ def load_segments(path: Path) -> dict[str, RoadSegment]:
         shape_labels = {e[4].strip().lower() for e in entries}
         if len(spot_types) != 1 or len(shape_labels) != 1:
             raise DatasetError(f"{path}: segment {sid!r} has inconsistent spot_type/shape_class rows")
-        shape = shape_labels.pop()
-        if shape not in (STRAIGHT, CURVE):
-            raise DatasetError(f"{path}: segment {sid!r} has unknown shape_class {shape!r}")
-        try:
+        try:  # RoadSegment rejects an unknown shape_class
             segments[sid] = RoadSegment(
                 id=sid,
                 polyline=tuple(e[1] for e in entries),
                 spot_type=spot_types.pop(),
-                shape_class=shape,
+                shape_class=shape_labels.pop(),
                 intersection_indices=frozenset(i for i, e in enumerate(entries) if e[2]),
             )
         except ValueError as exc:
@@ -344,14 +335,13 @@ def load_dataset(segments_path: Path, collected_path: Path, truth_path: Path | N
     collected: dict[str, CollectedSet] = {}
     for sid, pts in collected_pts.items():
         truth = truth_pts.get(sid)
-        if truth is not None and len(truth) != len(pts):
-            raise DatasetError(
-                f"segment {sid!r}: ground truth has {len(truth)} points but collected has {len(pts)}"
+        try:  # CollectedSet rejects ground truth whose size disagrees with the points
+            collected[sid] = CollectedSet(
+                segment_id=sid,
+                points=tuple(pts),
+                ground_truth=tuple(truth) if truth is not None else None,
             )
-        collected[sid] = CollectedSet(
-            segment_id=sid,
-            points=tuple(pts),
-            ground_truth=tuple(truth) if truth is not None else None,
-        )
+        except ValueError as exc:
+            raise DatasetError(f"{truth_path}: {exc}") from None
     meta = {"source": str(segments_path)}
     return Dataset(segments=segments, collected=collected, metadata=meta)

@@ -23,9 +23,11 @@ matrix the inputs fix, ``SolverState.moments``.
 :func:`sweep` is the one implementation of a sweep; :func:`admm_solve`
 repeats it until convergence, and its trace mode records the same sweep.
 Every block is a (2, 2M) row pair, row 0 the collected side and row 1 the
-candidate side, so a block update is one set of numpy calls for both.  The
-state API is the buffers of :class:`SolverState`; each symbol above is an
-index into one of them (U = Y / mu are the multipliers scaled by mu):
+candidate side, so a block update is one set of numpy calls for both.  Each
+block update reads and writes only the buffers of :class:`SolverState`; a
+sweep hands on one value, the increments, from the increment step to the
+fold.  Each symbol above is an index into one of the buffers (U = Y / mu are
+the multipliers scaled by mu):
 
     P, Rd     inputs[0], inputs[1]        U1, U2    duals[0, 0], duals[0, 1]
     C, D      blocks[0, 0], blocks[0, 1]  U3        duals[1].T, (2M, 2)
@@ -186,7 +188,8 @@ class SolverState:
         coupled      (2, 2M)      A-step: [C D] + U3, before the shrink
         v2, bv2      (2,), (2M,)  A-step: smaller right singular vector, B v2
         keep         (2, 2)       A-step: I - k v2 v2^T
-        residual     (2, 2M)      E-step: [C D] - W - E - U
+        residual     (2, 2M)      E-step: [C D] - W - E - U, fitted by the
+                                  increment step
         sums         (8,)         increment step: ``moments`` @ residual
         coef         (8,)         re-warp: W = coef @ ``moments``
         constraints  (2, 2, 2M)   multiplier step: the constraint residuals
@@ -313,9 +316,14 @@ def svt_prox(B: np.ndarray, threshold: float) -> np.ndarray:
     return (u * kept) @ vt
 
 
-def _shrink_excess(rows: np.ndarray, threshold: float, out: np.ndarray, v2: np.ndarray, bv2: np.ndarray,
-                   keep: np.ndarray) -> None:
-    """Soft-threshold the smaller singular value of B, given as (2, n) ``rows``, into ``out``.
+def rank1_excess(B: np.ndarray) -> float:
+    """Spectral mass of B beyond rank one (zero iff rank(B) <= 1)."""
+    sig = np.linalg.svd(np.asarray(B, dtype=float), compute_uv=False)
+    return float(sig.sum() - sig.max()) if sig.size else 0.0
+
+
+def update_coupling(state: SolverState, cfg: SolverConfig) -> None:
+    """A-step: soft-threshold the smaller singular value of B = [C D] + U3 at lam/mu, into A's rows.
 
     Proximal operator of threshold * (spectral mass beyond rank one).  The
     leading singular pair is untouched, so the dominant pattern carries no
@@ -325,11 +333,15 @@ def _shrink_excess(rows: np.ndarray, threshold: float, out: np.ndarray, v2: np.n
     singular vectors; the small singular value is taken as |B v2| (not as
     the square root of a Gram eigenvalue, which loses it to cancellation),
     and the result is B (I - k v2 v2^T), k = 1 - max(s2 - t, 0) / s2.
-    ``out`` is C-contiguous and apart from ``rows``; ``v2`` (2,), ``bv2``
-    (n,) and ``keep`` (2, 2) are scratch.  The shrink is one 2x2 product,
-    keep @ rows, not the rank-1 update rows - (k v2)(B v2)^T, whose outer
-    product would broadcast.
+    B, v2, B v2 and keep = I - k v2 v2^T go to the state's scratch
+    ``coupled``, ``v2``, ``bv2`` and ``keep``.  The shrink is one 2x2
+    product, keep @ B, not the rank-1 update B - (k v2)(B v2)^T, whose
+    outer product would broadcast.
     """
+    cd, a_rows, _, _, u3 = state.pairs
+    rows = np.add(cd, u3, state.coupled)
+    v2, bv2, keep = state.v2, state.bv2, state.keep
+    threshold = cfg.lam / state.mu
     (g00, g01), (_, g11) = np.dot(rows, rows.T).tolist()
     phi = 0.5 * math.atan2(2.0 * g01, g00 - g11)
     v2x, v2y = -math.sin(phi), math.cos(phi)
@@ -338,20 +350,7 @@ def _shrink_excess(rows: np.ndarray, threshold: float, out: np.ndarray, v2: np.n
     shrink = 1.0 if sigma2 <= threshold else threshold / sigma2
     kx, ky = shrink * v2x, shrink * v2y
     keep[0, 0], keep[0, 1], keep[1, 0], keep[1, 1] = 1.0 - kx * v2x, -kx * v2y, -ky * v2x, 1.0 - ky * v2y
-    np.dot(keep, rows, out)
-
-
-def rank1_excess(B: np.ndarray) -> float:
-    """Spectral mass of B beyond rank one (zero iff rank(B) <= 1)."""
-    sig = np.linalg.svd(np.asarray(B, dtype=float), compute_uv=False)
-    return float(sig.sum() - sig.max()) if sig.size else 0.0
-
-
-def update_coupling(state: SolverState, cfg: SolverConfig) -> None:
-    """A-step: threshold the rank-1 excess of [C D] + U3 at lam/mu, in A's rows."""
-    cd, a_rows, _, _, u3 = state.pairs
-    coupled = np.add(cd, u3, state.coupled)
-    _shrink_excess(coupled, cfg.lam / state.mu, a_rows, state.v2, state.bv2, state.keep)
+    np.dot(keep, rows, a_rows)
 
 
 def update_rectified_blocks(state: SolverState) -> None:
@@ -365,14 +364,15 @@ def update_rectified_blocks(state: SolverState) -> None:
     np.dot(_CD_WEIGHTS, state.terms[1:], state.terms[0])
 
 
-def update_error_blocks(state: SolverState) -> np.ndarray:
+def update_error_blocks(state: SolverState) -> None:
     """E-step: shrink the collected-side residual, average the candidate-side one.
 
     E1 is the residual minus its clip to [-t, t], t = 1/mu (soft threshold);
     E2 projects its residual onto translation structure (every x entry the
     mean of the x residuals, likewise for y).  The residual [C D] - W - U is
-    one product with the rows of ``state.terms``.  Returns what the new E
-    leaves of it, [C D] - W - E - U, which the increment step fits.
+    one product with the rows of ``state.terms``, written to
+    ``state.residual``.  What the new E leaves of it, [C D] - W - E - U,
+    stays there for :func:`update_transform_increments` to fit.
     """
     flat, r1, e1, r2, e2 = state.e_rows
     np.dot(_RESIDUAL_WEIGHTS, state.terms, flat)
@@ -381,15 +381,15 @@ def update_error_blocks(state: SolverState) -> np.ndarray:
     np.subtract(r1, e1, e1)
     e2.fill(np.add.reduce(r2) / len(r2))  # both axis means as one complex mean
     flat -= state.terms[2]
-    return state.residual
 
 
-def update_transform_increments(state: SolverState, residual: np.ndarray) -> list[tuple[float, float, float]]:
+def update_transform_increments(state: SolverState) -> list[tuple[float, float, float]]:
     """Increment-step: least-squares fit of each linearized warp to its residual.
 
-    ``residual`` is [C D] - W - E - U, as :func:`update_error_blocks`
-    returns it.  Returns the two increments as Python floats, one (d_theta,
-    d_sx, d_sy) row per side in the layout of ``state.transforms``.
+    The residual is [C D] - W - E - U, as :func:`update_error_blocks`
+    leaves it in ``state.residual``; this step reads it flat, through
+    ``state.e_rows[0]``.  Returns the two increments as Python floats, one
+    (d_theta, d_sx, d_sy) row per side in the layout of ``state.transforms``.
 
     Taking each point (x, y) as the complex number x + iy, the Jacobian's
     rotation column at warped point w_i is i (w_i - s) for translation s, so
@@ -411,8 +411,8 @@ def update_transform_increments(state: SolverState, residual: np.ndarray) -> lis
     finite (checked first: an overflowed sum would pass for singular), and
     :class:`DegenerateGeometryError` for a singular side.
     """
-    m = residual.shape[1] // 2
-    sums = np.dot(state.moments, residual.ravel(), state.sums).tolist()
+    m = state.inputs.shape[1] // 2
+    sums = np.dot(state.moments, state.e_rows[0], state.sums).tolist()
     # three unknowns per side: scalar arithmetic from here on
     increments = []
     for (theta, _, _), (z_bar, spread, lever), (cross_re, cross_im, sum_x, sum_y) in zip(
@@ -431,13 +431,6 @@ def update_transform_increments(state: SolverState, residual: np.ndarray) -> lis
     return increments
 
 
-def _normalize_angle(theta: float) -> float:
-    t = math.remainder(theta, math.tau)
-    if t <= -math.pi:
-        t += math.tau
-    return t
-
-
 def fold_and_rewarp(state: SolverState, increments) -> None:
     """Fold each side's increment into its transform, then re-warp W from the new rows.
 
@@ -453,7 +446,9 @@ def fold_and_rewarp(state: SolverState, increments) -> None:
     for (theta, s_x, s_y), (d_theta, d_sx, d_sy), (z_bar, _, _) in zip(
             state.transforms.tolist(), increments, state.levers):
         c, s = math.cos(d_theta), math.sin(d_theta)
-        theta = _normalize_angle(theta + d_theta)
+        theta = math.remainder(theta + d_theta, math.tau)
+        if theta <= -math.pi:
+            theta += math.tau
         s_x, s_y = c * s_x - s * s_y + d_sx, s * s_x + c * s_y + d_sy
         turn = cmath.rect(1.0, theta)
         shift = turn * z_bar + complex(s_x, s_y)
@@ -514,7 +509,9 @@ def alignment_loss(state: SolverState) -> float:
 def sweep(state: SolverState, cfg: SolverConfig, trace: IterationTrace | None = None) -> float:
     """One ADMM sweep: A -> C/D -> E1/E2 -> increments -> multipliers.
 
-    :func:`fold_and_rewarp` folds the increments into the transforms
+    The E-step leaves its residual in ``state.residual`` for the increment
+    step; the increments are the one value handed on, to
+    :func:`fold_and_rewarp`, which folds them into the transforms
     (re-linearizing the warps) and re-warps W before the dual step.  Returns
     the largest constraint residual; with a ``trace`` the Lagrangian after
     each block and the coupling residual are appended to it.  The increment
@@ -529,10 +526,10 @@ def sweep(state: SolverState, cfg: SolverConfig, trace: IterationTrace | None = 
     update_rectified_blocks(state)
     if trace is not None:
         l_cd = lagrangian(state, cfg)
-    residual = update_error_blocks(state)
+    update_error_blocks(state)
     if trace is not None:
         l_e = lagrangian(state, cfg)
-    increments = update_transform_increments(state, residual)
+    increments = update_transform_increments(state)
     if trace is not None:
         # the increment step's value before folding
         for k in (0, 1):

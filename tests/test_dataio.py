@@ -200,6 +200,16 @@ class TestSaveLoad:
         )
         assert load_segments(seg)["r1"].spot_type is SpotType.PARALLEL
 
+    def test_unknown_shape_class_names_file_and_segment(self, tmp_path):
+        seg = tmp_path / "segments.csv"
+        seg.write_text(
+            "segment_id,point_index,lat,lon,is_intersection,spot_type,shape_class\n"
+            "r1,0,0.0,0.0,0,parallel,winding\n"
+            "r1,1,0.0,0.001,0,parallel,Winding\n"
+        )
+        with pytest.raises(DatasetError, match=r"segments\.csv: segment 'r1': unknown shape class 'winding'$"):
+            load_segments(seg)
+
     def test_short_segments_row_reports_column(self, tmp_path):
         seg = tmp_path / "segments.csv"
         seg.write_text(
