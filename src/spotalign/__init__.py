@@ -2,7 +2,8 @@
 
 from .geo import GeoPoint, LocalFrame, LocalPoint, make_frame, to_geo
 from .rigid import jacobian_values, warp_values
-from .roads import CandidateSet, EmptyCandidateError, RoadSegment, SpotType, sample_candidates, segment_arclength
+from .roads import (CandidateSet, EmptyCandidateError, InsufficientCandidatesError, RoadSegment, SpotType,
+                    sample_candidates, segment_arclength)
 from .solver import (
     DegenerateGeometryError,
     NumericalFailureError,
@@ -16,7 +17,6 @@ from .solver import (
 from .matchers import Assignment, baseline_rectify, hungarian_assign
 from .pipeline import (
     CollectedSet,
-    InsufficientCandidatesError,
     Mixed,
     NoiseSpec,
     RandomNoise,

@@ -95,46 +95,41 @@ def _lambda_sweep_rows(dataset: Dataset, cfg: RunConfig,
 def bench_matrix(dataset: Dataset, cfg: RunConfig) -> tuple[list[dict], list[dict]]:
     """Full comparison matrix plus the coupling-weight sweep.
 
-    Returns (bench_rows, robustness_rows).  Bench rows carry
+    Returns (bench_rows, robustness_rows), all read from one table of the
+    scored runs, (method, arm) -> reports by segment class.  Bench rows carry
     run/method/lam/noise/segment_class/acd/ar; the sweep runs the main method
-    over ``LAMBDA_SWEEP`` on the clean arm, reusing the main clean RAA run
+    over ``LAMBDA_SWEEP`` on the clean arm, reusing the table's clean RAA run
     at ``cfg.lam``.  Robustness rows combine each method's clean and noisy
-    scores per class.
+    reports per class; both arms hold every segment and its truth, so they
+    report the same classes.
     """
     noisy_dataset = apply_noise_arm(dataset, seed=cfg.seed + 7919)
-    bench_rows: list[dict] = []
-    scores: dict[tuple[str, str, str], EvalReport] = {}
-    solved: dict[float, dict[str, EvalReport]] = {}
-
+    scored: dict[tuple[str, str], dict[str, EvalReport]] = {}
     for method in ALL_METHODS:
         for arm, data in ((CLEAN, dataset), (NOISY, noisy_dataset)):
             run_cfg = replace(cfg, method=method)
-            reports = evaluate_by_class(data, run_method(data, run_cfg), cfg.tau)
+            scored[(method, arm)] = evaluate_by_class(data, run_method(data, run_cfg), cfg.tau)
             log.info("bench: method=%s arm=%s done", method, arm)
-            if method == RAA and arm == CLEAN:
-                solved[cfg.lam] = reports
-            for cls, rep in sorted(reports.items()):
-                scores[(method, arm, cls)] = rep
-                bench_rows.append({
-                    "run": "main", "method": method, "lam": cfg.lam, "noise": arm,
-                    "segment_class": cls, "acd": rep.acd, "ar": rep.ar,
-                })
 
-    bench_rows.extend(_lambda_sweep_rows(dataset, cfg, solved))
+    bench_rows: list[dict] = []
+    for (method, arm), reports in scored.items():
+        for cls, rep in sorted(reports.items()):
+            bench_rows.append({
+                "run": "main", "method": method, "lam": cfg.lam, "noise": arm,
+                "segment_class": cls, "acd": rep.acd, "ar": rep.ar,
+            })
+    bench_rows.extend(_lambda_sweep_rows(dataset, cfg, {cfg.lam: scored[(RAA, CLEAN)]}))
 
     robustness_rows: list[dict] = []
     for method in ALL_METHODS:
-        for cls in sorted({cls for (_, _, cls) in scores}):
-            clean = scores.get((method, CLEAN, cls))
-            noisy = scores.get((method, NOISY, cls))
-            if clean is None or noisy is None:
-                continue
+        noisy = scored[(method, NOISY)]
+        for cls, clean in sorted(scored[(method, CLEAN)].items()):
             # a zero clean recall leaves the relative change undefined
-            r_ar = (robustness_index(noisy.ar, clean.ar, HIGHER_BETTER)
+            r_ar = (robustness_index(noisy[cls].ar, clean.ar, HIGHER_BETTER)
                     if clean.ar != 0 else float("nan"))
             robustness_rows.append({
                 "method": method, "segment_class": cls,
-                "r_acd": robustness_index(noisy.acd, clean.acd, LOWER_BETTER),
+                "r_acd": robustness_index(noisy[cls].acd, clean.acd, LOWER_BETTER),
                 "r_ar": r_ar,
             })
     return bench_rows, robustness_rows

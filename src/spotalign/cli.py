@@ -218,24 +218,20 @@ def _cmd_plot(args) -> int:
     for sid, rset in rectified.items():
         cands = sample_candidates(dataset.segments[sid])
         frame = cands.frame
-        geo = {
-            "collected": dataset.collected[sid].points,
-            "candidate": unproject_points(frame, cands.points),
-            "rectified": rset.points,
-        }
+        collected = dataset.collected[sid].points
+        # role -> (GeoPoints, local metres), in drawing order
         layers = {
-            "collected": project_points(frame, geo["collected"]),
-            "candidate": cands.points,
-            "rectified": project_points(frame, geo["rectified"]),
+            "candidate": (unproject_points(frame, cands.points), cands.points),
+            "collected": (collected, project_points(frame, collected)),
+            "rectified": (rset.points, project_points(frame, rset.points)),
         }
-        every = np.vstack(list(layers.values()))
-        to_svg = _svg_transform(every)
+        to_svg = _svg_transform(np.vstack([xy for _, xy in layers.values()]))
 
         rows: list[list] = []
         circles: list[str] = []
-        for role in ("candidate", "collected", "rectified"):
+        for role, (geo, xy) in layers.items():
             color, radius = PLOT_STYLE[role]
-            for i, (p, g) in enumerate(zip(layers[role], geo[role])):
+            for i, (p, g) in enumerate(zip(xy, geo)):
                 sx, sy = to_svg(p)
                 rows.append([sid, role, i, float(g.lat), float(g.lon), float(p[0]), float(p[1]), sx, sy])
                 circles.append(

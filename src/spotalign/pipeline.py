@@ -13,8 +13,7 @@ import numpy as np
 
 from .geo import GeoPoint, LocalFrame, make_frame, project_points, unproject_points
 from .matchers import BASELINE_METHODS, baseline_rectify
-# InsufficientCandidatesError: re-exported for the package and the CLI
-from .roads import CURVE, STRAIGHT, InsufficientCandidatesError, RoadSegment, SpotType, sample_candidates
+from .roads import CURVE, STRAIGHT, RoadSegment, SpotType, sample_candidates
 from .solver import RACE_CHECKS, SolverConfig, admm_solve
 
 log = logging.getLogger(__name__)

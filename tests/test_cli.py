@@ -307,6 +307,26 @@ class TestPlot:
             want = [(r["svg_x"], r["svg_y"]) for r in rows]
             assert got == want
 
+    def test_csv_holds_candidate_collected_and_rectified_layers(self, small_dataset, tmp_path):
+        data = ["--segments", str(small_dataset / "segments.csv"),
+                "--collected", str(small_dataset / "collected.csv")]
+        assert run_cli(["sample", *data, "--out-dir", str(tmp_path / "sample")]) == 0
+        assert run_cli(["rectify", *data, "--method", "ha", "--th", "1", "--out-dir", str(tmp_path / "rectify")]) == 0
+        assert run_cli(["plot", *data, "--method", "ha", "--th", "1", "--out-dir", str(tmp_path / "plot")]) == 0
+        layers = {
+            "candidate": read_csv(tmp_path / "sample" / "candidates.csv"),
+            "collected": read_csv(small_dataset / "collected.csv"),
+            "rectified": read_csv(tmp_path / "rectify" / "rectified.csv"),
+        }
+        sids = sorted({row["segment_id"] for row in layers["collected"]})
+        assert sorted(p.stem for p in (tmp_path / "plot" / "plots").glob("*.csv")) == sids
+        for sid in sids:
+            got = [(r["segment_id"], r["role"], int(r["index"]), r["lat"], r["lon"])
+                   for r in read_csv(tmp_path / "plot" / "plots" / f"{sid}.csv")]
+            want = [(sid, role, i, r["lat"], r["lon"]) for role, rows in layers.items()
+                    for i, r in enumerate(r for r in rows if r["segment_id"] == sid)]
+            assert got == want
+
     @pytest.mark.parametrize("sid", ["../../escaped", "a/b", "a\\b"])
     def test_segment_id_with_path_separator_rejected(self, tmp_path, capsys, sid):
         seg = straight_segment(120.0, seg_id=sid)

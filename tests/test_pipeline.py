@@ -9,7 +9,6 @@ import spotalign.solver
 from spotalign.geo import GeoPoint, make_frame, project_points, unproject_points
 from spotalign.pipeline import (
     CollectedSet,
-    InsufficientCandidatesError,
     Mixed,
     NoiseSpec,
     RandomNoise,
@@ -21,7 +20,7 @@ from spotalign.pipeline import (
     search_windows,
     synth_corpus,
 )
-from spotalign.roads import SpotType, sample_candidates
+from spotalign.roads import InsufficientCandidatesError, SpotType, sample_candidates
 from spotalign.solver import RACE_CHECKS, SolverConfig
 
 from conftest import straight_segment
