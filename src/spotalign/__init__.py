@@ -1,7 +1,6 @@
 """spotalign: rectify and align roadside parking-spot GPS points."""
 
 from .geo import GeoPoint, LocalFrame, LocalPoint, make_frame, to_geo
-from .rigid import jacobian_values, warp_values
 from .roads import (CandidateSet, EmptyCandidateError, InsufficientCandidatesError, RoadSegment, SpotType,
                     sample_candidates, segment_arclength)
 from .solver import (
@@ -12,7 +11,9 @@ from .solver import (
     SolverState,
     admm_solve,
     alignment_loss,
+    jacobian_values,
     svt_prox,
+    warp_values,
 )
 from .matchers import Assignment, baseline_rectify, hungarian_assign
 from .pipeline import (
@@ -33,12 +34,11 @@ from .dataio import Dataset, DatasetError, RunConfig, load_dataset, save_dataset
 
 __all__ = [
     "GeoPoint", "LocalFrame", "LocalPoint", "make_frame", "to_geo",
-    "jacobian_values", "warp_values",
     "CandidateSet", "EmptyCandidateError", "RoadSegment", "SpotType",
     "sample_candidates", "segment_arclength",
     "DegenerateGeometryError", "NumericalFailureError",
     "SolverConfig", "SolverResult", "SolverState", "admm_solve", "alignment_loss",
-    "svt_prox",
+    "jacobian_values", "svt_prox", "warp_values",
     "Assignment", "baseline_rectify", "hungarian_assign",
     "CollectedSet", "InsufficientCandidatesError", "Mixed", "NoiseSpec", "RandomNoise",
     "RectifiedSet", "Rotational", "Translational",

@@ -85,6 +85,8 @@ class RoadSegment:
     intersection_indices: frozenset[int] = field(default_factory=frozenset)
 
     def __post_init__(self) -> None:
+        if self.id.startswith("#"):  # dataset files would read its rows as comments
+            raise ValueError(f"segment id {self.id!r} must not start with '#'")
         if len(self.polyline) < 2:
             raise ValueError(f"segment {self.id!r} needs at least 2 polyline points")
         if self.shape_class not in (STRAIGHT, CURVE):

@@ -20,6 +20,14 @@ the inputs re-warped, both by :func:`fold_and_rewarp`.  The warp is rigid,
 so both the increment step's sums and the re-warp are products with one
 matrix the inputs fix, ``SolverState.moments``.
 
+A transform is a (theta, s_x, s_y) row: rotation by theta (radians) followed
+by translation (s_x, s_y) meters, x' = x cos(theta) - y sin(theta) + s_x and
+y' = x sin(theta) + y cos(theta) + s_y.  Rows instead of a 3x3 homogeneous
+matrix keep an increment a 3-vector, so the increment step is a 3-unknown
+solve.  Point sets travel as interleaved vectors (x1, y1, x2, y2, ...), the
+C-order flattening of an (M, 2) array of points; :func:`warp_values` warps
+them, the reference the re-warp is checked against.
+
 :func:`sweep` is the one implementation of a sweep; :func:`admm_solve`
 repeats it until convergence, and its trace mode records the same sweep.
 Every block is a (2, 2M) row pair, row 0 the collected side and row 1 the
@@ -70,10 +78,6 @@ import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .rigid import jacobian_values
-# no solver caller: perfbench's tracer wraps it until ROADMAP item 2a drops rigid.warp_values.calls_per_solve
-from .rigid import warp_values
 
 log = logging.getLogger(__name__)
 
@@ -144,36 +148,17 @@ class SolverConfig:
             raise ValueError("max_iters must be an integer of at least 1")
 
 
-def _checked_inputs(P: np.ndarray, Rd: np.ndarray, mu: float) -> tuple[np.ndarray, np.ndarray]:
-    """P and Rd as float arrays; ValueError unless they are finite (M, 2) arrays
-    with the same M of at least 2 and ``0 < mu < inf``."""
-    p, rd = np.asarray(P, dtype=float), np.asarray(Rd, dtype=float)
-    for name, xy in (("P", p), ("Rd", rd)):
-        if xy.ndim != 2 or xy.shape[1] != 2:
-            raise ValueError(f"{name} must be an (M, 2) array, got shape {xy.shape}")
-    if len(p) != len(rd):
-        raise ValueError(f"P and Rd must hold the same point count ({len(p)} vs {len(rd)})")
-    if len(p) < 2:
-        raise ValueError("alignment needs at least 2 points per side")
-    if not (np.isfinite(p).all() and np.isfinite(rd).all()):
-        raise ValueError("P and Rd must be finite")
-    if not 0 < mu < math.inf:  # NaN fails too
-        raise ValueError(f"mu must be positive and finite, got {mu!r}")
-    return p, rd
-
-
 class SolverState:
     """All ADMM blocks for one alignment problem, both sides stacked.
 
     Built from the (M, 2) points P, the (M, 2) window Rd and the starting
-    penalty ``mu``; raises ValueError unless P and Rd are finite (M, 2)
-    arrays with the same M of at least 2 and ``0 < mu < inf``.  A state is
-    reusable: :meth:`load` starts a new problem of the same M in its
-    buffers, as the constructor does after allocating them, so a solve
-    into a loaded state ends bit for bit where one into a new state ends.
-    Loading overwrites the earlier problem and everything solved from it,
-    also as seen through a :class:`SolverResult` that holds the state.  The
-    state is its buffers:
+    penalty ``mu``.  A new state is an allocated state loaded once: the
+    constructor makes the buffers for M points per side and hands the
+    problem to :meth:`load`, which can then start a new problem of the same
+    M in them, so a solve into a reloaded state ends bit for bit where one
+    into a new state ends.  Loading overwrites the earlier problem and
+    everything solved from it, also as seen through a :class:`SolverResult`
+    that holds the state.  The state is its buffers:
 
         ===========  ===========  =========================================
         buffer       shape        holds
@@ -211,8 +196,7 @@ class SolverState:
     """
 
     def __init__(self, P: np.ndarray, Rd: np.ndarray, mu: float) -> None:
-        p, rd = _checked_inputs(P, Rd, mu)
-        n = 2 * len(p)
+        n = 2 * len(P) if np.ndim(P) else 0
         self._buffer = buffer = np.empty(12 * n + 6)
         self.vector, self.transforms = buffer[:6 * n + 6], buffer[:6].reshape(2, 3)
         self.terms = buffer[6:].reshape(6, 2 * n)
@@ -231,30 +215,38 @@ class SolverState:
         # both sides: rows @ r = (Re, Im) sum conj(z_i - z_mean) r_i, sum r_x, sum r_y,
         # and (cos, sin, Re, Im of the warped z_mean) @ rows is the warp.  Rows 2 and 3
         # pick the x and y entries; rows 0 and 1, z_i - z_mean and i (z_i - z_mean),
-        # follow the inputs, and _start writes them through the (side, M) complex
+        # follow the inputs, and load writes them through the (side, M) complex
         # views _centred and _turned
         self.moments = np.zeros((8, 2 * n))
         self.moments[2, :n:2] = self.moments[3, 1:n:2] = self.moments[6, n::2] = self.moments[7, n + 1::2] = 1.0
         row, col = self.moments.strides
         self._centred, self._turned = (np.ndarray((2, n // 2), np.complex128, self.moments, k * row,
                                                   (4 * row + n * col, 2 * col)) for k in (0, 1))
-        self._start(p, rd, mu)
+        self.load(P, Rd, mu)
 
     def load(self, P: np.ndarray, Rd: np.ndarray, mu: float) -> None:
         """Start the problem of the (M, 2) points P and window Rd at penalty ``mu``.
 
-        The state then holds what a new ``SolverState(P, Rd, mu)`` holds.
-        Raises ValueError, writing nothing, for inputs the constructor
-        rejects and for an M other than the state's.
+        Writes the inputs, starts the iterate, W and duals, and rewrites what
+        the inputs fix.  Raises ValueError, writing nothing, unless P and Rd
+        are finite (M, 2) arrays with the same M, at least 2 and the state's,
+        and ``0 < mu < inf``.
         """
-        p, rd = _checked_inputs(P, Rd, mu)
-        if 2 * len(p) != self.inputs.shape[1]:
-            raise ValueError(f"the state holds {self.inputs.shape[1] // 2} points per side, not {len(p)}")
-        self._start(p, rd, mu)
-
-    def _start(self, p: np.ndarray, rd: np.ndarray, mu: float) -> None:
-        """Write checked inputs, start the iterate, W and duals, and rewrite what the inputs fix."""
+        p, rd = np.asarray(P, dtype=float), np.asarray(Rd, dtype=float)
+        for name, xy in (("P", p), ("Rd", rd)):
+            if xy.ndim != 2 or xy.shape[1] != 2:
+                raise ValueError(f"{name} must be an (M, 2) array, got shape {xy.shape}")
         inputs, m = self.inputs, len(p)
+        if m != len(rd):
+            raise ValueError(f"P and Rd must hold the same point count ({m} vs {len(rd)})")
+        if m < 2:
+            raise ValueError("alignment needs at least 2 points per side")
+        if not (np.isfinite(p).all() and np.isfinite(rd).all()):
+            raise ValueError("P and Rd must be finite")
+        if not 0 < mu < math.inf:  # NaN fails too
+            raise ValueError(f"mu must be positive and finite, got {mu!r}")
+        if 2 * m != inputs.shape[1]:
+            raise ValueError(f"the state holds {inputs.shape[1] // 2} points per side, not {m}")
         np.concatenate((p, rd), out=inputs.reshape(-1, 2))
         self.mu = mu
         self._buffer.fill(0.0)
@@ -320,6 +312,34 @@ def rank1_excess(B: np.ndarray) -> float:
     """Spectral mass of B beyond rank one (zero iff rank(B) <= 1)."""
     sig = np.linalg.svd(np.asarray(B, dtype=float), compute_uv=False)
     return float(sig.sum() - sig.max()) if sig.size else 0.0
+
+
+def warp_values(transforms, values: np.ndarray) -> np.ndarray:
+    """Warp interleaved vectors ``values`` (2M,) or (k, 2M) by (theta, s_x, s_y) rows (3,) or (k, 3).
+
+    One transform row per vector; with each point (x, y) taken as x + iy,
+    the warp is e^(i theta) z + s.  The general form the solver's re-warp
+    is checked against.
+    """
+    rows = np.asarray(transforms, dtype=float)
+    z = np.ascontiguousarray(values, dtype=float).view(np.complex128)
+    if z.ndim > 2 or rows.shape != z.shape[:-1] + (3,):
+        raise ValueError(f"expected one transform row per vector, got {rows.shape} rows for {np.shape(values)}")
+    turn, shift = np.exp(1j * rows[..., :1]), rows[..., 1:2] + 1j * rows[..., 2:]
+    return (z * turn + shift).view(float)
+
+
+def jacobian_values(theta: float, values: np.ndarray) -> np.ndarray:
+    """(2M, 3) Jacobian of the warped coordinates w.r.t. (theta, s_x, s_y)."""
+    c, s = math.cos(theta), math.sin(theta)
+    x = values[0::2]
+    y = values[1::2]
+    jac = np.zeros((values.size, 3), dtype=float)
+    jac[0::2, 0] = -x * s - y * c
+    jac[1::2, 0] = x * c - y * s
+    jac[0::2, 1] = 1.0
+    jac[1::2, 2] = 1.0
+    return jac
 
 
 def update_coupling(state: SolverState, cfg: SolverConfig) -> None:

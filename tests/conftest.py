@@ -116,7 +116,7 @@ def random_transform(rng) -> np.ndarray:
 
 def fd_warp_jacobian(t, values, h: float = 1e-6) -> np.ndarray:
     """Central finite differences of warp_values(t, values) w.r.t. (theta, s_x, s_y)."""
-    from spotalign.rigid import warp_values
+    from spotalign.solver import warp_values
 
     cols = []
     for i in range(3):

@@ -16,9 +16,8 @@ from spotalign.geo import project_points, unproject_points
 from spotalign.matchers import hungarian_assign
 from spotalign.metrics import HIGHER_BETTER, LOWER_BETTER, robustness_index
 from spotalign.pipeline import CollectedSet, rectify, synth_corpus
-from spotalign.rigid import jacobian_values
 from spotalign.roads import SpotType, sample_candidates, segment_arclength
-from spotalign.solver import SolverConfig, admm_solve, svt_prox
+from spotalign.solver import SolverConfig, admm_solve, jacobian_values, svt_prox
 
 from conftest import fd_warp_jacobian, straight_segment
 from test_matchers import brute_force_assignment

@@ -41,7 +41,8 @@ def test_workloads_import_and_every_wrapper_installs(monkeypatch):
 # perfbench's per-layer metrics read these call structures: a solver span per
 # window (solver.admm_solve.calls, sweeps) and the warp count per solve
 # (rigid.warp_values.calls_per_solve), which reads 0: a state starts W as its
-# inputs and the solver re-warps through SolverState.moments
+# inputs and the solver re-warps through SolverState.moments, and the Jacobian
+# count per solve (rigid.jacobian_values.calls_per_solve), which only trace mode raises
 
 def _counting(monkeypatch, module, attr) -> list:
     calls = []
@@ -63,6 +64,20 @@ def test_solver_never_calls_warp_values(monkeypatch):
     result = admm_solve(a, b, SolverConfig())
     assert result.iterations > 1
     assert calls == []
+
+
+def test_only_a_traced_solve_calls_jacobian_values_twice_per_sweep(monkeypatch):
+    # rigid.jacobian_values.calls_per_solve counts these calls through the module attribute
+    assert spotalign.warp_values is spotalign.solver.warp_values
+    assert spotalign.jacobian_values is spotalign.solver.jacobian_values
+    rng = np.random.default_rng(3)
+    calls = _counting(monkeypatch, spotalign.solver, "jacobian_values")
+    a, b = (rng.uniform(-40, 40, (12, 2)) for _ in range(2))
+    assert admm_solve(a, b, SolverConfig()).iterations > 1
+    assert calls == []
+    traced = admm_solve(a, b, SolverConfig(), collect_trace=True)
+    assert len(traced.trace.lagrangians) == traced.iterations > 1
+    assert len(calls) == 2 * traced.iterations
 
 
 def test_window_search_solves_each_window_once(monkeypatch):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -209,6 +210,19 @@ class TestSaveLoad:
         )
         with pytest.raises(DatasetError, match=r"segments\.csv: segment 'r1': unknown shape class 'winding'$"):
             load_segments(seg)
+
+    def test_segment_id_read_as_a_comment_rejected(self, tmp_path):
+        # save_dataset would write its rows as '#A,...', which every loader skips as comments
+        pairs = synth_corpus(2, 0, seed=1)
+        with pytest.raises(ValueError, match=r"^segment id '#A' must not start with '#'$"):
+            dataclasses.replace(pairs[0][0], id="#A")
+        renamed = [(dataclasses.replace(s, id=sid), dataclasses.replace(c, segment_id=sid))
+                   for sid, (s, c) in zip(("A", "B"), pairs)]
+        ds = Dataset(segments={s.id: s for s, _ in renamed}, collected={s.id: c for s, c in renamed})
+        paths = save_dataset(ds, tmp_path)
+        loaded = load_dataset(paths["segments"], paths["collected"], paths["truth"])
+        assert sorted(loaded.segments) == sorted(loaded.collected) == ["A", "B"]
+        assert all(loaded.collected[sid].points == c.points for sid, (_, c) in zip("AB", renamed))
 
     def test_short_segments_row_reports_column(self, tmp_path):
         seg = tmp_path / "segments.csv"

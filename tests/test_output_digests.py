@@ -7,14 +7,17 @@ corpus, at ``--th 1`` where a command takes it.  Each command and method
 writes to its own directory, and the record maps each seed to the sha256 of
 every file written, keyed by its path relative to the seed's directory.
 Running this module as a script records seeds 0 and 1 on the default
-``synth`` corpus in a temporary directory:
+``synth`` corpus, and under its own key the 1-straight + 1-curve corpus at
+seed 2, whose clean curve recall is 0 so that ``bench/robustness.csv`` holds
+an undefined ``r_ar`` (nan), in a temporary directory:
 
     PYTHONPATH=<tree>/src python tests/test_output_digests.py OUT.json
 
 (with no argument the record goes to stdout).  Run it once with each tree's
 ``src`` and compare the two records: they are equal when every output is
 byte-identical.  The test records a 2-straight + 1-curve corpus at one seed
-in two directories and requires the same record, naming every file written.
+in two directories and requires the same record, naming every file written;
+another checks that the script's second corpus still gives a nan ``r_ar``.
 """
 
 from __future__ import annotations
@@ -33,20 +36,27 @@ from spotalign.pipeline import ALL_METHODS
 SEEDS = (0, 1)
 PLOT_METHODS = ("raa", "ha")
 TH = "1"
+# the script's second corpus: bench_matrix leaves r_ar undefined for its curve class
+ZERO_RECALL_SEED, ZERO_RECALL_CORPUS = 2, ("--n-straight", "1", "--n-curve", "1")
+
+
+def cli(*argv: str) -> None:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = run_cli(list(argv))
+    if code != 0:
+        raise RuntimeError(f"spotalign {' '.join(argv)} exited with {code}")
+
+
+def synth(out: Path, seed: int, corpus: tuple[str, ...]) -> list[str]:
+    """``synth`` into ``out``; returns the data flags naming its three files."""
+    cli("synth", "--seed", str(seed), *corpus, "--out-dir", str(out))
+    return [arg for name in ("segments", "collected", "truth") for arg in (f"--{name}", str(out / f"{name}.csv"))]
 
 
 def run_commands(out: Path, seed: int, corpus: tuple[str, ...]) -> None:
     """Every command once per seed, and once per method where it takes one, each into its own directory."""
-    def cli(*argv: str) -> None:
-        with contextlib.redirect_stdout(io.StringIO()):
-            code = run_cli(list(argv))
-        if code != 0:
-            raise RuntimeError(f"spotalign {' '.join(argv)} exited with {code}")
-
-    ds = out / "synth"
-    cli("synth", "--seed", str(seed), *corpus, "--out-dir", str(ds))
-    segments, collected, truth = (str(ds / f"{name}.csv") for name in ("segments", "collected", "truth"))
-    data = ["--segments", segments, "--collected", collected, "--truth", truth]
+    data = synth(out / "synth", seed, corpus)
+    segments, collected, truth = data[1::2]
     cli("sample", *data, "--out-dir", str(out / "sample"))
     for method in ALL_METHODS:
         rectify_dir = out / f"rectify-{method}"
@@ -98,9 +108,19 @@ def test_record_names_every_output_and_does_not_depend_on_the_directory(tmp_path
     ])
 
 
+def test_zero_recall_corpus_leaves_r_ar_undefined(tmp_path):
+    data = synth(tmp_path / "synth", ZERO_RECALL_SEED, ZERO_RECALL_CORPUS)
+    cli("bench", *data, "--th", TH, "--seed", str(ZERO_RECALL_SEED), "--out-dir", str(tmp_path / "bench"))
+    rows = (tmp_path / "bench" / "robustness.csv").read_text().splitlines()
+    assert "raa,curve,0.0,nan" in rows
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
-        text = json.dumps(record(Path(tmp)), indent=1, sort_keys=True) + "\n"
+        digest = record(Path(tmp) / "synth")
+        zero_recall = record(Path(tmp) / "zero-recall", (ZERO_RECALL_SEED,), ZERO_RECALL_CORPUS)
+        digest.update({" ".join((seed, *ZERO_RECALL_CORPUS)): files for seed, files in zero_recall.items()})
+        text = json.dumps(digest, indent=1, sort_keys=True) + "\n"
     if len(sys.argv) > 1:
         Path(sys.argv[1]).write_text(text, encoding="utf-8")
     else:

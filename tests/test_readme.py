@@ -1,5 +1,6 @@
 """README.md agrees with the code: every Python block runs as written against
-the library source, and the command-line flag table lists each command's flags.
+the library source, the command-line flag table lists each command's flags, and
+the library layout table names each module of the package.
 
 Each block runs alone in a fresh interpreter with ``src`` on the path, so a
 block cannot lean on names another block defined.  The blocks take under
@@ -41,3 +42,10 @@ def test_readme_flag_table_matches_parser():
         for name, p in subparsers.choices.items()
     }
     assert table == parser
+
+
+def test_readme_layout_table_names_every_module():
+    section = README.split("## Library layout", 1)[1].split("\n## ", 1)[0]
+    table = re.findall(r"^\| `spotalign\.([a-z_]+)` +\|", section, flags=re.M)
+    package = [path.stem for path in (ROOT / "src" / "spotalign").glob("*.py") if path.stem != "__init__"]
+    assert sorted(table) == sorted(package)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from spotalign.rigid import jacobian_values, warp_values
+from spotalign.solver import jacobian_values, warp_values
 
 
 def random_points(rng, m=10) -> np.ndarray:

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spotalign.solver
-from spotalign.rigid import jacobian_values, warp_values
 from spotalign.solver import (
     DegenerateGeometryError,
     NumericalFailureError,
@@ -18,6 +17,7 @@ from spotalign.solver import (
     admm_solve,
     alignment_loss,
     fold_and_rewarp,
+    jacobian_values,
     lagrangian,
     rank1_excess,
     svt_prox,
@@ -27,6 +27,7 @@ from spotalign.solver import (
     update_multipliers,
     update_rectified_blocks,
     update_transform_increments,
+    warp_values,
 )
 
 from conftest import random_transform
