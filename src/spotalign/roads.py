@@ -85,8 +85,12 @@ class RoadSegment:
     intersection_indices: frozenset[int] = field(default_factory=frozenset)
 
     def __post_init__(self) -> None:
+        if not self.id:  # the segments loader rejects a row with an empty id
+            raise ValueError("segment id must not be empty")
         if self.id.startswith("#"):  # dataset files would read its rows as comments
             raise ValueError(f"segment id {self.id!r} must not start with '#'")
+        if "\r" in self.id or "\n" in self.id:  # dataset files would split its rows
+            raise ValueError(f"segment id {self.id!r} must not contain a line break")
         if len(self.polyline) < 2:
             raise ValueError(f"segment {self.id!r} needs at least 2 polyline points")
         if self.shape_class not in (STRAIGHT, CURVE):

@@ -1,8 +1,12 @@
 import dataclasses
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spotalign.dataio import (
     Dataset,
@@ -14,8 +18,33 @@ from spotalign.dataio import (
     render_csv,
     save_dataset,
 )
-from spotalign.pipeline import synth_corpus
-from spotalign.roads import SpotType
+from spotalign.geo import GeoPoint
+from spotalign.pipeline import CollectedSet, synth_corpus
+from spotalign.roads import CURVE, STRAIGHT, RoadSegment, SpotType
+
+GEO = st.builds(GeoPoint, st.floats(-90.0, 90.0), st.floats(-180.0, 180.0))
+# any text, and text of the characters a CSV file or its loader treats specially
+IDS = st.one_of(st.text(), st.text(st.sampled_from(',"\'#\r\n\t \x00\ufeff\u2028\x85a')))
+
+
+@st.composite
+def datasets(draw) -> Dataset:
+    """A dataset of up to 4 segments with every id that ``RoadSegment`` accepts,
+    each with or without collected points, and those with or without truth."""
+    segments, collected = {}, {}
+    for sid in draw(st.lists(IDS, max_size=4, unique=True)):
+        polyline = tuple(draw(st.lists(GEO, min_size=2, max_size=4)))
+        spot_type, shape = draw(st.sampled_from(SpotType)), draw(st.sampled_from((STRAIGHT, CURVE)))
+        flags = frozenset(draw(st.sets(st.integers(0, len(polyline) - 1))))
+        try:
+            segments[sid] = RoadSegment(sid, polyline, spot_type, shape, flags)
+        except ValueError:
+            continue
+        if draw(st.booleans()):
+            points = tuple(draw(st.lists(GEO, min_size=1, max_size=4)))
+            truth = tuple(draw(st.lists(GEO, min_size=len(points), max_size=len(points))))
+            collected[sid] = CollectedSet(sid, points, truth if draw(st.booleans()) else None)
+    return Dataset(segments, collected)
 
 
 def corpus_dataset(n_straight=2, n_curve=1, seed=8) -> Dataset:
@@ -53,6 +82,16 @@ class TestSaveLoad:
         second = save_dataset(loaded, tmp_path / "b")
         for key in first:
             assert first[key].read_bytes() == second[key].read_bytes(), key
+
+    @given(ds=datasets())
+    @settings(max_examples=300, deadline=None)
+    def test_any_valid_dataset_round_trips_byte_for_byte(self, ds):
+        with tempfile.TemporaryDirectory() as tmp:
+            first = save_dataset(ds, Path(tmp) / "a")
+            loaded = load_dataset(first["segments"], first["collected"], first.get("truth"))
+            second = save_dataset(loaded, Path(tmp) / "b")
+            assert {k: p.read_bytes() for k, p in second.items()} == {k: p.read_bytes() for k, p in first.items()}
+        assert (loaded.segments, loaded.collected) == (ds.segments, ds.collected)
 
     def test_minimal_dataset(self, tmp_path):
         seg = tmp_path / "segments.csv"
@@ -223,6 +262,16 @@ class TestSaveLoad:
         loaded = load_dataset(paths["segments"], paths["collected"], paths["truth"])
         assert sorted(loaded.segments) == sorted(loaded.collected) == ["A", "B"]
         assert all(loaded.collected[sid].points == c.points for sid, (_, c) in zip("AB", renamed))
+
+    @pytest.mark.parametrize("sid,message", [
+        ("", r"^segment id must not be empty$"),  # the loader rejects the row
+        ("a\rb", r"^segment id 'a\\rb' must not contain a line break$"),  # written unquoted, read as two rows
+        ("a\n#b", r"^segment id 'a\\n#b' must not contain a line break$"),  # its second line read as a comment
+    ])
+    def test_segment_id_that_would_not_load_back_rejected(self, sid, message):
+        segment = synth_corpus(1, 0, seed=1)[0][0]
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(segment, id=sid)
 
     def test_short_segments_row_reports_column(self, tmp_path):
         seg = tmp_path / "segments.csv"

@@ -511,10 +511,10 @@ class TestAdmmSolve:
     def test_feasibility_trend(self, rng):
         gt = collinear_spots(20)
         noisy = gt + rng.normal(0, 1.5, gt.shape)
-        res = admm_solve(noisy, gt, SolverConfig(), collect_trace=True)
+        res = admm_solve(noisy, gt, SolverConfig(tol_primal=1e-4), collect_trace=True)
         tail = res.trace.coupling_residuals[-10:]
         assert all(b <= a + 1e-12 for a, b in zip(tail, tail[1:]))
-        assert tail[-1] < SolverConfig().tol_primal
+        assert tail[-1] < 1e-4
 
     def test_e2_structure_every_iteration(self, rng):
         gt = collinear_spots(12)

@@ -15,7 +15,8 @@ module as a script against that checkout:
 
 (with no argument the record goes to stdout; the committed file is never
 written by the script).  The test requires losses within 1e-9 relative and
-identical sweep counts and flags.
+identical sweep counts and flags.  Cases solve at the small golden's settings,
+rho = 1.3 and tol_primal = 1e-4 m.
 
 A re-record differs from the committed file in the last hex digits of most
 losses: the file was recorded by an older sweep, and 8c00a28's leaner sweep

@@ -16,7 +16,8 @@ multipliers) by running this module as a script against that checkout:
 (with no argument the record goes to stdout; the committed file is never
 written by the script).  The test requires losses within 1e-9 relative,
 identical sweep counts and flags, and the same exception type and iteration.
-Cases solve at rho = 1.3, the penalty growth the record was made at.
+Cases solve at rho = 1.3 and tol_primal = 1e-4 m, the penalty growth and
+residual tolerance the record was made at.
 
 A re-record differs from the committed file in the last hex digits of most
 losses: the file was recorded by an older sweep, and e594457's lean sweep
@@ -41,6 +42,7 @@ from spotalign.solver import DegenerateGeometryError, NumericalFailureError, Sol
 GOLDEN = Path(__file__).resolve().parent / "data" / "solver_small_golden.json"
 SIZES = (2, 3, 4, 6, 9)
 KINDS = ("clean", "drifted", "outlier")
+RECORDED = SolverConfig(rho=1.3, tol_primal=1e-4)  # the settings the golden files were recorded at
 
 
 def case_points(m: int, kind: str) -> tuple[np.ndarray, np.ndarray]:
@@ -72,7 +74,7 @@ CASES = [(f"m{m}-{kind}", case_points, (m, kind)) for m in SIZES for kind in KIN
 def solve(build, args) -> dict:
     pts, window = build(*args)
     try:
-        result = admm_solve(pts, window, SolverConfig(rho=1.3))
+        result = admm_solve(pts, window, RECORDED)
     except (DegenerateGeometryError, NumericalFailureError) as exc:
         return {"error": type(exc).__name__, "iteration": getattr(exc, "iteration", None)}
     return {"loss": result.loss.hex(), "iterations": result.iterations,

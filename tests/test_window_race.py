@@ -11,11 +11,13 @@ every rung's sweep, and the late rung's margin, on ``synth_corpus(10, 10)``
 at seeds 0-3 and the same gap arm; every corpus here is held out from all
 of these choices.  A margin pin per rung, 1.2 at the first four (well inside
 1.5) and 1.05 at the late one (inside 1.1), fails before a solver change or
-a new rung can cost a window.
+a new rung can cost a window.  The race also picks the same windows when its
+solves finish at a 0.1 mm constraint residual, a hundredth of the default.
 
 Run as a script to print, for each corpus (all by default), the largest
 ratio of a winner's loss at each rung to its final loss, the share of
-windows abandoned at each rung and the sweeps the race runs in all:
+windows abandoned at each rung, the sweeps the race runs in all and the
+median sweeps of a window it finishes:
 
     PYTHONPATH=src python tests/test_window_race.py [CORPUS ...]
 """
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import math
 import re
+import statistics
 import sys
 from dataclasses import dataclass, replace
 
@@ -46,6 +49,7 @@ MARGINS = dict(RACE_CHECKS)
 MARGIN_PINS = {1: 1.2, 2: 1.2, 4: 1.2, 8: 1.2, 10: 1.05}  # per rung, each inside the rung's margin
 GAP_DRIFTS = (6.0, 9.0, 12.0)
 GAP_TRIALS = 3  # per drift
+FINE_TOL = 1e-4  # a residual tolerance a hundredth of the default's 1 cm
 
 
 def gap_arm(seed: int) -> list:
@@ -77,6 +81,8 @@ class Outcome:
     check_losses: tuple[float, ...]  # the winner's loss after each rung's sweeps
     abandoned_at: tuple[int, ...]  # the sweep each window the race abandoned stopped at, in start order
     sweeps: int  # the race's sweeps over all windows
+    finished: tuple[int, ...]  # the sweeps of each window the race finished, in start order
+    fine_winner: int  # the race's window when its solves stop at the residual FINE_TOL
 
 
 def outcome(segment, collected, cfg: SolverConfig) -> Outcome:
@@ -89,9 +95,10 @@ def outcome(segment, collected, cfg: SolverConfig) -> Outcome:
     early = tuple(admm_solve(pts - center, window - center, replace(cfg, max_iters=k)).loss
                   for k in RUNGS)
     raced, sweeps, _ = search_windows(pts, cands.xy(), cfg)
+    fine = raa_rectify(collected, segment, TH, replace(cfg, tol_primal=FINE_TOL))
     return Outcome(raa_rectify(collected, segment, TH, cfg), winner, losses[winner],
                    tuple(unproject_points(cands.frame, window)), early, tuple(sweeps[raced == math.inf].tolist()),
-                   int(sweeps.sum()))
+                   int(sweeps.sum()), tuple(sweeps[raced < math.inf].tolist()), fine.window_start_index)
 
 
 def run_corpus(name: str) -> list[Outcome]:
@@ -116,6 +123,15 @@ def test_race_picks_the_exhaustive_winner(outcomes, name):
         assert not o.race.already_correct, where
         assert (o.race.window_start_index, o.race.loss.hex()) == (o.winner, o.loss.hex()), where
         assert o.race.points == o.points, where
+
+
+@pytest.mark.parametrize("name", list(CORPORA))
+def test_finer_residual_tolerance_picks_the_same_windows(outcomes, name):
+    # finishing every solve at a hundredth of the residual moves each final
+    # loss a little; it must not move a winner
+    assert CORPORA[name][1].tol_primal == SolverConfig().tol_primal > FINE_TOL
+    for o in outcomes[name]:
+        assert o.race.window_start_index == o.fine_winner, f"{name} {o.race.segment_id}"
 
 
 @pytest.mark.parametrize("m", [2, 7, 8, 9, 127, 128, 129, 200])
@@ -319,10 +335,12 @@ def summary(name: str, results: list[Outcome]) -> str:
     """One line: per rung, the winners' worst ratio and the share of windows abandoned there; the race's sweeps."""
     windows = sum(len(o.race.window_losses) for o in results)
     stops = [k for o in results for k in o.abandoned_at]
+    finished = [k for o in results for k in o.finished]
     return (f"{name}: at sweeps {', '.join(map(str, RUNGS))} a winner's loss / final is at most "
             f"{', '.join(f'{r:.4f}' for r in worst_ratios(results))} and "
             f"{', '.join(f'{stops.count(k) / windows:.1%}' for k in RUNGS)} "
-            f"of {windows} windows are abandoned; the race runs {sum(o.sweeps for o in results)} sweeps")
+            f"of {windows} windows are abandoned; the race runs {sum(o.sweeps for o in results)} sweeps, "
+            f"a median of {statistics.median(finished):g} per finished window")
 
 
 def test_script_prints_the_margin_and_abandoned_share():
@@ -331,7 +349,8 @@ def test_script_prints_the_margin_and_abandoned_share():
     (line,) = run_script("test_window_race.py", "lambda-1").splitlines()
     sweeps = ", ".join(map(str, RUNGS))
     got = re.fullmatch(rf"lambda-1: at sweeps {sweeps} a winner's loss / final is at most ([\d., ]+) "
-                       rf"and ([\d.%, ]+) of \d+ windows are abandoned; the race runs \d+ sweeps", line)
+                       rf"and ([\d.%, ]+) of \d+ windows are abandoned; the race runs \d+ sweeps, "
+                       rf"a median of [\d.]+ per finished window", line)
     assert got, line
     ratios, shares = (group.split(", ") for group in got.groups())
     assert len(ratios) == len(shares) == len(RUNGS)
