@@ -44,11 +44,26 @@ class DatasetError(Exception):
 
 @dataclass(frozen=True)
 class Dataset:
-    """Road segments plus the collected (and optionally ground-truth) spots."""
+    """Road segments plus the collected (and optionally ground-truth) spots.
+
+    Each key is its record's id, and each collected set's key names a
+    segment: files are written by those ids, so a key that differed would
+    load back as another.  Raises ValueError, naming the key, otherwise.
+    """
 
     segments: dict[str, RoadSegment]
     collected: dict[str, CollectedSet]
     metadata: dict[str, str] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        for sid, seg in self.segments.items():
+            if sid != seg.id:
+                raise ValueError(f"segments key {sid!r} is not its segment's id {seg.id!r}")
+        for sid, cset in self.collected.items():
+            if sid != cset.segment_id:
+                raise ValueError(f"collected key {sid!r} is not its set's segment_id {cset.segment_id!r}")
+            if sid not in self.segments:
+                raise ValueError(f"collected key {sid!r} names no segment")
 
     def segment_ids(self) -> list[str]:
         return sorted(self.segments)

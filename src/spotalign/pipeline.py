@@ -156,7 +156,7 @@ def inject_noise(truth: list[GeoPoint] | tuple[GeoPoint, ...], spec: NoiseSpec, 
 # ---------------------------------------------------------------------------
 
 def search_windows(pts: np.ndarray, cand_xy: np.ndarray,
-                   cfg: SolverConfig | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                   cfg: SolverConfig | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """Race the rank-1 alignments of the (M, 2) points against every M-wide window.
 
     Each window of ``cand_xy`` (stride 1), and the points with it, is
@@ -167,8 +167,15 @@ def search_windows(pts: np.ndarray, cand_xy: np.ndarray,
     each solve is given the best loss a window has finished with so far.
     A solve whose loss at a rung of :data:`~spotalign.solver.RACE_CHECKS`
     exceeds the rung's margin times that best is abandoned there and
-    scores +inf.  Returns each window's loss, sweeps and ``converged``, in
-    start order.
+    scores +inf.
+
+    The race's headroom is the largest ``headroom`` of its finished solves.
+    Above 1, some finished window's loss at a rung exceeded the margin times
+    its own final loss, so the margins do not hold on this data: every
+    abandoned window is then solved again with no bound, into the same
+    state, which gives the losses of an exhaustive search.  Returns each
+    window's loss, sweeps and ``converged``, in start order, and the
+    headroom.
     """
     cfg = cfg or SolverConfig()
     # every window centred on its mean at once, (windows, M, 2) per side; each
@@ -178,13 +185,19 @@ def search_windows(pts: np.ndarray, cand_xy: np.ndarray,
     centred_pts, centred_windows = pts - centres, windows.transpose(0, 2, 1) - centres
     n = len(windows)
     losses, sweeps, converged = np.empty(n), np.empty(n, int), np.empty(n, bool)
-    best, state = math.inf, None  # the best finished loss; the one solver state, made by the first solve
+    # the best finished loss, the race's headroom, and the one solver state, made by the first solve
+    best, headroom, state = math.inf, 0.0, None
     for i in np.argsort(np.hypot(*(centres[:, 0] - pts.mean(axis=0)).T), kind="stable").tolist():
         solved = admm_solve(centred_pts[i], centred_windows[i], cfg, race_best=best, out=state)
         state = solved.state
         losses[i], sweeps[i], converged[i] = solved.loss, solved.iterations, solved.converged
         best = min(best, solved.loss)  # an abandoned solve's +inf leaves it
-    return losses, sweeps, converged
+        headroom = max(headroom, solved.headroom)
+    if headroom > 1:
+        for i in np.flatnonzero(losses == math.inf).tolist():
+            solved = admm_solve(centred_pts[i], centred_windows[i], cfg, out=state)
+            losses[i], sweeps[i], converged[i] = solved.loss, solved.iterations, solved.converged
+    return losses, sweeps, converged, headroom
 
 
 def raa_rectify(
@@ -203,7 +216,10 @@ def raa_rectify(
     line per searched segment: the windows, how many were abandoned in all
     and at each check sweep, how many of the rest stopped at ``max_iters``,
     the winning loss and its margin over the best finished runner-up (nan
-    for a single window, inf when every other window was abandoned).
+    for a single window, inf when every other window was abandoned), the
+    race's headroom and whether the search fell back to solving every
+    window.  A fallback, a headroom above 1, also logs a WARNING that names
+    the segment; its windows are then all finished, none abandoned.
 
     Raises :class:`InsufficientCandidatesError` when the candidate set is
     smaller than the collected set, and ``ValueError`` when a single
@@ -230,16 +246,19 @@ def raa_rectify(
 
     if m < 2:
         raise ValueError(f"segment {segment.id!r}: RAA needs at least 2 collected points, got {m}")
-    losses, sweeps, converged = search_windows(pts, cand_xy, cfg)
+    losses, sweeps, converged, headroom = search_windows(pts, cand_xy, cfg)
     best = int(np.argmin(losses))
+    if headroom > 1:
+        log.warning("raa_rectify %s: race headroom %.3f exceeds 1, so every window was solved with no bound",
+                    segment.id, headroom)
     if log.isEnabledFor(logging.DEBUG):
         abandoned = losses == math.inf
         stops = sweeps[abandoned].tolist()  # the sweep each abandoned solve stopped at
         margin = float(np.partition(losses, 1)[1] - losses[best]) if n_windows > 1 else math.nan
         log.debug("raa_rectify %s: %d windows, %d abandoned (per check sweep %s), %d stopped at max_iters, "
-                  "loss %.6f, margin %.6f", segment.id, n_windows, len(stops),
+                  "loss %.6f, margin %.6f, headroom %.3f, fallback %s", segment.id, n_windows, len(stops),
                   {k: stops.count(k) for k, _ in RACE_CHECKS}, int((~converged & ~abandoned).sum()),
-                  losses[best], margin)
+                  losses[best], margin, headroom, headroom > 1)
     snapped = unproject_points(frame, cand_xy[best:best + m])
     return RectifiedSet(
         segment_id=collected.segment_id,

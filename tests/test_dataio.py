@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -28,9 +29,10 @@ IDS = st.one_of(st.text(), st.text(st.sampled_from(',"\'#\r\n\t \x00\ufeff\u2028
 
 
 @st.composite
-def datasets(draw) -> Dataset:
-    """A dataset of up to 4 segments with every id that ``RoadSegment`` accepts,
-    each with or without collected points, and those with or without truth."""
+def dataset_records(draw) -> tuple[dict, dict]:
+    """The segments and collected sets of a dataset of up to 4 segments with every
+    id that ``RoadSegment`` accepts, each with or without collected points, and
+    those with or without truth, each keyed by its id."""
     segments, collected = {}, {}
     for sid in draw(st.lists(IDS, max_size=4, unique=True)):
         polyline = tuple(draw(st.lists(GEO, min_size=2, max_size=4)))
@@ -44,7 +46,10 @@ def datasets(draw) -> Dataset:
             points = tuple(draw(st.lists(GEO, min_size=1, max_size=4)))
             truth = tuple(draw(st.lists(GEO, min_size=len(points), max_size=len(points))))
             collected[sid] = CollectedSet(sid, points, truth if draw(st.booleans()) else None)
-    return Dataset(segments, collected)
+    return segments, collected
+
+
+datasets = dataset_records().map(lambda records: Dataset(*records))
 
 
 def corpus_dataset(n_straight=2, n_curve=1, seed=8) -> Dataset:
@@ -83,7 +88,7 @@ class TestSaveLoad:
         for key in first:
             assert first[key].read_bytes() == second[key].read_bytes(), key
 
-    @given(ds=datasets())
+    @given(ds=datasets)
     @settings(max_examples=300, deadline=None)
     def test_any_valid_dataset_round_trips_byte_for_byte(self, ds):
         with tempfile.TemporaryDirectory() as tmp:
@@ -92,6 +97,27 @@ class TestSaveLoad:
             second = save_dataset(loaded, Path(tmp) / "b")
             assert {k: p.read_bytes() for k, p in second.items()} == {k: p.read_bytes() for k, p in first.items()}
         assert (loaded.segments, loaded.collected) == (ds.segments, ds.collected)
+
+    @given(records=dataset_records(), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_key_that_does_not_match_its_record_rejected(self, records, data):
+        # save_dataset writes each record under its key: a segment filed under
+        # another key, or a collected set under another segment, would load
+        # back as that one, and a set under no segment would not load at all
+        segments, collected = records
+        key = data.draw(IDS.filter(lambda k: k not in segments), label="key")  # no segment's id
+        kinds = ["no segment"] + ["segment key"] * bool(segments) + ["collected key"] * bool(collected)
+        kind = data.draw(st.sampled_from(kinds), label="kind")
+        if kind == "segment key":
+            segments[key] = segments.pop(data.draw(st.sampled_from(sorted(segments))))
+            named = key
+        elif kind == "collected key":
+            named = data.draw(st.sampled_from(sorted(collected)))
+            collected[named] = dataclasses.replace(collected[named], segment_id=key)
+        else:
+            collected[key], named = CollectedSet(key, (GeoPoint(0.0, 0.0),)), key
+        with pytest.raises(ValueError, match=rf"^(segments|collected) key {re.escape(repr(named))} "):
+            Dataset(segments, collected)
 
     def test_minimal_dataset(self, tmp_path):
         seg = tmp_path / "segments.csv"

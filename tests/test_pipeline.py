@@ -198,7 +198,8 @@ class TestRaaRectify:
         losses = sorted(out.window_losses)
         assert len(losses) > 1 and record.levelno == logging.DEBUG
         no_stops = {k: 0 for k, _ in RACE_CHECKS}
-        assert record.args == (segment.id, len(losses), 0, no_stops, len(losses), out.loss, losses[1] - losses[0])
+        assert record.args == (segment.id, len(losses), 0, no_stops, len(losses), out.loss, losses[1] - losses[0],
+                               0.0, False)
         assert record.getMessage().startswith(f"raa_rectify {segment.id}: {len(losses)} windows, 0 abandoned "
                                               f"(per check sweep {no_stops}), {len(losses)} stopped at max_iters, "
                                               "loss ")
@@ -209,8 +210,8 @@ class TestRaaRectify:
             out = raa_rectify(collected, segment, th=1.0)
         (record,) = [r for r in caplog.records if r.name == "spotalign.pipeline"]
         cands = sample_candidates(segment)
-        losses, sweeps, _ = search_windows(project_points(cands.frame, collected.points), cands.xy())
-        assert losses.tolist() == list(out.window_losses)
+        losses, sweeps, _, headroom = search_windows(project_points(cands.frame, collected.points), cands.xy())
+        assert losses.tolist() == list(out.window_losses) and 0 < headroom <= 1
         finished = sorted(v for v in out.window_losses if v < math.inf)
         abandoned = len(out.window_losses) - len(finished)
         assert abandoned > 0 and finished[0] == out.loss
@@ -219,7 +220,8 @@ class TestRaaRectify:
         per_check = {k: stops.count(k) for k, _ in RACE_CHECKS}
         assert sum(per_check.values()) == abandoned and per_check[RACE_CHECKS[0][0]] > 0
         assert record.args == (segment.id, len(out.window_losses), abandoned, per_check, 0, out.loss,
-                               runner_up - out.loss)
+                               runner_up - out.loss, headroom, False)
+        assert record.getMessage().endswith(f", headroom {headroom:.3f}, fallback False")
 
     def test_already_correct_segment_logs_nothing(self, caplog):
         seg = straight_segment(60 * 6.0, SpotType.PARALLEL)

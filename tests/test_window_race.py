@@ -2,28 +2,37 @@
 
 ``search_windows`` solves windows nearest-centroid first and abandons a solve
 at the first rung of ``RACE_CHECKS`` where its loss exceeds the rung's
-margin times the best finished loss so far: 1.5 after 1, 2, 4 and 8 sweeps,
-1.1 after 10.  That is safe while every winner's loss at each rung stays
-below the rung's margin times its final loss.  The margin of the first four
-rungs was chosen on the golden corpus, ``synth_corpus(10, 10)`` at seeds
-0-9, the gap arm at seeds 11-13 and 21-22 and the criterion-05 corpus, and
-every rung's sweep, and the late rung's margin, on ``synth_corpus(10, 10)``
-at seeds 0-3 and the same gap arm; every corpus here is held out from all
-of these choices.  A margin pin per rung, 1.2 at the first four (well inside
-1.5) and 1.05 at the late one (inside 1.1), fails before a solver change or
-a new rung can cost a window.  The race also picks the same windows when its
-solves finish at a 0.1 mm constraint residual, a hundredth of the default.
+margin times the best finished loss so far: 0.6 after 1 sweep, 1.0 after 2,
+1.2 after 4 and 8, 1.1 after 10.  That is safe while every winner's loss at
+each rung stays below the rung's margin times its final loss.  The early
+margins were chosen by replaying the race on ``synth_corpus(10, 10)`` at
+seeds 0-3 and the gap arm at seeds 11-13 and 21-22, each the tenth at or
+above 1.2 times the rung's worst winner ratio there; the rungs' sweeps and
+the late rung's margin were chosen on the same corpora.  Every corpus here
+is held out from these choices.  A margin pin per rung, 0.5, 0.9, 1.1 and
+1.1 at the first four (inside 0.6, 1.0, 1.2 and 1.2) and 1.05 at the late
+one (inside 1.1), fails before a solver change or a new rung can cost a
+window.  The race also picks the same windows when its solves finish at a
+0.1 mm constraint residual, a hundredth of the default.
+
+Every search checks the margins on its own finished windows: a segment
+whose headroom (the largest rung loss over the margin times the final
+loss) exceeds 1 solves all its windows with no bound.  No held-out segment
+falls back; margins set too low fall back to the exhaustive search's
+winner and losses.
 
 Run as a script to print, for each corpus (all by default), the largest
 ratio of a winner's loss at each rung to its final loss, the share of
-windows abandoned at each rung, the sweeps the race runs in all and the
-median sweeps of a window it finishes:
+windows abandoned at each rung, the sweeps the race runs in all, the
+median sweeps of a window it finishes, the largest segment headroom with
+the rung that sets it, and how many segments fall back:
 
     PYTHONPATH=src python tests/test_window_race.py [CORPUS ...]
 """
 
 from __future__ import annotations
 
+import logging
 import math
 import re
 import statistics
@@ -46,7 +55,7 @@ from conftest import exhaustive_search, gap_case, polyline_segment, straight_seg
 TH = 1.0
 RUNGS = [k for k, _ in RACE_CHECKS]  # the sweeps of the race's rungs
 MARGINS = dict(RACE_CHECKS)
-MARGIN_PINS = {1: 1.2, 2: 1.2, 4: 1.2, 8: 1.2, 10: 1.05}  # per rung, each inside the rung's margin
+MARGIN_PINS = {1: 0.5, 2: 0.9, 4: 1.1, 8: 1.1, 10: 1.05}  # per rung, each inside the rung's margin
 GAP_DRIFTS = (6.0, 9.0, 12.0)
 GAP_TRIALS = 3  # per drift
 FINE_TOL = 1e-4  # a residual tolerance a hundredth of the default's 1 cm
@@ -83,22 +92,34 @@ class Outcome:
     sweeps: int  # the race's sweeps over all windows
     finished: tuple[int, ...]  # the sweeps of each window the race finished, in start order
     fine_winner: int  # the race's window when its solves stop at the residual FINE_TOL
+    headroom: float  # the race's headroom, as search_windows reports it
+    peak: tuple[float, int | None]  # the largest rung loss / (margin x final) of a finished window, and its rung
+
+
+def rung_ratios(pts: np.ndarray, window: np.ndarray, final: float, cfg: SolverConfig) -> list[tuple[float, int]]:
+    """(loss / (margin x ``final``), rung) at each rung the window's solve runs past."""
+    center = window.mean(axis=0)
+    solves = ((k, admm_solve(pts - center, window - center, replace(cfg, max_iters=k))) for k in RUNGS)
+    return [(r.loss / (MARGINS[k] * final), k) for k, r in solves if not r.converged]
 
 
 def outcome(segment, collected, cfg: SolverConfig) -> Outcome:
     losses = [r.loss for r in exhaustive_search(segment, collected, cfg)]
     winner = losses.index(min(losses))
     cands = sample_candidates(segment)
-    pts = project_points(cands.frame, collected.points)
-    window = cands.xy()[winner:winner + len(pts)]
+    pts, m = project_points(cands.frame, collected.points), len(collected.points)
+    window = cands.xy()[winner:winner + m]
     center = window.mean(axis=0)
     early = tuple(admm_solve(pts - center, window - center, replace(cfg, max_iters=k)).loss
                   for k in RUNGS)
-    raced, sweeps, _ = search_windows(pts, cands.xy(), cfg)
+    raced, sweeps, _, headroom = search_windows(pts, cands.xy(), cfg)
+    peak = max((ratio for i in np.flatnonzero(raced < math.inf).tolist()
+                for ratio in rung_ratios(pts, cands.xy()[i:i + m], raced[i], cfg)), default=(0.0, None))
     fine = raa_rectify(collected, segment, TH, replace(cfg, tol_primal=FINE_TOL))
     return Outcome(raa_rectify(collected, segment, TH, cfg), winner, losses[winner],
                    tuple(unproject_points(cands.frame, window)), early, tuple(sweeps[raced == math.inf].tolist()),
-                   int(sweeps.sum()), tuple(sweeps[raced < math.inf].tolist()), fine.window_start_index)
+                   int(sweeps.sum()), tuple(sweeps[raced < math.inf].tolist()), fine.window_start_index,
+                   headroom, peak)
 
 
 def run_corpus(name: str) -> list[Outcome]:
@@ -155,7 +176,7 @@ def test_race_matches_the_exhaustive_search_at_any_window_length(monkeypatch, m)
     assert (race.window_start_index, race.loss.hex()) == (winner, losses[winner].hex())
     finished = [(raced.hex(), full.hex()) for raced, full in zip(race.window_losses, losses) if raced < math.inf]
     assert finished and all(raced == full for raced, full in finished)
-    searched, sweeps, _ = search_windows(project_points(cands.frame, collected.points), cands.xy())
+    searched, sweeps, _, _ = search_windows(project_points(cands.frame, collected.points), cands.xy())
     assert searched.tolist() == list(race.window_losses)
     assert set(sweeps[searched == math.inf].tolist()) <= set(RUNGS)
     monkeypatch.setattr(spotalign.solver, "RACE_CHECKS", ())  # a race that abandons nothing
@@ -167,6 +188,14 @@ def test_winners_stay_inside_the_margin_at_the_check_sweep(outcomes, name):
     ratios = dict(zip(RUNGS, worst_ratios(outcomes[name])))
     assert list(MARGIN_PINS) == RUNGS
     assert all(ratios[k] <= MARGIN_PINS[k] < MARGINS[k] for k in RUNGS), (name, ratios)
+
+
+@pytest.mark.parametrize("name", list(CORPORA))
+def test_no_segment_falls_back(outcomes, name):
+    # the race's headroom is its finished windows' largest rung ratio, and
+    # it stays under 1 on every held-out corpus
+    for o in outcomes[name]:
+        assert o.peak[0] == o.headroom <= 1, (name, o.race.segment_id, o.peak)
 
 
 def test_the_race_abandons_windows(outcomes):
@@ -249,15 +278,15 @@ class TestAbandon:
         assert same_solve(admm_solve(pts, window, race_best=1e-9), plain)
 
     def test_solve_shorter_than_the_check_sweep_is_never_abandoned(self):
-        # the solve stops one sweep before a rung; the best ties its loss at
-        # the earlier rungs, and the next rung's margin times it is under the
-        # loss at the stop
+        # the solve stops one sweep before the last rung; the best ties its
+        # loss at the earlier rungs, and the last rung's margin times it is
+        # under the loss at the stop
         pts, window = drifted_window()
-        stop = RUNGS[2] - 1
+        stop = RUNGS[-1] - 1
         assert stop not in RUNGS
         plain = admm_solve(pts, window, SolverConfig(max_iters=stop))
         best = max(best_over(loss_after(pts, window, j), MARGINS[j]) for j in RUNGS if j < stop)
-        assert plain.loss > MARGINS[RUNGS[2]] * best
+        assert plain.loss > MARGINS[RUNGS[-1]] * best
         got = admm_solve(pts, window, SolverConfig(max_iters=stop), race_best=best)
         assert got.iterations == stop and same_solve(got, plain)
 
@@ -282,6 +311,65 @@ class TestAbandon:
         assert len(passed) == len(out.window_losses) > 1
         assert passed == [math.inf] + [best] * (len(passed) - 1)
         assert out.window_start_index == 0  # every window ties: the smallest start wins
+
+
+class TestHeadroom:
+    def test_headroom_is_the_largest_rung_loss_over_the_margin_times_the_final_loss(self):
+        pts, window = drifted_window()
+        plain = admm_solve(pts, window)
+        assert plain.iterations > RUNGS[-1]
+        want = max(loss_after(pts, window, k) / (MARGINS[k] * plain.loss) for k in RUNGS)
+        assert 0 < plain.headroom == want < 1
+        tied = admm_solve(pts, window, race_best=plain.loss)  # raced, and finished
+        assert same_solve(tied, plain) and tied.headroom == want
+        short = admm_solve(pts, window, SolverConfig(max_iters=RUNGS[2] - 1))  # runs past the first two rungs
+        assert short.headroom == max(loss_after(pts, window, k) / (MARGINS[k] * short.loss) for k in RUNGS[:2])
+
+    def test_abandoned_solve_has_no_headroom(self):
+        pts, window = drifted_window()
+        got = admm_solve(pts, window, race_best=1e-9)
+        assert (got.loss, got.headroom) == (math.inf, 0.0)
+
+    def test_margins_that_hold_nowhere_fall_back_to_the_exhaustive_search(self, monkeypatch, caplog):
+        # every finished window's headroom exceeds 1, so every searched
+        # segment solves all its windows, as exhaustive_search does
+        monkeypatch.setattr(spotalign.solver, "RACE_CHECKS", tuple((k, 1e-9) for k in RUNGS))
+        pairs = synth_corpus(1, 1, seed=2) + gap_arm(31)[:1]
+        for segment, collected in pairs:
+            losses = [r.loss for r in exhaustive_search(segment, collected)]
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="spotalign.pipeline"):
+                race = raa_rectify(collected, segment, th=TH)
+            (warning,) = caplog.records
+            assert warning.getMessage() == (f"raa_rectify {segment.id}: race headroom {warning.args[1]:.3f} "
+                                            "exceeds 1, so every window was solved with no bound")
+            assert [v.hex() for v in race.window_losses] == [v.hex() for v in losses], segment.id
+            winner = losses.index(min(losses))
+            assert (race.window_start_index, race.loss.hex()) == (winner, losses[winner].hex()), segment.id
+
+    def test_first_rung_margin_under_the_winners_ratio_falls_back_to_the_winner(self, monkeypatch, caplog):
+        segment, collected = synth_corpus(1, 0, seed=1)[0]
+        exhaustive = exhaustive_search(segment, collected)
+        losses = [r.loss for r in exhaustive]
+        winner = losses.index(min(losses))
+        cands = sample_candidates(segment)
+        pts, m = project_points(cands.frame, collected.points), len(collected.points)
+        windows = [cands.xy()[i:i + m] for i in range(len(losses))]
+        first = int(np.argmin([math.hypot(*(w.mean(axis=0) - pts.mean(axis=0))) for w in windows]))
+        assert first != winner  # the race solves another window first, so its best is at most that loss
+        table = ((RUNGS[0], 0.3),) + RACE_CHECKS[1:]
+        monkeypatch.setattr(spotalign.solver, "RACE_CHECKS", table)
+        center = windows[winner].mean(axis=0)
+        cut = admm_solve(pts - center, windows[winner] - center, race_best=losses[first])
+        assert (cut.loss, cut.iterations) == (math.inf, RUNGS[0])  # the race alone would lose the winner
+        with caplog.at_level(logging.DEBUG, logger="spotalign.pipeline"):
+            race = raa_rectify(collected, segment, th=TH)
+        (warning,) = [r for r in caplog.records if r.levelno == logging.WARNING]
+        assert warning.args[0] == segment.id and warning.args[1] > 1
+        (debug,) = [r for r in caplog.records if r.levelno == logging.DEBUG]
+        assert debug.args[-2:] == (warning.args[1], True)
+        assert (race.window_start_index, race.loss.hex()) == (winner, losses[winner].hex())
+        assert [v.hex() for v in race.window_losses] == [v.hex() for v in losses]
 
 
 def narrow_street(rng: np.random.Generator, m: int, extra: int, curved: bool) -> tuple:
@@ -326,21 +414,25 @@ def test_race_on_short_nearly_full_streets():
         assert len(race.window_losses) == i % 4 + 1 and not race.already_correct, where
         assert (race.window_start_index, race.loss.hex()) == (winner, losses[winner].hex()), where
         assert race.points == tuple(unproject_points(cands.frame, cands.xy()[winner:winner + m])), where
-        raced, sweeps, _ = search_windows(project_points(cands.frame, collected.points), cands.xy())
+        raced, sweeps, _, _ = search_windows(project_points(cands.frame, collected.points), cands.xy())
         stops += sweeps[raced == math.inf].tolist()
     assert RUNGS[-1] in stops and set(stops) <= set(RUNGS)
 
 
 def summary(name: str, results: list[Outcome]) -> str:
-    """One line: per rung, the winners' worst ratio and the share of windows abandoned there; the race's sweeps."""
+    """One line: per rung, the winners' worst ratio and the share of windows abandoned there; the race's
+    sweeps; the largest segment headroom, the rung that sets it, and how many segments fall back."""
     windows = sum(len(o.race.window_losses) for o in results)
     stops = [k for o in results for k in o.abandoned_at]
     finished = [k for o in results for k in o.finished]
+    headroom, rung = max(o.peak for o in results)
     return (f"{name}: at sweeps {', '.join(map(str, RUNGS))} a winner's loss / final is at most "
             f"{', '.join(f'{r:.4f}' for r in worst_ratios(results))} and "
             f"{', '.join(f'{stops.count(k) / windows:.1%}' for k in RUNGS)} "
             f"of {windows} windows are abandoned; the race runs {sum(o.sweeps for o in results)} sweeps, "
-            f"a median of {statistics.median(finished):g} per finished window")
+            f"a median of {statistics.median(finished):g} per finished window; the largest segment headroom "
+            f"is {headroom:.4f}, at sweep {rung}, and {sum(o.headroom > 1 for o in results)} of {len(results)} "
+            f"segments fall back")
 
 
 def test_script_prints_the_margin_and_abandoned_share():
@@ -350,11 +442,14 @@ def test_script_prints_the_margin_and_abandoned_share():
     sweeps = ", ".join(map(str, RUNGS))
     got = re.fullmatch(rf"lambda-1: at sweeps {sweeps} a winner's loss / final is at most ([\d., ]+) "
                        rf"and ([\d.%, ]+) of \d+ windows are abandoned; the race runs \d+ sweeps, "
-                       rf"a median of [\d.]+ per finished window", line)
+                       rf"a median of [\d.]+ per finished window; the largest segment headroom is "
+                       rf"(\d\.\d{{4}}), at sweep (\d+), and (\d+) of 6 segments fall back", line)
     assert got, line
-    ratios, shares = (group.split(", ") for group in got.groups())
+    ratios, shares = (group.split(", ") for group in got.groups()[:2])
     assert len(ratios) == len(shares) == len(RUNGS)
     assert all(float(r) <= MARGIN_PINS[k] for k, r in zip(RUNGS, ratios)) and all(s.endswith("%") for s in shares)
+    headroom, rung, fallbacks = got.groups()[2:]
+    assert 0 < float(headroom) <= 1 and int(rung) in RUNGS and fallbacks == "0"
 
 
 if __name__ == "__main__":
