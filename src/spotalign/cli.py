@@ -96,21 +96,16 @@ def _cmd_sample(args) -> int:
     return 0
 
 
-def _rectify_rows(dataset: Dataset, cfg: RunConfig) -> list[list]:
+def _cmd_rectify(args) -> int:
+    dataset = _load(args)
+    cfg = _run_config(args)
     rows: list[list] = []
     for sid, rset in sorted(bench_mod.run_method(dataset, cfg).items()):
         for i, p in enumerate(rset.points):
             rows.append([
-                sid, i, float(p.lat), float(p.lon), rset.method,
+                sid, i, float(p.lat), float(p.lon), cfg.method,
                 rset.window_start_index, float(rset.loss), int(rset.already_correct),
             ])
-    return rows
-
-
-def _cmd_rectify(args) -> int:
-    dataset = _load(args)
-    cfg = _run_config(args)
-    rows = _rectify_rows(dataset, cfg)
     out = Path(args.out_dir) / "rectified.csv"
     atomic_write_text(out, render_csv(
         f"spotalign rectified method={cfg.method} config={cfg.config_hash()}",
@@ -126,7 +121,7 @@ def _cmd_evaluate(args) -> int:
     cfg = _run_config(args)
     # the collected file holds the predictions to score
     rectified = {
-        sid: RectifiedSet(sid, cset.points, 0, 0.0, cfg.method)
+        sid: RectifiedSet(cset.points, 0, 0.0)
         for sid, cset in dataset.collected.items()
         if cset.ground_truth is not None
     }
@@ -266,6 +261,17 @@ def _cmd_plot(args) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+def _seed(text: str) -> int:
+    """A ``--seed`` value; numpy's generators take no negative seed."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spotalign",
@@ -284,7 +290,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--th": dict(type=float, default=defaults.th,
                      help="mean-distance threshold accepting points as already correct"),
         "--tau": dict(type=float, default=defaults.tau, help="recall tolerance in meters"),
-        "--seed": dict(type=int, default=defaults.seed),
+        "--seed": dict(type=_seed, default=defaults.seed),
         "--n-straight": dict(type=int, default=6, help="synthetic straight segments"),
         "--n-curve": dict(type=int, default=6, help="synthetic curved segments"),
         "--noise-kind": dict(default="random", choices=list(NOISE_KINDS)),

@@ -191,47 +191,45 @@ def _read_rows(path: Path, expected: list[str]) -> Iterator[tuple[int, tuple[str
     path = Path(path)
     if not path.is_file():
         raise DatasetError(f"{'not a file' if path.exists() else 'missing file'}: {path}")
-    with path.open(newline="", encoding="utf-8-sig") as fh:  # -sig: drop a leading BOM
-        comments = 0
+    raw = path.read_bytes()
+    # decode the whole file to find a bad byte before any row: with "utf-8" its offset counts from
+    # the file's first byte (utf-8-sig counts from after a BOM).  The rows then stream from the
+    # bytes; a StringIO of the decoded text would hold 4 bytes per character
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise DatasetError(f"{path} line {line}: not UTF-8 text "
+                           f"(byte 0x{raw[exc.start]:02x}: {exc.reason})") from None
+    comments = 0
 
-        def data_lines():
-            nonlocal comments
-            try:
-                for text in fh:
-                    if text.startswith("#"):
-                        comments += 1
-                    else:
-                        yield text
-            except UnicodeDecodeError:
-                # the reader decodes ahead of the lines it yields: find the bad byte in the raw file
-                raw = path.read_bytes()
-                try:
-                    raw.decode("utf-8")
-                except UnicodeDecodeError as exc:
-                    line = raw.count(b"\n", 0, exc.start) + 1
-                    raise DatasetError(f"{path} line {line}: not UTF-8 text "
-                                       f"(byte 0x{raw[exc.start]:02x}: {exc.reason})") from None
-                raise
+    def data_lines():
+        nonlocal comments
+        for text in io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig", newline=""):  # -sig: drop a BOM
+            if text.startswith("#"):
+                comments += 1
+            else:
+                yield text
 
-        reader = csv.reader(data_lines())
-        header = next(reader, None)
-        if header is None:
-            raise DatasetError(f"{path}: empty file")
-        position = {name: i for i, name in enumerate(header)}
-        missing = [c for c in expected if c not in position]
-        if missing:
-            raise DatasetError(f"{path}: missing columns {missing}")
-        pick = operator.itemgetter(*(position[c] for c in expected))
-        for row in reader:
-            if not row:
-                continue
-            line = reader.line_num + comments
-            try:
-                fields = pick(row)
-            except IndexError:
-                short = next(c for c in expected if position[c] >= len(row))
-                raise DatasetError(f"{path} line {line}: missing {short} value ({len(row)} fields)") from None
-            yield line, fields
+    reader = csv.reader(data_lines())
+    header = next(reader, None)
+    if header is None:
+        raise DatasetError(f"{path}: empty file")
+    position = {name: i for i, name in enumerate(header)}
+    missing = [c for c in expected if c not in position]
+    if missing:
+        raise DatasetError(f"{path}: missing columns {missing}")
+    pick = operator.itemgetter(*(position[c] for c in expected))
+    for row in reader:
+        if not row:
+            continue
+        line = reader.line_num + comments
+        try:
+            fields = pick(row)
+        except IndexError:
+            short = next(c for c in expected if position[c] >= len(row))
+            raise DatasetError(f"{path} line {line}: missing {short} value ({len(row)} fields)") from None
+        yield line, fields
 
 
 def _parse_float(path: Path, line: int, name: str, raw: str) -> float:

@@ -44,20 +44,21 @@ class CollectedSet:
 
 @dataclass(frozen=True)
 class RectifiedSet:
-    """Rectified coordinates for one segment.
+    """Rectified coordinates for one segment, as one method produced them.
 
+    ``points`` holds one rectified point per collected point.
     ``window_start_index`` is the candidate index the output window starts at
     (0 for methods that match against the full candidate set, and for inputs
-    accepted as already correct).  ``window_losses`` carries the per-window
-    scores of the search when one ran; +inf marks a window whose solve was
-    abandoned because it could not win.
+    accepted as already correct), and ``loss`` the method's score of it (0
+    when accepted).  ``already_correct`` marks inputs that RAA accepted as
+    they were.  ``window_losses`` carries the per-window scores of the search
+    when one ran; +inf marks a window whose solve was abandoned because it
+    could not win.  The segment and the method are the caller's to keep.
     """
 
-    segment_id: str
     points: tuple[GeoPoint, ...]
     window_start_index: int
     loss: float
-    method: str
     already_correct: bool = False
     window_losses: tuple[float, ...] | None = None
 
@@ -236,11 +237,9 @@ def raa_rectify(
     d = float(np.hypot(*(pts - cand_xy[:m]).T).mean())
     if d < th:
         return RectifiedSet(
-            segment_id=collected.segment_id,
             points=tuple(collected.points),
             window_start_index=0,
             loss=0.0,
-            method=RAA,
             already_correct=True,
         )
 
@@ -261,11 +260,9 @@ def raa_rectify(
                   losses[best], margin, headroom, headroom > 1)
     snapped = unproject_points(frame, cand_xy[best:best + m])
     return RectifiedSet(
-        segment_id=collected.segment_id,
         points=tuple(snapped),
         window_start_index=best,
         loss=float(losses[best]),
-        method=RAA,
         window_losses=tuple(losses.tolist()),
     )
 
@@ -287,11 +284,9 @@ def rectify(
     snapped, start = baseline_rectify(pts, cands, method)
     residual = float(np.hypot(*(pts - snapped).T).sum())
     return RectifiedSet(
-        segment_id=collected.segment_id,
         points=tuple(unproject_points(cands.frame, snapped)),
         window_start_index=start,
         loss=residual,
-        method=method,
     )
 
 

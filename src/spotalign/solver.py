@@ -76,14 +76,11 @@ rung to the margin times its final loss, at most 1 where the margins hold.
 from __future__ import annotations
 
 import cmath
-import logging
 import math
 import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
-
-log = logging.getLogger(__name__)
 
 # translation (meters) that weighs like one radian in the alignment loss
 THETA_NORM_SCALE_M = 10.0
@@ -652,9 +649,5 @@ def admm_solve(
 
         loss = math.inf if abandoned else alignment_loss(state)
         headroom = max((r / (m * loss) for r, m in rungs), default=0.0) if 0 < loss < math.inf else 0.0
-    log.debug(
-        "admm_solve: m=%d iters=%d converged=%s primal=%.3e loss=%.6f",
-        state.inputs.shape[1] // 2, iterations, converged, primal, loss,
-    )
     return SolverResult(state=state, loss=loss, iterations=iterations, converged=converged, trace=trace,
                         headroom=headroom)

@@ -421,6 +421,17 @@ class TestFlags:
         assert run_cli([command, *flag, "--out-dir", str(tmp_path)]) == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["synth", "noise", "bench"])
+    def test_negative_seed_rejected_before_any_work(self, small_dataset, tmp_path, capsys, command):
+        data = [] if command == "synth" else [
+            arg for name in ("segments", "collected", "truth")
+            for arg in (f"--{name}", str(small_dataset / f"{name}.csv"))
+        ]
+        out = tmp_path / "out"
+        assert run_cli([command, *data, "--seed", "-1", "--out-dir", str(out)]) == 2
+        assert "argument --seed: expected a non-negative integer, got '-1'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_header_hashes_defaults_for_flags_not_taken(self, small_dataset, tmp_path):
         data = ["--segments", str(small_dataset / "segments.csv"), "--truth", str(small_dataset / "truth.csv")]
         assert run_cli(["sample", *data, "--collected", str(small_dataset / "collected.csv"),

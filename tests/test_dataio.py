@@ -15,6 +15,7 @@ from spotalign.dataio import (
     RunConfig,
     atomic_write_text,
     load_dataset,
+    load_points,
     load_segments,
     render_csv,
     save_dataset,
@@ -373,6 +374,21 @@ class TestSaveLoad:
         seg.write_bytes(b"segment_id,point_index,lat,lon,is_intersection,spot_type,shape_class\n" + b"".join(rows))
         with pytest.raises(DatasetError, match=rf"segments\.csv line {bad_line}: not UTF-8 text \(byte 0xe9"):
             load_segments(seg)
+
+    def test_non_utf8_after_a_bom_counts_lines_from_the_first_byte(self, tmp_path):
+        # the bad byte sits at raw offset 9, 6 into the text after the BOM
+        col = tmp_path / "collected.csv"
+        col.write_bytes(b"\xef\xbb\xbfseg\n\xff\n")
+        with pytest.raises(DatasetError, match=r"collected\.csv line 2: not UTF-8 text \(byte 0xff"):
+            load_points(col)
+
+    def test_non_utf8_reported_before_any_row(self, tmp_path):
+        # a bad byte past the first 8 KB, after a bad row: the file is not text, whatever its size
+        rows = [f"r1,{i},0.0,0.0\n".encode() for i in range(1, 2000)]
+        col = tmp_path / "collected.csv"
+        col.write_bytes(b"segment_id,spot_index,lat,lon\nr1,0,bad,0.0\n" + b"".join(rows) + b"\xff\n")
+        with pytest.raises(DatasetError, match=r"collected\.csv line 2002: not UTF-8 text \(byte 0xff"):
+            load_points(col)
 
     def test_utf8_bom_ignored(self, tmp_path):
         # spreadsheet exports start files with a byte order mark

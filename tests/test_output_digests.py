@@ -3,7 +3,9 @@
 For each seed, in a fresh directory, :func:`record` runs ``synth``, then
 ``sample``, ``rectify`` with each method, ``evaluate`` of each method's
 rectified points, ``noise``, ``bench`` and ``plot`` with RAA and HA over that
-corpus, at ``--th 1`` where a command takes it.  Each command and method
+corpus, at ``--th 1`` where a command takes it, and ``rectify`` with RAA once
+more at the default ``--th``, where RAA accepts some segments as already
+correct (1 of the 12 at seeds 0 and 1).  Each command and method
 writes to its own directory, and the record maps each seed to the sha256 of
 every file written, keyed by its path relative to the seed's directory.
 Running this module as a script records seeds 0 and 1 on the default
@@ -63,6 +65,7 @@ def run_commands(out: Path, seed: int, corpus: tuple[str, ...]) -> None:
         cli("rectify", *data, "--method", method, "--th", TH, "--out-dir", str(rectify_dir))
         cli("evaluate", "--segments", segments, "--collected", str(rectify_dir / "rectified.csv"),
             "--truth", truth, "--method", method, "--out-dir", str(out / f"evaluate-{method}"))
+    cli("rectify", *data, "--method", "raa", "--out-dir", str(out / "rectify-raa-default-th"))
     cli("noise", *data, "--seed", str(seed), "--out-dir", str(out / "noise"))
     cli("bench", *data, "--th", TH, "--seed", str(seed), "--out-dir", str(out / "bench"))
     for method in PLOT_METHODS:
@@ -101,7 +104,7 @@ def test_record_names_every_output_and_does_not_depend_on_the_directory(tmp_path
     plots = [f"plot-{m}/plots/{sid}.{ext}" for m in PLOT_METHODS for sid in sids for ext in ("csv", "svg")]
     assert sorted(first["1"]) == sorted([
         "synth/segments.csv", "synth/collected.csv", "synth/truth.csv", "sample/candidates.csv",
-        *(f"rectify-{m}/rectified.csv" for m in ALL_METHODS),
+        *(f"rectify-{m}/rectified.csv" for m in ALL_METHODS), "rectify-raa-default-th/rectified.csv",
         *(f"evaluate-{m}/eval.csv" for m in ALL_METHODS),
         "noise/segments.csv", "noise/collected.csv", "noise/truth.csv",
         "bench/bench.csv", "bench/robustness.csv", *plots,

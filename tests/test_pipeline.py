@@ -7,6 +7,7 @@ import pytest
 import spotalign.pipeline
 import spotalign.solver
 from spotalign.geo import GeoPoint, make_frame, project_points, unproject_points
+from spotalign.matchers import baseline_rectify
 from spotalign.pipeline import (
     CollectedSet,
     Mixed,
@@ -191,10 +192,11 @@ class TestRaaRectify:
         segment, collected = synth_corpus(1, 0, seed=1)[0]
         cfg = SolverConfig(max_iters=3)  # too few sweeps for any window to converge
         quiet = raa_rectify(collected, segment, th=1.0, cfg=cfg)
-        with caplog.at_level(logging.DEBUG, logger="spotalign.pipeline"):
+        with caplog.at_level(logging.DEBUG, logger="spotalign"):
             out = raa_rectify(collected, segment, th=1.0, cfg=cfg)
         assert out == quiet
-        (record,) = [r for r in caplog.records if r.name == "spotalign.pipeline"]
+        (record,) = caplog.records  # the segment's line, and none per window solve
+        assert record.name == "spotalign.pipeline"
         losses = sorted(out.window_losses)
         assert len(losses) > 1 and record.levelno == logging.DEBUG
         no_stops = {k: 0 for k, _ in RACE_CHECKS}
@@ -206,9 +208,10 @@ class TestRaaRectify:
 
     def test_debug_line_counts_abandoned_windows_apart(self, caplog):
         segment, collected = synth_corpus(1, 0, seed=1)[0]
-        with caplog.at_level(logging.DEBUG, logger="spotalign.pipeline"):
+        with caplog.at_level(logging.DEBUG, logger="spotalign"):
             out = raa_rectify(collected, segment, th=1.0)
-        (record,) = [r for r in caplog.records if r.name == "spotalign.pipeline"]
+        (record,) = caplog.records
+        assert record.name == "spotalign.pipeline"
         cands = sample_candidates(segment)
         losses, sweeps, _, headroom = search_windows(project_points(cands.frame, collected.points), cands.xy())
         assert losses.tolist() == list(out.window_losses) and 0 < headroom <= 1
@@ -233,10 +236,13 @@ class TestRaaRectify:
     def test_baseline_dispatch(self, rng):
         seg = straight_segment(30 * 6.0, SpotType.PARALLEL)
         collected, _ = planted_collected(seg, start=4, m=10, jitter=0.4, rng=rng)
+        cands = sample_candidates(seg)
+        pts = project_points(cands.frame, collected.points)
         for method in ("ed", "cd", "ha", "wd"):
             out = rectify(collected, seg, method, th=0.1)
-            assert out.method == method
-            assert len(out.points) == 10
+            snapped, start = baseline_rectify(pts, cands, method)
+            assert out.points == tuple(unproject_points(cands.frame, snapped))
+            assert out.window_start_index == start and len(out.points) == 10
 
     def test_one_solver_state_per_searched_segment(self, monkeypatch):
         # every window is solved, each into the state the segment's first solve made

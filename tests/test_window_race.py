@@ -83,6 +83,7 @@ CORPORA = {
 
 @dataclass(frozen=True)
 class Outcome:
+    segment_id: str
     race: RectifiedSet
     winner: int  # the exhaustive search's window, its loss and snapped points
     loss: float
@@ -116,7 +117,7 @@ def outcome(segment, collected, cfg: SolverConfig) -> Outcome:
     peak = max((ratio for i in np.flatnonzero(raced < math.inf).tolist()
                 for ratio in rung_ratios(pts, cands.xy()[i:i + m], raced[i], cfg)), default=(0.0, None))
     fine = raa_rectify(collected, segment, TH, replace(cfg, tol_primal=FINE_TOL))
-    return Outcome(raa_rectify(collected, segment, TH, cfg), winner, losses[winner],
+    return Outcome(segment.id, raa_rectify(collected, segment, TH, cfg), winner, losses[winner],
                    tuple(unproject_points(cands.frame, window)), early, tuple(sweeps[raced == math.inf].tolist()),
                    int(sweeps.sum()), tuple(sweeps[raced < math.inf].tolist()), fine.window_start_index,
                    headroom, peak)
@@ -140,7 +141,7 @@ def outcomes():
 @pytest.mark.parametrize("name", list(CORPORA))
 def test_race_picks_the_exhaustive_winner(outcomes, name):
     for o in outcomes[name]:
-        where = f"{name} {o.race.segment_id}"
+        where = f"{name} {o.segment_id}"
         assert not o.race.already_correct, where
         assert (o.race.window_start_index, o.race.loss.hex()) == (o.winner, o.loss.hex()), where
         assert o.race.points == o.points, where
@@ -152,7 +153,7 @@ def test_finer_residual_tolerance_picks_the_same_windows(outcomes, name):
     # loss a little; it must not move a winner
     assert CORPORA[name][1].tol_primal == SolverConfig().tol_primal > FINE_TOL
     for o in outcomes[name]:
-        assert o.race.window_start_index == o.fine_winner, f"{name} {o.race.segment_id}"
+        assert o.race.window_start_index == o.fine_winner, f"{name} {o.segment_id}"
 
 
 @pytest.mark.parametrize("m", [2, 7, 8, 9, 127, 128, 129, 200])
@@ -195,7 +196,7 @@ def test_no_segment_falls_back(outcomes, name):
     # the race's headroom is its finished windows' largest rung ratio, and
     # it stays under 1 on every held-out corpus
     for o in outcomes[name]:
-        assert o.peak[0] == o.headroom <= 1, (name, o.race.segment_id, o.peak)
+        assert o.peak[0] == o.headroom <= 1, (name, o.segment_id, o.peak)
 
 
 def test_the_race_abandons_windows(outcomes):
